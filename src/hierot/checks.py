@@ -22,7 +22,7 @@ from .measures import (HierMeasure, base_support, canonicalize, collapse,
                        dirac_lift, eval_unrolled, mixture, n_expectancy,
                        push_leaf, w2_to_dirac)
 from .plans import FiberEntry
-from .wasserstein import w2
+from .wasserstein import TOL_NEAR_ZERO, w2
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,6 @@ def _result(name, worst, tol, samples, detail="") -> PropertyResult:
     return PropertyResult(name=name, passed=worst <= tol,
                           worst_residual=float(worst), samples=samples,
                           detail=detail or f"tolerance {tol}")
-
-
-# Comparing two independently built representations of the same measure hits
-# a sqrt(ulp) floor: one ulp of stray weight crossing an O(1) distance costs
-# about 1.5e-8 in w2.  Same-plan interpolant comparisons do not suffer this.
-TOL_NEAR_ZERO = 5e-8
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks
 from .errors import HierotError, LevelMismatch, SchemaError
 from .functionals import gradient_descent
 from .geodesics import interpolate, optimal_velocity_plan
 from .plans import plan_norm
 from .serialization import (dumps, format_float, functional_spec_from_obj,
                             load_measure, plan_to_obj, save_measure)
-from .wasserstein import opt_hier_plan, plan_summary, w2
+from .wasserstein import (TOL_NEAR_ZERO, clear_cache, opt_hier_plan,
+                          plan_summary, w2)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -90,6 +90,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import checks  # the suites are large; only `check` compiles them
     cfg = checks.CheckConfig(samples=args.samples)
     report = checks.run_suite(args.suite, args.seed, cfg)
     text = dumps(report)
@@ -118,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("b")
     g.add_argument("--steps", type=int, default=10)
     g.add_argument("--out", required=True)
-    g.add_argument("--tolerance", type=float, default=1e-8)
+    g.add_argument("--tolerance", type=float, default=TOL_NEAR_ZERO)
     g.set_defaults(fn=cmd_geodesic)
 
     f = sub.add_parser("flow", help="explicit gradient descent of a functional")
@@ -151,6 +152,9 @@ def main(argv=None) -> int:
     except (SchemaError, HierotError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SCHEMA
+    finally:
+        # a command leaves no memo behind, in-process as in its own process
+        clear_cache()
 
 
 if __name__ == "__main__":

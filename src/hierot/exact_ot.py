@@ -57,38 +57,47 @@ def solve_ot(c, a, b, *, return_info: bool = False):
         raise UnbalancedMarginals(
             f"marginals sum to {a.sum()} and {b.sum()}, expected 1")
 
-    keep_r = np.flatnonzero(a >= WEIGHT_DROP)
-    keep_c = np.flatnonzero(b >= WEIGHT_DROP)
-    info = SolveInfo(
-        dropped_rows=tuple(int(i) for i in np.flatnonzero(a < WEIGHT_DROP)),
-        dropped_cols=tuple(int(j) for j in np.flatnonzero(b < WEIGHT_DROP)),
-    )
-    ar = a[keep_r] / a[keep_r].sum()
-    bc = b[keep_c] / b[keep_c].sum()
-    cc = c[np.ix_(keep_r, keep_c)]
+    keep_r = a >= WEIGHT_DROP
+    keep_c = b >= WEIGHT_DROP
+    dropped = not (keep_r.all() and keep_c.all())
+    cc, ar, bc = c, a, b
+    if dropped:
+        cc, ar, bc = c[np.ix_(keep_r, keep_c)], a[keep_r], b[keep_c]
 
-    x, u, v, iters = _simplex(cc, ar, bc)
+    x, phi, psi, iters = _simplex(cc, ar / ar.sum(), bc / bc.sum())
+    if dropped:
+        x, phi, psi = _restore_dropped(c, keep_r, keep_c, x, phi, psi)
 
-    matrix = np.zeros((m, k))
-    matrix[np.ix_(keep_r, keep_c)] = x
-    matrix = repair_flow_sums(matrix, a, b)
-    phi = np.zeros(m)
-    psi = np.zeros(k)
-    phi[keep_r] = u
-    psi[keep_c] = v
-    # dropped rows/cols get tight feasible potentials (their mass is < 1e-14,
-    # so the dual value is unaffected at tolerance scale)
-    for i in np.setdiff1d(np.arange(m), keep_r):
-        phi[i] = float(np.min(c[i, keep_c] - psi[keep_c]))
-    for j in np.setdiff1d(np.arange(k), keep_c):
-        psi[j] = float(np.min(c[:, j] - phi))
-
+    matrix = repair_flow_sums(x, a, b)
     value = float(np.sum(matrix * c))
     plan = TransportPlan(matrix=matrix, row_marginal=a.copy(), col_marginal=b.copy())
     duals = DualPotentials(phi=phi, psi=psi)
     if return_info:
-        return plan, duals, value, SolveInfo(info.dropped_rows, info.dropped_cols, iters)
+        info = SolveInfo(
+            dropped_rows=tuple(int(i) for i in np.flatnonzero(~keep_r)),
+            dropped_cols=tuple(int(j) for j in np.flatnonzero(~keep_c)),
+            iterations=iters)
+        return plan, duals, value, info
     return plan, duals, value
+
+
+def _restore_dropped(c, keep_r, keep_c, x, u, v):
+    """Scatter a solve on the kept rows and columns back to full size.
+
+    Dropped rows and columns carry no flow and get tight feasible
+    potentials; their mass is below ``WEIGHT_DROP``, so the dual value is
+    unaffected at tolerance scale.
+    """
+    m, k = c.shape
+    matrix = np.zeros((m, k))
+    matrix[np.ix_(keep_r, keep_c)] = x
+    phi = np.zeros(m)
+    psi = np.zeros(k)
+    phi[keep_r] = u
+    psi[keep_c] = v
+    phi[~keep_r] = np.min(c[~keep_r][:, keep_c] - v, axis=1)
+    psi[~keep_c] = np.min(c[:, ~keep_c] - phi[:, None], axis=0)
+    return matrix, phi, psi
 
 
 def _northwest_corner(a, b):
@@ -181,38 +190,36 @@ def repair_flow_sums(x: np.ndarray, a: np.ndarray, b: np.ndarray,
     alternating passes drive both sides to exactness at ulp scale.  The
     adjustments are ~1e-16 and irrelevant to optimality, but they remove
     stray mass that would otherwise cross finite distances in downstream
-    measure comparisons.
+    measure comparisons.  A plan whose sums are already exact is returned
+    unchanged.  ``x`` is a nonnegative plan.
     """
     x = x.copy()
-    m, k = x.shape
     positive = np.concatenate([a[a > 0], b[b > 0]])
     if positive.size:
         clip = 1e-15 * float(positive.min())
         x[(x > 0) & (x < clip)] = 0.0
     for _ in range(sweeps):
-        for j in range(k):
-            rows = np.flatnonzero(x[:, j] > 0)
-            if len(rows) == 0:
-                continue
-            top = rows[np.argmax(x[rows, j])]
-            others = float(x[rows, j].sum() - x[top, j])
-            val = b[j] - others
-            if val >= 0:
-                x[top, j] = val
-        for i in range(m):
-            cols = np.flatnonzero(x[i] > 0)
-            if len(cols) == 0:
-                continue
-            top = cols[np.argmax(x[i, cols])]
-            others = float(x[i, cols].sum() - x[i, top])
-            val = a[i] - others
-            if val >= 0:
-                x[i, top] = val
-        row_gap = float(np.abs(x.sum(axis=1) - a).max())
-        col_gap = float(np.abs(x.sum(axis=0) - b).max())
-        if row_gap == 0.0 and col_gap == 0.0:
+        if (x.sum(axis=1) == a).all() and (x.sum(axis=0) == b).all():
             break
+        _pin_line_sums(x, b)
+        _pin_line_sums(x.T, a)
     return x
+
+
+def _pin_line_sums(x: np.ndarray, target: np.ndarray) -> None:
+    """Rewrite in place the largest entry of each nonzero column ``j`` of
+    ``x`` as ``target[j]`` minus the column's other entries, unless that
+    complement is negative.
+
+    Columns do not interact, so a whole pass is a few array operations;
+    pass ``x.T`` to treat the rows.
+    """
+    cols = np.arange(x.shape[1])
+    top = x.argmax(axis=0)
+    peak = x[top, cols]
+    val = target - (x.sum(axis=0) - peak)
+    ok = (peak > 0) & (val >= 0)
+    x[top[ok], cols[ok]] = val[ok]
 
 
 def _find_cycle(m, basis, enter):
@@ -246,7 +253,6 @@ def _find_cycle(m, basis, enter):
 def _simplex(c, a, b, max_pivots=None):
     m, k = c.shape
     if m == 1 or k == 1:
-        x = np.outer(a, b) / 1.0  # unique coupling up to normalization
         if m == 1:
             x = b.reshape(1, -1) * a[0]
             u = np.zeros(1)

@@ -12,6 +12,7 @@ structural comparisons in tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -105,6 +106,8 @@ def mixture(weights, atoms) -> HierMeasure:
     for a in atoms:
         if a.level != lvl or a.manifold != man:
             raise LevelMismatch("atoms must share manifold and level")
+    if not all(math.isfinite(w) for w in weights):
+        raise InvalidInput(f"weights must be finite, got {weights}")
     if any(w <= 0 for w in weights):
         raise NonUnitMass("weights must be strictly positive")
     total = kahan_sum(weights)
@@ -123,7 +126,7 @@ def dirac_lift(manifold: Manifold, point, n: int) -> HierMeasure:
 
 @dataclass(frozen=True)
 class ValidationIssue:
-    code: str       # NonUnitMass | LevelMismatch | InvalidPoint
+    code: str       # NonUnitMass | LevelMismatch | InvalidPoint | InvalidInput
     path: str
     message: str
 
@@ -144,6 +147,9 @@ def _validate(mu, expected_level, path, mass_tol):
         except (InvalidPoint, InvalidInput) as exc:
             return ValidationIssue("InvalidPoint", path, str(exc))
         return None
+    if not all(math.isfinite(w) for w in mu.weights):
+        return ValidationIssue("InvalidInput", path,
+                               f"weights must be finite, got {mu.weights}")
     total = kahan_sum(mu.weights)
     if abs(total - 1.0) > mass_tol or any(w <= 0 for w in mu.weights):
         return ValidationIssue("NonUnitMass", path, f"weights sum to {total}")
@@ -163,7 +169,8 @@ def require_valid(mu: HierMeasure, mass_tol: float = MASS_TOL) -> None:
         return
     exc = {"NonUnitMass": NonUnitMass,
            "LevelMismatch": LevelMismatch,
-           "InvalidPoint": InvalidPoint}[issue.code]
+           "InvalidPoint": InvalidPoint,
+           "InvalidInput": InvalidInput}[issue.code]
     raise exc(f"{issue.path}: {issue.message}")
 
 

@@ -17,6 +17,7 @@ sub-plans attached to base atom ``i``.  Floats are emitted with ``repr``
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,12 @@ def _node_from_obj(obj, man: Manifold, level: int) -> HierMeasure:
         return HierMeasure(man, 0, point=man.check_point(obj["point"]))
     if "weights" not in obj or "atoms" not in obj:
         raise SchemaError("interior node must carry weights and atoms")
-    weights = [float(w) for w in obj["weights"]]
+    try:
+        weights = [float(w) for w in obj["weights"]]
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"node weights must be numbers: {exc}") from exc
+    if not all(math.isfinite(w) for w in weights):
+        raise SchemaError(f"node weights must be finite, got {weights}")
     atoms = obj["atoms"]
     if len(weights) != len(atoms) or not atoms:
         raise SchemaError("weights and atoms must be non-empty and aligned")

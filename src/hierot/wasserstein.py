@@ -16,12 +16,17 @@ from typing import Optional
 import numpy as np
 
 from . import exact_ot
-from .errors import DeskScaleError, LevelMismatch
+from .errors import DeskScaleError, InvalidInput, LevelMismatch
 from .exact_ot import DualPotentials, TransportPlan, solve_ot, verify_optimality
 from .measures import HierMeasure
 
 MAX_LEVEL = 4
 DEFAULT_MAX_ATOMS = 32
+
+# Comparing two independently built representations of the same measure hits
+# a sqrt(ulp) floor: one ulp of stray weight crossing an O(1) distance costs
+# about 1.5e-8 in w2.  Same-plan interpolant comparisons do not suffer this.
+TOL_NEAR_ZERO = 5e-8
 
 _w2_cache: dict = {}
 
@@ -35,7 +40,8 @@ def max_atoms_budget() -> int:
     try:
         return int(raw) if raw else DEFAULT_MAX_ATOMS
     except ValueError:
-        return DEFAULT_MAX_ATOMS
+        raise InvalidInput(
+            f"HIEROT_MAX_ATOMS must be an integer, got {raw!r}") from None
 
 
 def _check_budget(mu: HierMeasure) -> None:

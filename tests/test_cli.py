@@ -11,6 +11,7 @@ from hierot.measures import dirac, dirac_lift, mixture
 from hierot.sampling import random_measure, rng_from_seed
 from hierot.serialization import (load_measure, load_plan, measure_to_obj,
                                   save_measure)
+from hierot.wasserstein import _w2_cache
 
 E1 = euclidean(1)
 S3 = sphere(3)
@@ -66,6 +67,45 @@ def test_distance_schema_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("w", [float("nan"), float("inf")])
+def test_distance_non_finite_weight_exit_code(tmp_path, capsys, w):
+    doc = {"manifold": {"kind": "euclidean", "ambient_dim": 1}, "level": 1,
+           "measure": {"weights": [w, 0.5],
+                       "atoms": [{"point": [0.0]}, {"point": [1.0]}]}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    good = tmp_path / "good.json"
+    save_measure(mixture((1.0,), [dirac(E1, [0.0])]), good)
+    assert main(["distance", str(bad), str(good)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_malformed_max_atoms_exit_code(tmp_path, capsys, monkeypatch):
+    pa, qa = write_level2_pair(tmp_path)
+    monkeypatch.setenv("HIEROT_MAX_ATOMS", "abc")
+    assert main(["distance", str(pa), str(qa)]) == 2
+    assert "HIEROT_MAX_ATOMS" in capsys.readouterr().err
+
+
+def test_memo_freed_after_each_command(tmp_path, capsys):
+    pa, qa = write_level2_pair(tmp_path)
+    assert main(["distance", str(pa), str(qa)]) == 0
+    assert len(_w2_cache) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    _w2_cache[("left", "over")] = 1.0
+    assert main(["distance", str(pa), str(bad)]) == 2
+    assert len(_w2_cache) == 0
+    capsys.readouterr()
+
+
+def test_check_suites_imported_only_by_check():
+    code = "import sys, hierot.cli; print('hierot.checks' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True)
+    assert res.returncode == 0 and res.stdout.strip() == "False"
+
+
 def test_distance_level_mismatch_exit_code(tmp_path, capsys):
     pa, _ = write_level2_pair(tmp_path)
     flat = tmp_path / "flat.json"
@@ -92,6 +132,20 @@ def test_geodesic_outputs(tmp_path, capsys):
     # interpolants are valid measures
     mid = load_measure(files[2])
     assert mid.level == 2
+
+
+def test_geodesic_default_tolerance_sits_above_sqrt_ulp_floor(tmp_path, capsys):
+    # this pair's interpolants are w2-compared against independently built
+    # endpoints and land about 1.15e-8 off, on the sqrt(ulp) floor
+    rng = rng_from_seed(100)
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    save_measure(random_measure(rng, S3, 1), pa)
+    save_measure(random_measure(rng, S3, 1), pb)
+    args = ["geodesic", str(pa), str(pb), "--out", str(tmp_path / "geo")]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert main(args + ["--tolerance", "1e-12"]) == 4
+    capsys.readouterr()
 
 
 def test_geodesic_single_step(tmp_path, capsys):

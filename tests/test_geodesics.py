@@ -61,7 +61,7 @@ def test_norm_equals_distance_random():
                 g = optimal_velocity_plan(a, b)
                 assert abs(plan_norm(g) - w2(a, b)) <= 1e-8
                 # cross-representation near-zero distances sit on the
-                # sqrt(ulp) floor, see the ledger note in hierot.checks
+                # sqrt(ulp) floor, see hierot.wasserstein.TOL_NEAR_ZERO
                 assert w2(exp_push(g), b) <= 5e-8
 
 

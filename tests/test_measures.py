@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hierot import euclidean, sphere
-from hierot.errors import LevelMismatch, NonUnitMass
+from hierot.errors import InvalidInput, LevelMismatch, NonUnitMass
 from hierot.measures import (HierMeasure, base_support, canonicalize, collapse,
                              dirac, dirac_lift, eval_unrolled, mixture,
                              n_expectancy, push_leaf, require_valid, unroll,
@@ -42,6 +42,17 @@ def test_validate_bad_sphere_point():
     issue = validate(bad)
     assert issue is not None and issue.code == "InvalidPoint"
     assert "atom[0]" in issue.path
+
+
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_weights_rejected(w):
+    with pytest.raises(InvalidInput):
+        mixture((w, 0.5), [pt(0), pt(1)])
+    bad = HierMeasure(E1, 1, weights=(w, 0.5), atoms=(pt(0), pt(1)))
+    issue = validate(bad)
+    assert issue is not None and issue.code == "InvalidInput"
+    with pytest.raises(InvalidInput):
+        require_valid(bad)
 
 
 def test_validate_level_mismatch_path():

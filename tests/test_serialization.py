@@ -65,6 +65,14 @@ def test_schema_errors():
     with pytest.raises(SchemaError):
         measure_from_obj({"manifold": {"kind": "euclidean", "ambient_dim": 1},
                           "level": 1, "measure": {"weights": [], "atoms": []}})
+    for weights in ([float("nan"), 0.5], [float("-inf"), 1.0], ["half", 0.5],
+                    [[0.5], 0.5]):
+        with pytest.raises(SchemaError):
+            measure_from_obj({"manifold": {"kind": "euclidean", "ambient_dim": 1},
+                              "level": 1,
+                              "measure": {"weights": weights,
+                                          "atoms": [{"point": [0.0]},
+                                                    {"point": [1.0]}]}})
 
 
 def test_plan_schema_fiber_alignment():
