@@ -6,19 +6,17 @@ first-order calculus of functionals, each backed by executable invariant
 checks (see :mod:`hierot.checks` and the ``hierot check`` command).
 """
 
-from .errors import (BaseMismatch, CouplingMismatch, CurvatureUnsupported,
-                     DeskScaleError, HierotError, InvalidInput, InvalidPoint,
-                     LevelMismatch, NonUnitMass, NotOptimalInput,
-                     NumericalFailure, SchemaError, TooLarge,
-                     UnbalancedMarginals)
+from .errors import (BaseMismatch, CouplingMismatch, DeskScaleError,
+                     HierotError, InvalidInput, InvalidPoint, LevelMismatch,
+                     NonUnitMass, NotOptimalInput, NumericalFailure,
+                     SchemaError, TooLarge, UnbalancedMarginals)
 from .manifolds import Manifold, euclidean, sphere
 from .measures import (BaseSupport, HierMeasure, base_support, canonicalize,
                        collapse, dirac, dirac_lift, mixture, n_expectancy,
                        push_leaf, unroll, validate, w2_to_dirac)
 from .exact_ot import (DualPotentials, TransportPlan, permutation_oracle,
                        solve_ot, verify_optimality)
-from .wasserstein import (HierPlan, cost_matrix, measures_close, opt_hier_plan,
-                          w2, w2_sq)
+from .wasserstein import cost_matrix, measures_close, w2, w2_sq
 from .plans import (Coupling, CouplingEntry, FiberEntry, VelocityPlan, add,
                     exp_push, fd_add, fd_from_field, fd_scale,
                     generic_coupling, inner_mu, is_fully_deterministic,

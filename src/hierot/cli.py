@@ -1,27 +1,26 @@
 """Command-line front end.
 
 Commands: ``distance``, ``geodesic``, ``flow``, ``check``.  Exit codes:
-0 success, 2 schema/validation error, 3 level mismatch, 4 check failure.
+0 success, 2 schema/validation error or an output file that cannot be
+written, 3 level mismatch, 4 check failure.
 Outputs are byte-deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import HierotError, LevelMismatch, SchemaError
+from .errors import HierotError, LevelMismatch
 from .functionals import gradient_descent
 from .geodesics import interpolate, optimal_velocity_plan
-from .plans import plan_norm
 from .serialization import (dumps, format_float, functional_spec_from_obj,
-                            load_measure, plan_to_obj, save_measure)
-from .wasserstein import (TOL_NEAR_ZERO, clear_cache, opt_hier_plan,
-                          plan_summary, w2)
+                            load_json, load_measure, plan_to_obj, save_measure)
+from .wasserstein import (TOL_NEAR_ZERO, clear_cache, plan_summary,
+                          transport, w2)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -32,13 +31,12 @@ EXIT_CHECK = 4
 def cmd_distance(args) -> int:
     a = load_measure(args.a)
     b = load_measure(args.b)
-    out = {"w2": w2(a, b)}
+    result = transport(a, b)
+    out = {"w2": float(np.sqrt(result.value_sq))}
     if a.level >= 1:
-        hp = opt_hier_plan(a, b)
-        out["plan_summary"] = plan_summary(hp)
+        out["plan_summary"] = plan_summary(result)
     if args.plan:
-        gamma = optimal_velocity_plan(a, b)
-        Path(args.plan).write_text(dumps(plan_to_obj(gamma)))
+        Path(args.plan).write_text(dumps(plan_to_obj(result.velocity)))
     sys.stdout.write(dumps(out))
     return EXIT_OK
 
@@ -70,11 +68,7 @@ def cmd_geodesic(args) -> int:
 
 def cmd_flow(args) -> int:
     mu0 = load_measure(args.init)
-    try:
-        spec_obj = json.loads(Path(args.spec).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read {args.spec}: {exc}") from exc
-    spec = functional_spec_from_obj(spec_obj, mu0.manifold, mu0.level)
+    spec = functional_spec_from_obj(load_json(args.spec), mu0.manifold, mu0.level)
     trace = gradient_descent(spec, mu0, args.tau, args.iters)
     rows = ["step,value,step_norm"]
     for s in trace.steps:
@@ -149,8 +143,11 @@ def main(argv=None) -> int:
     except LevelMismatch as exc:
         sys.stderr.write(f"level mismatch: {exc}\n")
         return EXIT_LEVEL
-    except (SchemaError, HierotError) as exc:
+    except HierotError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_SCHEMA
+    except OSError as exc:  # inputs are read by load_json: this is an output
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
         return EXIT_SCHEMA
     finally:
         # a command leaves no memo behind, in-process as in its own process

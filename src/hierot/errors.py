@@ -49,9 +49,5 @@ class NotOptimalInput(HierotError):
     """An operation requiring a certified optimal plan received a non-optimal one."""
 
 
-class CurvatureUnsupported(HierotError):
-    """Reserved for manifolds without the curvature sign the operation needs."""
-
-
 class SchemaError(HierotError):
     """A JSON document does not follow the wire format."""

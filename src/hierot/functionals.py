@@ -18,10 +18,9 @@ from .errors import InvalidInput, LevelMismatch
 from .geodesics import interpolate, optimal_velocity_plan
 from .manifolds import Manifold
 from .measures import HierMeasure, n_expectancy
-from .plans import (Coupling, VelocityPlan, coupling_inner, coupling_sq_diff,
-                    exp_push, fd_from_field, generic_coupling,
-                    is_fully_deterministic, plan_norm, plan_norm_sq,
-                    push_coupling_leaves, scale)
+from .plans import (Coupling, VelocityPlan, _combine, coupling_inner,
+                    coupling_sq_diff, exp_push, fd_from_field, generic_coupling,
+                    plan_norm, plan_norm_sq, push_coupling_leaves, scale)
 from .wasserstein import w2, w2_sq
 
 
@@ -317,27 +316,24 @@ def gradient_step(spec: FunctionalSpec, mu: HierMeasure, tau: float):
         if step is None:
             step = gbar
         else:
-            alpha = generic_coupling(step, gbar)
-            step = _combine_sum(alpha)
+            # addition along an already-validated construction coupling
+            step = _combine(generic_coupling(step, gbar), 1.0)
     nxt = exp_push(step)
     return nxt, step
-
-
-def _combine_sum(alpha: Coupling) -> VelocityPlan:
-    # addition along an already-validated construction coupling
-    from .plans import _combine
-    return _combine(alpha, 1.0)
 
 
 def gradient_descent(spec: FunctionalSpec, mu0: HierMeasure, tau: float,
                      iters: int) -> DescentTrace:
     if iters < 1:
         raise InvalidInput("iters must be >= 1")
-    steps = [DescentStep(0, mu0, eval_functional(spec, mu0), 0.0)]
-    mu = mu0
-    for i in range(1, iters + 1):
-        mu, plan = gradient_step(spec, mu, tau)
-        steps.append(DescentStep(i, mu, eval_functional(spec, mu), plan_norm(plan)))
+    mu, norm, steps = mu0, 0.0, []
+    for i in range(iters):
+        # the step's plans memoize w2_sq toward each target, so evaluating
+        # after stepping takes every distance term's value from the same solve
+        nxt, plan = gradient_step(spec, mu, tau)
+        steps.append(DescentStep(i, mu, eval_functional(spec, mu), norm))
+        mu, norm = nxt, plan_norm(plan)
+    steps.append(DescentStep(iters, mu, eval_functional(spec, mu), norm))
     return DescentTrace(steps=tuple(steps))
 
 

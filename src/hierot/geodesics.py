@@ -9,48 +9,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import LevelMismatch, NotOptimalInput
+from .errors import NotOptimalInput
 from .measures import HierMeasure
 from .plans import (FiberEntry, VelocityPlan, exp_push, plan_norm,
                     plan_norm_sq, scale)
-from .wasserstein import _check_pair, cost_matrix, solve_ot, w2
-
-FIBER_DROP = 1e-14
+from .wasserstein import transport, w2
 
 
 def optimal_velocity_plan(mu: HierMeasure, nu: HierMeasure) -> VelocityPlan:
     """A certified optimal velocity plan from ``mu`` to ``nu``.
 
     Built by solving the transport problem at every level and taking the
-    minimizing log at the leaves, so its energy equals the distance.
+    minimizing log at the leaves, so its energy equals the distance; every
+    transport plan in it passes ``verify_optimality``.
     """
-    _check_pair(mu, nu)
-    return _ovp(mu, nu)
-
-
-def _ovp(mu, nu):
-    man = mu.manifold
-    if mu.level == 0:
-        return VelocityPlan(base=mu, tangent=man.log(mu.point, nu.point))
-    c = cost_matrix(mu, nu)
-    plan, _, _ = solve_ot(c, np.asarray(mu.weights), np.asarray(nu.weights))
-    x = plan.matrix
-    fibers = []
-    for i, w_i in enumerate(mu.weights):
-        entries = [(float(x[i, j]), j)
-                   for j in range(x.shape[1]) if x[i, j] > 0.0]
-        kept = [(w, j) for w, j in entries if w >= FIBER_DROP * w_i]
-        if len(kept) < len(entries):
-            # complement the largest entry so the fiber still carries w_i
-            # exactly after dropping degenerate slivers
-            top = max(range(len(kept)), key=lambda t: kept[t][0])
-            others = sum(w for t, (w, _) in enumerate(kept) if t != top)
-            kept[top] = (w_i - others, kept[top][1])
-        fibers.append(tuple(FiberEntry(w, _ovp(mu.atoms[i], nu.atoms[j]))
-                            for w, j in kept))
-    return VelocityPlan(base=mu, fibers=tuple(fibers))
+    return transport(mu, nu).velocity
 
 
 def interpolate(gamma: VelocityPlan, t: float) -> HierMeasure:

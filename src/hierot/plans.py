@@ -90,11 +90,6 @@ class CouplingEntry:
 # construction and validation
 
 
-def leaf_plan(base: HierMeasure, vec) -> VelocityPlan:
-    vec = base.manifold.check_tangent(base.point, np.asarray(vec, dtype=float))
-    return VelocityPlan(base=base, tangent=vec)
-
-
 def zero_plan(mu: HierMeasure) -> VelocityPlan:
     """The zero tangent plan; fully deterministic with singleton fibers."""
     if mu.level == 0:

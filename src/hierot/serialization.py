@@ -26,6 +26,7 @@ from .errors import SchemaError
 from .manifolds import Manifold, euclidean, sphere
 from .measures import HierMeasure, kahan_sum, require_valid
 from .plans import FiberEntry, VelocityPlan, validate_plan
+from .wasserstein import MAX_LEVEL
 
 INGEST_MASS_TOL = 1e-9
 
@@ -60,7 +61,20 @@ def measure_to_obj(mu: HierMeasure) -> dict:
             "measure": _node_to_obj(mu)}
 
 
+def _finite_numbers(values, what: str) -> list:
+    try:
+        out = [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{what} must be numbers: {exc}") from exc
+    if not all(math.isfinite(v) for v in out):
+        raise SchemaError(f"{what} must be finite, got {out}")
+    return out
+
+
 def _node_from_obj(obj, man: Manifold, level: int) -> HierMeasure:
+    # the top call rejects a level out of range before recursing once per level
+    if not 0 <= level <= MAX_LEVEL:
+        raise SchemaError(f"level {level} outside the supported 0..{MAX_LEVEL}")
     if not isinstance(obj, dict):
         raise SchemaError("measure node must be an object")
     if level == 0:
@@ -69,12 +83,7 @@ def _node_from_obj(obj, man: Manifold, level: int) -> HierMeasure:
         return HierMeasure(man, 0, point=man.check_point(obj["point"]))
     if "weights" not in obj or "atoms" not in obj:
         raise SchemaError("interior node must carry weights and atoms")
-    try:
-        weights = [float(w) for w in obj["weights"]]
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"node weights must be numbers: {exc}") from exc
-    if not all(math.isfinite(w) for w in weights):
-        raise SchemaError(f"node weights must be finite, got {weights}")
+    weights = _finite_numbers(obj["weights"], "node weights")
     atoms = obj["atoms"]
     if len(weights) != len(atoms) or not atoms:
         raise SchemaError("weights and atoms must be non-empty and aligned")
@@ -83,6 +92,16 @@ def _node_from_obj(obj, man: Manifold, level: int) -> HierMeasure:
         raise SchemaError(f"node weights sum to {total}")
     return HierMeasure(man, level, weights=tuple(weights),
                        atoms=tuple(_node_from_obj(a, man, level - 1) for a in atoms))
+
+
+def load_json(path):
+    """A JSON document from a file; unreadable or malformed is a SchemaError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"cannot read {path}: nested too deeply") from None
 
 
 def measure_from_obj(obj) -> HierMeasure:
@@ -94,8 +113,6 @@ def measure_from_obj(obj) -> HierMeasure:
         node = obj["measure"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad measure document: {exc}") from exc
-    if level < 0:
-        raise SchemaError("level must be nonnegative")
     mu = _node_from_obj(node, man, level)
     require_valid(mu, mass_tol=INGEST_MASS_TOL)
     return mu
@@ -110,11 +127,7 @@ def save_measure(mu: HierMeasure, path) -> None:
 
 
 def load_measure(path) -> HierMeasure:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
-    return measure_from_obj(obj)
+    return measure_from_obj(load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +204,7 @@ def save_plan(gamma: VelocityPlan, path) -> None:
 
 
 def load_plan(path) -> VelocityPlan:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
-    return plan_from_obj(obj)
+    return plan_from_obj(load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +219,14 @@ def functional_spec_from_obj(obj, manifold: Manifold, level: int):
     """
     from .functionals import (DistanceTerm, FunctionalSpec, PotentialTerm,
                               make_potential)
-    if not isinstance(obj, dict) or "terms" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise SchemaError("functional spec must carry a terms list")
     terms = []
     for t in obj["terms"]:
+        if not isinstance(t, dict):
+            raise SchemaError(f"spec term must be an object, got {t!r}")
         kind = t.get("type")
-        weight = float(t.get("weight", 1.0))
+        weight, = _finite_numbers([t.get("weight", 1.0)], "term weights")
         if kind == "potential":
             try:
                 pot = make_potential(t["name"], manifold, t.get("params", {}))

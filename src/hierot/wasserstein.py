@@ -15,10 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import exact_ot
-from .errors import DeskScaleError, InvalidInput, LevelMismatch
+from .errors import (DeskScaleError, InvalidInput, LevelMismatch,
+                     NumericalFailure)
 from .exact_ot import DualPotentials, TransportPlan, solve_ot, verify_optimality
 from .measures import HierMeasure
+from .plans import FiberEntry, VelocityPlan
 
 MAX_LEVEL = 4
 DEFAULT_MAX_ATOMS = 32
@@ -27,6 +28,10 @@ DEFAULT_MAX_ATOMS = 32
 # a sqrt(ulp) floor: one ulp of stray weight crossing an O(1) distance costs
 # about 1.5e-8 in w2.  Same-plan interpolant comparisons do not suffer this.
 TOL_NEAR_ZERO = 5e-8
+
+# fiber entries below this fraction of their atom's weight are dropped from
+# velocity plans (degenerate simplex slivers)
+FIBER_DROP = 1e-14
 
 _w2_cache: dict = {}
 
@@ -63,25 +68,17 @@ def _check_pair(mu: HierMeasure, nu: HierMeasure) -> None:
     _check_budget(nu)
 
 
+def _pair_key(mu: HierMeasure, nu: HierMeasure):
+    ka, kb = mu.structural_key(), nu.structural_key()
+    return (ka, kb) if ka <= kb else (kb, ka)
+
+
 def w2_sq(mu: HierMeasure, nu: HierMeasure) -> float:
     _check_pair(mu, nu)
-    return _w2_sq(mu, nu)
-
-
-def _w2_sq(mu: HierMeasure, nu: HierMeasure) -> float:
     if mu.level == 0:
         d = mu.manifold.dist(mu.point, nu.point)
         return d * d
-    ka, kb = mu.structural_key(), nu.structural_key()
-    key = (ka, kb) if ka <= kb else (kb, ka)
-    hit = _w2_cache.get(key)
-    if hit is not None:
-        return hit
-    c = cost_matrix(mu, nu)
-    _, _, value = solve_ot(c, np.asarray(mu.weights), np.asarray(nu.weights))
-    value = max(value, 0.0)
-    _w2_cache[key] = value
-    return value
+    return _memo_sq(mu, nu)
 
 
 def w2(mu: HierMeasure, nu: HierMeasure) -> float:
@@ -89,8 +86,34 @@ def w2(mu: HierMeasure, nu: HierMeasure) -> float:
     return float(np.sqrt(w2_sq(mu, nu)))
 
 
-def cost_matrix(mu: HierMeasure, nu: HierMeasure) -> np.ndarray:
-    """Pairwise squared distances between the atom lists of ``mu`` and ``nu``."""
+def _solve(mu: HierMeasure, nu: HierMeasure, keep: bool):
+    """``(value_sq, cost, plan, duals, kids)`` of one exact solve; with
+    ``keep``, ``kids`` maps each support cell to the solve made for its
+    entry here (a cell whose entry came from the memo has none)."""
+    kids = {} if keep else None
+    c = cost_matrix(mu, nu, kids)
+    plan, duals, value = solve_ot(c, np.asarray(mu.weights), np.asarray(nu.weights))
+    if kids:  # only support cells become children; what one call keeps stays small
+        kids = {ij: kid for ij, kid in kids.items() if plan.matrix[ij] > 0.0}
+    return max(value, 0.0), c, plan, duals, kids
+
+
+def _memo_sq(mu: HierMeasure, nu: HierMeasure, kids=None, cell=None) -> float:
+    """Squared distance of a level >= 1 pair, memoized; a solve made here
+    is kept as ``kids[cell]`` when ``kids`` is a dict."""
+    key = _pair_key(mu, nu)
+    value = _w2_cache.get(key)
+    if value is None:
+        solve = _solve(mu, nu, kids is not None)
+        value = _w2_cache[key] = solve[0]
+        if kids is not None:
+            kids[cell] = solve
+    return value
+
+
+def cost_matrix(mu: HierMeasure, nu: HierMeasure, kids=None) -> np.ndarray:
+    """Pairwise squared distances between the atom lists of ``mu`` and ``nu``
+    (``kids``: see ``_solve``)."""
     if mu.level != nu.level or mu.level < 1:
         raise LevelMismatch("cost_matrix needs two measures of equal level >= 1")
     if mu.level == 1:
@@ -101,55 +124,62 @@ def cost_matrix(mu: HierMeasure, nu: HierMeasure) -> np.ndarray:
     c = np.empty((m, k))
     for i, ai in enumerate(mu.atoms):
         for j, bj in enumerate(nu.atoms):
-            c[i, j] = _w2_sq(ai, bj)
+            c[i, j] = _memo_sq(ai, bj, kids, (i, j))
     return c
 
 
 @dataclass(frozen=True)
-class HierPlan:
-    """Optimal plan between two hierarchical measures, certified per level."""
+class Transport:
+    """A pair's squared distance with its certified optimal plans: the top
+    transport plan and its duals (``None`` at level 0), and the optimal
+    velocity plan, whose energy is ``value_sq``."""
 
-    level: int
-    top: TransportPlan
-    duals: DualPotentials
     value_sq: float
-    children: tuple  # of (i, j, HierPlan); empty at level 1
-
-    @property
-    def value(self) -> float:
-        return float(np.sqrt(max(self.value_sq, 0.0)))
-
-    def support(self):
-        x = self.top.matrix
-        return [(i, j, float(x[i, j]))
-                for i in range(x.shape[0]) for j in range(x.shape[1])
-                if x[i, j] > 0.0]
+    top: Optional[TransportPlan]
+    duals: Optional[DualPotentials]
+    velocity: VelocityPlan
 
 
-def opt_hier_plan(mu: HierMeasure, nu: HierMeasure) -> HierPlan:
-    """Certified optimal hierarchical plan (level >= 1)."""
+def transport(mu: HierMeasure, nu: HierMeasure) -> Transport:
+    """Solve ``mu -> nu`` once per level and certify every plan used.
+
+    The top value is memoized as by ``w2_sq``.  A child reuses the solve made
+    for its cost entry, kept for this call only; one whose entry came from
+    the memo is solved again.
+    """
     _check_pair(mu, nu)
-    if mu.level < 1:
-        raise LevelMismatch("opt_hier_plan needs level >= 1")
-    return _opt_hier_plan(mu, nu)
+    if mu.level == 0:
+        return Transport(w2_sq(mu, nu), None, None, _velocity(mu, nu, None))
+    solve = _solve(mu, nu, keep=True)
+    value_sq, _, plan, duals, _ = solve
+    value_sq = _w2_cache.setdefault(_pair_key(mu, nu), value_sq)
+    return Transport(value_sq, plan, duals, _velocity(mu, nu, solve))
 
 
-def _opt_hier_plan(mu: HierMeasure, nu: HierMeasure) -> HierPlan:
-    c = cost_matrix(mu, nu)
-    plan, duals, value = solve_ot(c, np.asarray(mu.weights), np.asarray(nu.weights))
+def _velocity(mu: HierMeasure, nu: HierMeasure, solve) -> VelocityPlan:
+    """The optimal velocity plan of a pair from its solve (``None``: solve
+    it now), with the minimizing log at the leaves."""
+    if mu.level == 0:
+        return VelocityPlan(base=mu, tangent=mu.manifold.log(mu.point, nu.point))
+    _, c, plan, duals, kids = solve or _solve(mu, nu, keep=True)
     if not verify_optimality(plan, duals, c):
-        raise exact_ot.NumericalFailure("solver returned an uncertified plan")
-    children = ()
-    if mu.level >= 2:
-        kids = []
-        x = plan.matrix
-        for i in range(x.shape[0]):
-            for j in range(x.shape[1]):
-                if x[i, j] > 0.0:
-                    kids.append((i, j, _opt_hier_plan(mu.atoms[i], nu.atoms[j])))
-        children = tuple(kids)
-    return HierPlan(level=mu.level, top=plan, duals=duals,
-                    value_sq=max(value, 0.0), children=children)
+        raise NumericalFailure("solver returned an uncertified plan")
+    x = plan.matrix
+    fibers = []
+    for i, w_i in enumerate(mu.weights):
+        entries = [(float(x[i, j]), j)
+                   for j in range(x.shape[1]) if x[i, j] > 0.0]
+        kept = [(w, j) for w, j in entries if w >= FIBER_DROP * w_i]
+        if len(kept) < len(entries):
+            # complement the largest entry so the fiber still carries w_i
+            # exactly after dropping degenerate slivers
+            top = max(range(len(kept)), key=lambda t: kept[t][0])
+            others = sum(w for t, (w, _) in enumerate(kept) if t != top)
+            kept[top] = (w_i - others, kept[top][1])
+        fibers.append(tuple(
+            FiberEntry(w, _velocity(mu.atoms[i], nu.atoms[j], kids.get((i, j))))
+            for w, j in kept))
+    return VelocityPlan(base=mu, fibers=tuple(fibers))
 
 
 def measures_close(mu: HierMeasure, nu: HierMeasure, tol: float = 1e-8) -> bool:
@@ -157,12 +187,14 @@ def measures_close(mu: HierMeasure, nu: HierMeasure, tol: float = 1e-8) -> bool:
     return w2(mu, nu) <= tol
 
 
-def plan_summary(plan: HierPlan) -> dict:
-    sup = plan.support()
+def plan_summary(result: Transport) -> dict:
+    x = result.top.matrix
+    sup = [[i, j, float(x[i, j])]
+           for i in range(x.shape[0]) for j in range(x.shape[1]) if x[i, j] > 0.0]
     return {
-        "level": plan.level,
-        "value": plan.value,
-        "value_sq": plan.value_sq,
+        "level": result.velocity.level,
+        "value": float(np.sqrt(result.value_sq)),
+        "value_sq": result.value_sq,
         "top_support_size": len(sup),
-        "top_support": [[i, j, w] for i, j, w in sup],
+        "top_support": sup,
     }

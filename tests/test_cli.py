@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,29 @@ def test_distance_level2(tmp_path, capsys):
     assert out["plan_summary"]["top_support_size"] == 2
     g = load_plan(plan_file)
     assert g.level == 2
+
+
+@pytest.mark.parametrize("stem,solves", [("wide", 1), ("nested", 64 + 1)])
+def test_distance_solves_each_problem_once(tmp_path, capsys, monkeypatch,
+                                           stem, solves):
+    # level 1, 16 x 16: the top problem alone; level 2, 8 x 8 with distinct
+    # inner clouds: one solve per cost entry, then the top problem, with
+    # the plan's children taken from the cost entries' solves
+    import hierot.wasserstein as wasserstein
+    calls = []
+    solve_ot = wasserstein.solve_ot
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return solve_ot(*args, **kwargs)
+
+    monkeypatch.setattr(wasserstein, "solve_ot", counted)
+    inputs = Path(__file__).with_name("golden") / "inputs"
+    assert main(["distance", str(inputs / f"{stem}_euclidean_a.json"),
+                 str(inputs / f"{stem}_euclidean_b.json"),
+                 "--plan", str(tmp_path / "plan.json")]) == 0
+    capsys.readouterr()
+    assert len(calls) == solves
 
 
 def test_distance_identical_files(tmp_path, capsys):
@@ -214,6 +238,69 @@ def test_flow_with_distance_term(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["final_value"] <= 1e-14
+
+
+@pytest.mark.parametrize("term", [
+    5,
+    {"type": "potential", "name": "quadratic", "params": {"center": [1.0]},
+     "weight": "heavy"},
+    {"type": "potential", "name": "quadratic", "params": {"center": [1.0]},
+     "weight": float("nan")},
+])
+def test_flow_malformed_spec_exit_code(tmp_path, capsys, term):
+    init = tmp_path / "init.json"
+    save_measure(mixture((1.0,), [dirac(E1, [0.0])]), init)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"terms": [term]}))
+    code = main(["flow", "--spec", str(spec), "--init", str(init),
+                 "--iters", "1", "--trace", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_deep_measure_document_exit_code(tmp_path, capsys):
+    from test_serialization import deep_document
+    deep = tmp_path / "deep.json"
+    deep.write_text(deep_document(1500))
+    assert main(["distance", str(deep), str(deep)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def unwritable_outputs(tmp_path):
+    pa, qa = write_level2_pair(tmp_path)
+    missing = tmp_path / "no-such-dir"
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    init = tmp_path / "init.json"
+    save_measure(mixture((1.0,), [dirac(E1, [0.0])]), init)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"terms": [
+        {"type": "potential", "name": "quadratic", "params": {"center": [1.0]}}]}))
+    flow = ["flow", "--spec", str(spec), "--init", str(init), "--iters", "1"]
+    return {
+        "distance --plan": (
+            ["distance", str(pa), str(qa), "--plan", str(missing / "p.json")],
+            missing / "p.json"),
+        "geodesic --out": (
+            ["geodesic", str(pa), str(qa), "--steps", "1", "--out", str(a_file / "g")],
+            a_file / "g"),
+        "flow --trace": (flow + ["--trace", str(missing / "t.csv")], missing / "t.csv"),
+        "flow --final": (
+            flow + ["--trace", str(tmp_path / "t.csv"), "--final", str(missing / "f.json")],
+            missing / "f.json"),
+        "check --report": (
+            ["check", "--suite", "metric", "--samples", "1",
+             "--report", str(missing / "r.json")], missing / "r.json"),
+    }
+
+
+@pytest.mark.parametrize("case", ["distance --plan", "geodesic --out",
+                                  "flow --trace", "flow --final", "check --report"])
+def test_unwritable_output_exit_code(tmp_path, capsys, case):
+    argv, path = unwritable_outputs(tmp_path)[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output") and str(path) in err
 
 
 def test_check_command_and_determinism(tmp_path, capsys):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hierot import euclidean, sphere
-from hierot.errors import NotOptimalInput
+from hierot.errors import NotOptimalInput, NumericalFailure
+from hierot.exact_ot import TransportPlan
 from hierot.geodesics import (interpolate, optimal_velocity_plan, pt_n,
                               restriction_plan, verify_constant_speed)
 from hierot.measures import dirac, dirac_lift, mixture
@@ -35,6 +36,26 @@ def test_pole_plan_is_optimal():
     g = optimal_velocity_plan(a, b)
     assert plan_norm(g) == pytest.approx(np.pi, abs=1e-12)
     assert w2(exp_push(g), b) <= 1e-9
+
+
+def test_uncertified_plan_is_refused(monkeypatch):
+    # negative control of the certificate: a solver that returns the
+    # independent coupling (feasible, not optimal) with the optimal duals
+    import hierot.wasserstein as wasserstein
+    solve_ot = wasserstein.solve_ot
+
+    def product_plan(c, a, b):
+        plan, duals, _ = solve_ot(c, a, b)
+        x = np.outer(a, b)
+        return (TransportPlan(x, plan.row_marginal, plan.col_marginal), duals,
+                float(np.sum(x * c)))
+
+    monkeypatch.setattr(wasserstein, "solve_ot", product_plan)
+    monkeypatch.setattr(wasserstein, "_w2_cache", {})  # keep its values here
+    p = mixture((0.5, 0.5), [pt(0), pt(2)])
+    q = mixture((0.5, 0.5), [pt(0), pt(2)])
+    with pytest.raises(NumericalFailure):
+        optimal_velocity_plan(p, q)
 
 
 def test_identical_marginals_give_zero_plan():

@@ -120,3 +120,38 @@ def test_measure_to_obj_shape():
     assert set(obj) == {"manifold", "level", "measure"}
     node = obj["measure"]
     assert "weights" in node and "atoms" in node
+
+
+def deep_document(depth):
+    # json.dumps cannot encode this deep a document, so it is built as text
+    return ('{"manifold": {"kind": "euclidean", "ambient_dim": 1}, "level": %d, '
+            '"measure": ' % depth + '{"weights": [1.0], "atoms": [' * depth
+            + '{"point": [0.0]}' + ']}' * depth + '}')
+
+
+def test_deep_document_is_a_schema_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(deep_document(1500))
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        load_measure(path)
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        load_plan(path)
+
+
+@pytest.mark.parametrize("level", [5, 400, -1])
+def test_level_out_of_range_rejected_before_any_node(level):
+    # the node is garbage: only the level check can name the error
+    doc = {"manifold": {"kind": "euclidean", "ambient_dim": 1}, "level": level,
+           "measure": {"weights": [1.0], "atoms": [5]}}
+    with pytest.raises(SchemaError, match=f"level {level} outside"):
+        measure_from_obj(doc)
+    plan_doc = {"manifold": doc["manifold"], "level": level,
+                "base": doc["measure"], "plan": {}}
+    with pytest.raises(SchemaError, match=f"level {level} outside"):
+        plan_from_obj(plan_doc)
+
+
+def test_parsable_deep_document_stopped_by_its_level():
+    doc = json.loads(deep_document(400))
+    with pytest.raises(SchemaError, match="level 400 outside"):
+        measure_from_obj(doc)

@@ -1,14 +1,17 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from hierot import euclidean, sphere
+from hierot.cli import main
 from hierot.errors import DeskScaleError, LevelMismatch
 from hierot.measures import canonicalize, collapse, dirac, dirac_lift, mixture
+from hierot.geodesics import optimal_velocity_plan
 from hierot.sampling import random_measure, random_point, rng_from_seed
-from hierot.wasserstein import (cost_matrix, measures_close, opt_hier_plan, w2,
-                                w2_sq)
+from hierot.serialization import save_measure
+from hierot.wasserstein import cost_matrix, measures_close, w2, w2_sq
 
 E1 = euclidean(1)
 
@@ -61,24 +64,41 @@ def test_level_mismatch_is_an_error():
         w2(p, collapse(p))
 
 
-def test_opt_hier_plan_structure():
+def cli_plan_summary(p, q, tmp_path, capsys):
+    pa, qa = tmp_path / "p.json", tmp_path / "q.json"
+    save_measure(p, pa)
+    save_measure(q, qa)
+    assert main(["distance", str(pa), str(qa)]) == 0
+    return json.loads(capsys.readouterr().out)["plan_summary"]
+
+
+def top_matrix(summary, shape):
+    x = np.zeros(shape)
+    for i, j, w in summary["top_support"]:
+        x[i, j] = w
+    return x
+
+
+def test_top_plan_structure(tmp_path, capsys):
     p, q = level2_pair()
-    hp = opt_hier_plan(p, q)
-    assert hp.level == 2
-    assert hp.value == pytest.approx(np.sqrt(2.0))
+    summary = cli_plan_summary(p, q, tmp_path, capsys)
+    assert summary["level"] == 2
+    assert summary["value"] == pytest.approx(np.sqrt(2.0))
     # the single atom of q takes half of each of p's atoms
-    assert np.allclose(hp.top.matrix, [[0.5], [0.5]])
-    assert len(hp.children) == 2
-    for _, _, child in hp.children:
+    assert np.allclose(top_matrix(summary, (2, 1)), [[0.5], [0.5]])
+    children = [e.plan for fiber in optimal_velocity_plan(p, q).fibers
+                for e in fiber]
+    assert len(children) == 2
+    for child in children:
         assert child.level == 1
 
 
-def test_opt_hier_plan_dirac_to_dirac():
+def test_top_plan_dirac_to_dirac(tmp_path, capsys):
     a = dirac_lift(E1, [0.0], 2)
     b = dirac_lift(E1, [3.0], 2)
-    hp = opt_hier_plan(a, b)
-    assert hp.top.matrix[0, 0] == pytest.approx(1.0)
-    assert hp.value == pytest.approx(3.0)
+    summary = cli_plan_summary(a, b, tmp_path, capsys)
+    assert top_matrix(summary, (1, 1))[0, 0] == pytest.approx(1.0)
+    assert summary["value"] == pytest.approx(3.0)
 
 
 def test_plan_value_matches_permutation_oracle():
