@@ -621,7 +621,7 @@ def check_add_identities(seed, cfg):
 
 
 def check_fiber_permutation_oracle(seed, cfg):
-    from .exact_ot import permutation_oracle, solve_ot as _solve
+    from .exact_ot import permutation_oracle
     rng = _rng(seed, "fiber_oracle")
     worst = 0.0
     n = 0

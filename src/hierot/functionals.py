@@ -21,7 +21,7 @@ from .measures import HierMeasure, n_expectancy
 from .plans import (Coupling, VelocityPlan, _combine, coupling_inner,
                     coupling_sq_diff, exp_push, fd_from_field, generic_coupling,
                     plan_norm, plan_norm_sq, push_coupling_leaves, scale)
-from .wasserstein import w2, w2_sq
+from .wasserstein import w2_sq
 
 
 @dataclass(frozen=True)
@@ -160,12 +160,7 @@ def taylor_remainder_check(pot: Potential, mu: HierMeasure, gamma: VelocityPlan,
     ``lhs = |V(nu) - V(mu) - E_alpha[<v1, v2>]|`` for the unique coupling of
     ``gamma`` with the gradient plan, and ``bound = L/2 |gamma|^2``.
     """
-    grad_plan = grad_potential(pot, mu)
-    alpha = generic_coupling(gamma, grad_plan)
-    nu = exp_push(gamma)
-    lhs = abs(eval_functional(FunctionalSpec((PotentialTerm(pot),)), nu)
-              - eval_functional(FunctionalSpec((PotentialTerm(pot),)), mu)
-              - coupling_inner(alpha))
+    lhs = directional_residual(pot, mu, gamma)
     bound = 0.5 * pot.hessian_bound * plan_norm_sq(gamma)
     return lhs, bound, lhs <= bound + tol
 
@@ -203,9 +198,7 @@ def generalized_geodesic(mubar: HierMeasure, mu0: HierMeasure, mu1: HierMeasure,
         g0 = optimal_velocity_plan(mubar, mu0)
         g1 = optimal_velocity_plan(mubar, mu1)
         coupling = generic_coupling(g0, g1)
-    man = mubar.manifold
-    return push_coupling_leaves(
-        coupling, lambda x, v0, v1: man.exp(x, (1.0 - t) * v0 + t * v1))
+    return GeneralizedGeodesicCurve(coupling).at(t)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,13 @@ def set_fault_injection(name):
     _FAULT = name
 
 
+def _as_floats(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{what} is not numeric: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Manifold:
     """A supported base manifold: flat ``R^d`` or the unit sphere ``S^{d-1}``."""
@@ -60,7 +67,7 @@ class Manifold:
         Sphere points within ``SPHERE_RENORM_BAND`` of unit norm are
         projected back onto the sphere; anything further off is rejected.
         """
-        x = np.asarray(x, dtype=float)
+        x = _as_floats(x, "point")
         if x.shape != (self.ambient_dim,):
             raise InvalidInput(
                 f"point of shape {x.shape}, expected ({self.ambient_dim},)"
@@ -77,7 +84,7 @@ class Manifold:
 
     def check_tangent(self, x, v) -> np.ndarray:
         """Validate that ``v`` is tangent at ``x`` (orthogonality on the sphere)."""
-        v = np.asarray(v, dtype=float)
+        v = _as_floats(v, "tangent")
         if v.shape != (self.ambient_dim,):
             raise InvalidInput(
                 f"tangent of shape {v.shape}, expected ({self.ambient_dim},)"

@@ -18,8 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (BaseMismatch, CouplingMismatch, InvalidInput,
-                     LevelMismatch)
+from .errors import BaseMismatch, CouplingMismatch, InvalidInput
 from .exact_ot import solve_ot
 from .manifolds import Manifold, euclidean
 from .measures import HierMeasure, dirac
@@ -92,11 +91,7 @@ class CouplingEntry:
 
 def zero_plan(mu: HierMeasure) -> VelocityPlan:
     """The zero tangent plan; fully deterministic with singleton fibers."""
-    if mu.level == 0:
-        return VelocityPlan(base=mu, tangent=np.zeros(mu.manifold.ambient_dim))
-    fibers = tuple((FiberEntry(w, zero_plan(a)),)
-                   for w, a in zip(mu.weights, mu.atoms))
-    return VelocityPlan(base=mu, fibers=fibers)
+    return fd_from_field(mu, lambda x: np.zeros(mu.manifold.ambient_dim))
 
 
 def fd_from_field(mu: HierMeasure, f: Callable, *, with_path: bool = False) -> VelocityPlan:
@@ -129,6 +124,8 @@ def validate_plan(gamma: VelocityPlan, weight_tol: float = 1e-10) -> None:
         fiber = gamma.fibers[i]
         if not fiber:
             raise InvalidInput(f"empty fiber at atom {i}")
+        if not all(e.weight > 0.0 for e in fiber):
+            raise InvalidInput(f"fiber weights at atom {i} must be positive")
         total = sum(e.weight for e in fiber)
         if abs(total - w) > weight_tol:
             raise InvalidInput(
@@ -182,15 +179,19 @@ def scale(tau: float, gamma: VelocityPlan) -> VelocityPlan:
 
 def exp_push(gamma: VelocityPlan) -> HierMeasure:
     """The measure reached by shooting every leaf along its tangent."""
-    man = gamma.manifold
+    return _push_leaves(gamma, gamma.manifold, gamma.manifold.exp)
+
+
+def _push_leaves(gamma, man, f):
+    """Measure on ``man`` with every leaf ``(x, v)`` mapped to ``f(x, v)``."""
     if gamma.level == 0:
-        return dirac(man, man.exp(gamma.base.point, gamma.tangent))
+        return dirac(man, f(gamma.base.point, gamma.tangent))
     weights = []
     atoms = []
     for fiber in gamma.fibers:
         for e in fiber:
             weights.append(e.weight)
-            atoms.append(exp_push(e.plan))
+            atoms.append(_push_leaves(e.plan, man, f))
     return HierMeasure(man, gamma.level, weights=tuple(weights), atoms=tuple(atoms))
 
 
@@ -236,35 +237,8 @@ def optimal_coupling(g1: VelocityPlan, g2: VelocityPlan):
     Every fiber pair is solved exactly; children are optimal recursively.
     """
     _check_same_base(g1, g2)
-    alpha, cost = _optimal(g1, g2)
+    alpha, cost = _couple(g1, g2)
     return alpha, float(np.sqrt(max(cost, 0.0)))
-
-
-def _optimal(g1, g2):
-    base = g1.base
-    if base.level == 0:
-        diff = g1.tangent - g2.tangent
-        return Coupling(base=base, v1=g1.tangent, v2=g2.tangent), float(np.dot(diff, diff))
-    per_atom = []
-    total = 0.0
-    for w, f1, f2 in zip(base.weights, g1.fibers, g2.fibers):
-        n1, n2 = len(f1), len(f2)
-        kids = [[None] * n2 for _ in range(n1)]
-        cost = np.empty((n1, n2))
-        for k in range(n1):
-            for l in range(n2):
-                kid, csq = _optimal(f1[k].plan, f2[l].plan)
-                kids[k][l] = kid
-                cost[k, l] = csq
-        a = np.array([e.weight for e in f1]) / w
-        b = np.array([e.weight for e in f2]) / w
-        plan, _, val = solve_ot(cost, a, b)
-        x = plan.matrix
-        entries = tuple(CouplingEntry(w * x[k, l], k, l, kids[k][l])
-                        for k in range(n1) for l in range(n2) if x[k, l] > 0.0)
-        per_atom.append(entries)
-        total += w * val
-    return Coupling(base=base, entries=tuple(per_atom)), total
 
 
 def coupling_with_costs(g1: VelocityPlan, g2: VelocityPlan, cost_fn) -> Coupling:
@@ -274,25 +248,39 @@ def coupling_with_costs(g1: VelocityPlan, g2: VelocityPlan, cost_fn) -> Coupling
     build randomized witness couplings.
     """
     _check_same_base(g1, g2)
+    return _couple(g1, g2, cost_fn)[0]
 
-    def build(p1, p2):
-        base = p1.base
-        if base.level == 0:
-            return Coupling(base=base, v1=p1.tangent, v2=p2.tangent)
-        per_atom = []
-        for w, f1, f2 in zip(base.weights, p1.fibers, p2.fibers):
-            c = np.asarray(cost_fn(len(f1), len(f2)), dtype=float)
-            a = np.array([e.weight for e in f1]) / w
-            b = np.array([e.weight for e in f2]) / w
-            plan, _, _ = solve_ot(c, a, b)
-            x = plan.matrix
-            entries = tuple(
-                CouplingEntry(w * x[k, l], k, l, build(f1[k].plan, f2[l].plan))
-                for k in range(len(f1)) for l in range(len(f2)) if x[k, l] > 0.0)
-            per_atom.append(entries)
-        return Coupling(base=base, entries=tuple(per_atom))
 
-    return build(g1, g2)
+def _couple(g1, g2, cost_fn=None):
+    """``(coupling, attained cost)``, each fiber pair solved once over
+    ``cost_fn(n1, n2)`` or, by default, the children's optimal energies."""
+    base = g1.base
+    if base.level == 0:
+        diff = g1.tangent - g2.tangent
+        return Coupling(base=base, v1=g1.tangent, v2=g2.tangent), float(np.dot(diff, diff))
+    per_atom = []
+    total = 0.0
+    for w, f1, f2 in zip(base.weights, g1.fibers, g2.fibers):
+        if cost_fn is None:
+            kids = [[_couple(e1.plan, e2.plan) for e2 in f2] for e1 in f1]
+            cost = np.array([[energy for _, energy in row] for row in kids])
+        else:
+            kids = None
+            cost = np.asarray(cost_fn(len(f1), len(f2)), dtype=float)
+        a = np.array([e.weight for e in f1]) / w
+        b = np.array([e.weight for e in f2]) / w
+        plan, _, val = solve_ot(cost, a, b)
+        x = plan.matrix
+        # a cost_fn's children are built on support cells only, in row-major
+        # order, so cost_fn is called once per fiber pair the coupling uses
+        entries = tuple(
+            CouplingEntry(w * x[k, l], k, l,
+                          kids[k][l][0] if kids is not None
+                          else _couple(f1[k].plan, f2[l].plan, cost_fn)[0])
+            for k in range(len(f1)) for l in range(len(f2)) if x[k, l] > 0.0)
+        per_atom.append(entries)
+        total += w * val
+    return Coupling(base=base, entries=tuple(per_atom)), total
 
 
 def validate_coupling(alpha: Coupling, g1: VelocityPlan, g2: VelocityPlan,
@@ -462,16 +450,7 @@ def fd_add(g1: VelocityPlan, g2: VelocityPlan) -> VelocityPlan:
     _check_same_base(g1, g2)
     if not (is_fully_deterministic(g1) and is_fully_deterministic(g2)):
         raise InvalidInput("fd_add needs fully deterministic operands")
-    return _fd_add(g1, g2)
-
-
-def _fd_add(g1, g2):
-    if g1.level == 0:
-        return VelocityPlan(base=g1.base, tangent=g1.tangent + g2.tangent)
-    fibers = tuple(
-        (FiberEntry(f1[0].weight, _fd_add(f1[0].plan, f2[0].plan)),)
-        for f1, f2 in zip(g1.fibers, g2.fibers))
-    return VelocityPlan(base=g1.base, fibers=fibers)
+    return _combine(_generic(g1, g2), 1.0)
 
 
 def fd_scale(tau: float, gamma: VelocityPlan) -> VelocityPlan:
@@ -537,17 +516,5 @@ def plan_as_measure(gamma: VelocityPlan) -> HierMeasure:
     man = gamma.manifold
     if man.kind != "euclidean":
         raise InvalidInput("plan_as_measure is exact on euclidean bases only")
-    flat = euclidean(2 * man.ambient_dim)
-
-    def build(g):
-        if g.level == 0:
-            return dirac(flat, np.concatenate([g.base.point, g.tangent]))
-        weights = []
-        atoms = []
-        for fiber in g.fibers:
-            for e in fiber:
-                weights.append(e.weight)
-                atoms.append(build(e.plan))
-        return HierMeasure(flat, g.level, weights=tuple(weights), atoms=tuple(atoms))
-
-    return build(gamma)
+    return _push_leaves(gamma, euclidean(2 * man.ambient_dim),
+                        lambda x, v: np.concatenate([x, v]))

@@ -20,9 +20,7 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
-
-from .errors import SchemaError
+from .errors import InvalidInput, SchemaError
 from .manifolds import Manifold, euclidean, sphere
 from .measures import HierMeasure, kahan_sum, require_valid
 from .plans import FiberEntry, VelocityPlan, validate_plan
@@ -39,7 +37,7 @@ def _manifold_from_obj(obj) -> Manifold:
     try:
         kind = obj["kind"]
         dim = int(obj["ambient_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad manifold object: {exc}") from exc
     if kind == "euclidean":
         return euclidean(dim)
@@ -62,9 +60,11 @@ def measure_to_obj(mu: HierMeasure) -> dict:
 
 
 def _finite_numbers(values, what: str) -> list:
+    if not isinstance(values, list):
+        raise SchemaError(f"{what} must be a list, got {type(values).__name__}")
     try:
         out = [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{what} must be numbers: {exc}") from exc
     if not all(math.isfinite(v) for v in out):
         raise SchemaError(f"{what} must be finite, got {out}")
@@ -85,6 +85,8 @@ def _node_from_obj(obj, man: Manifold, level: int) -> HierMeasure:
         raise SchemaError("interior node must carry weights and atoms")
     weights = _finite_numbers(obj["weights"], "node weights")
     atoms = obj["atoms"]
+    if not isinstance(atoms, list):
+        raise SchemaError(f"node atoms must be a list, got {type(atoms).__name__}")
     if len(weights) != len(atoms) or not atoms:
         raise SchemaError("weights and atoms must be non-empty and aligned")
     total = kahan_sum(weights)
@@ -111,7 +113,7 @@ def measure_from_obj(obj) -> HierMeasure:
         man = _manifold_from_obj(obj["manifold"])
         level = int(obj["level"])
         node = obj["measure"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad measure document: {exc}") from exc
     mu = _node_from_obj(node, man, level)
     require_valid(mu, mass_tol=INGEST_MASS_TOL)
@@ -155,10 +157,9 @@ def _plan_node_from_obj(obj, base: HierMeasure) -> VelocityPlan:
     if base.level == 0:
         if "tangent" not in obj:
             raise SchemaError("leaf plan node must carry a tangent")
-        vec = np.asarray(obj["tangent"], dtype=float)
         try:
-            vec = base.manifold.check_tangent(base.point, vec)
-        except Exception as exc:
+            vec = base.manifold.check_tangent(base.point, obj["tangent"])
+        except InvalidInput as exc:
             raise SchemaError(f"bad leaf tangent: {exc}") from exc
         return VelocityPlan(base=base, tangent=vec)
     fibers_obj = obj.get("fibers")
@@ -166,14 +167,14 @@ def _plan_node_from_obj(obj, base: HierMeasure) -> VelocityPlan:
         raise SchemaError("fibers must align with the base atoms")
     fibers = []
     for atom, fiber_obj in zip(base.atoms, fibers_obj):
+        if not isinstance(fiber_obj, list):
+            raise SchemaError(f"a fiber must be a list, got {type(fiber_obj).__name__}")
         entries = []
         for e in fiber_obj:
-            try:
-                w = float(e["weight"])
-                sub = e["plan"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"bad fiber entry: {exc}") from exc
-            entries.append(FiberEntry(w, _plan_node_from_obj(sub, atom)))
+            if not isinstance(e, dict) or "plan" not in e:
+                raise SchemaError("a fiber entry must be an object with a plan")
+            w, = _finite_numbers([e.get("weight")], "fiber weights")
+            entries.append(FiberEntry(w, _plan_node_from_obj(e["plan"], atom)))
         if not entries:
             raise SchemaError("empty fiber")
         fibers.append(tuple(entries))
@@ -188,7 +189,7 @@ def plan_from_obj(obj) -> VelocityPlan:
         level = int(obj["level"])
         base = _node_from_obj(obj["base"], man, level)
         node = obj["plan"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad plan document: {exc}") from exc
     require_valid(base, mass_tol=INGEST_MASS_TOL)
     gamma = _plan_node_from_obj(node, base)

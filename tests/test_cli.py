@@ -266,6 +266,21 @@ def test_deep_measure_document_exit_code(tmp_path, capsys):
     assert "nested too deeply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("node,message", [
+    ({"weights": [1.0], "atoms": 5}, "atoms must be a list"),
+    ({"weights": [1.0], "atoms": [{"point": "abc"}]}, "point is not numeric"),
+])
+def test_malformed_node_contents_exit_code(tmp_path, capsys, node, message):
+    doc = {"manifold": {"kind": "euclidean", "ambient_dim": 1}, "level": 1,
+           "measure": node}
+    bad = tmp_path / "a.json"
+    bad.write_text(json.dumps(doc))
+    good = tmp_path / "ok.json"
+    save_measure(mixture((1.0,), [dirac(E1, [0.0])]), good)
+    assert main(["distance", str(bad), str(good)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def unwritable_outputs(tmp_path):
     pa, qa = write_level2_pair(tmp_path)
     missing = tmp_path / "no-such-dir"

@@ -155,3 +155,24 @@ def test_parsable_deep_document_stopped_by_its_level():
     doc = json.loads(deep_document(400))
     with pytest.raises(SchemaError, match="level 400 outside"):
         measure_from_obj(doc)
+
+
+@pytest.mark.parametrize("plan,message", [
+    ({"fibers": [5]}, "a fiber must be a list"),
+    ({"fibers": [[{"weight": 1.0, "plan": {"tangent": "abc"}}]]},
+     "tangent is not numeric"),
+    ({"fibers": [[{"weight": float("nan"), "plan": {"tangent": [0.0]}}]]},
+     "fiber weights must be finite"),
+    ({"fibers": [[{"weight": 1.0}]]}, "must be an object with a plan"),
+    ({"fibers": [[{"weight": 2.0, "plan": {"tangent": [1.0]}},
+                  {"weight": -1.0, "plan": {"tangent": [5.0]}}]]},
+     "must be positive"),
+])
+def test_load_plan_malformed_fibers_and_tangents(tmp_path, plan, message):
+    doc = {"manifold": {"kind": "euclidean", "ambient_dim": 1}, "level": 1,
+           "base": {"weights": [1.0], "atoms": [{"point": [0.0]}]},
+           "plan": plan}
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=message):
+        load_plan(path)
