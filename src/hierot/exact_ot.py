@@ -5,6 +5,9 @@ initialization and Bland's pivoting rule, which terminates without cycling
 and returns a basic optimal solution: at most ``m + k - 1`` strictly
 positive entries, plus dual potentials certifying optimality through
 complementary slackness.
+
+The pivot loop runs on Python floats (costs and marginals come in through
+``tolist``); numpy builds only the returned plan and potentials.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalFailure, TooLarge, UnbalancedMarginals
+from .errors import InvalidInput, NumericalFailure, TooLarge, UnbalancedMarginals
 
 WEIGHT_DROP = 1e-14
 MASS_TOL = 1e-9
@@ -53,29 +56,35 @@ def solve_ot(c, a, b, *, return_info: bool = False):
     m, k = c.shape
     if a.shape != (m,) or b.shape != (k,):
         raise UnbalancedMarginals("marginal shapes do not match the cost matrix")
-    if abs(a.sum() - 1.0) > MASS_TOL or abs(b.sum() - 1.0) > MASS_TOL:
-        raise UnbalancedMarginals(
-            f"marginals sum to {a.sum()} and {b.sum()}, expected 1")
+    if not np.isfinite(c).all():
+        raise InvalidInput("cost matrix has a non-finite entry")
+    sa, sb = a.sum(), b.sum()
+    # written so that a NaN sum (a NaN or infinite weight) fails too
+    if not (abs(sa - 1.0) <= MASS_TOL and abs(sb - 1.0) <= MASS_TOL):
+        raise UnbalancedMarginals(f"marginals sum to {sa} and {sb}, expected 1")
 
-    keep_r = a >= WEIGHT_DROP
-    keep_c = b >= WEIGHT_DROP
-    dropped = not (keep_r.all() and keep_c.all())
+    a_min, b_min = a.min(), b.min()
+    if a_min < 0 or b_min < 0:
+        raise UnbalancedMarginals("marginals must be nonnegative")
+    dropped = a_min < WEIGHT_DROP or b_min < WEIGHT_DROP
     cc, ar, bc = c, a, b
     if dropped:
+        keep_r, keep_c = a >= WEIGHT_DROP, b >= WEIGHT_DROP
         cc, ar, bc = c[np.ix_(keep_r, keep_c)], a[keep_r], b[keep_c]
+        sa, sb = ar.sum(), bc.sum()
 
-    x, phi, psi, iters = _simplex(cc, ar / ar.sum(), bc / bc.sum())
+    x, phi, psi, iters = _simplex(cc, ar / sa, bc / sb)
     if dropped:
         x, phi, psi = _restore_dropped(c, keep_r, keep_c, x, phi, psi)
 
-    matrix = repair_flow_sums(x, a, b)
-    value = float(np.sum(matrix * c))
+    matrix = _repair(x, a, b)
+    value = float((matrix * c).sum())
     plan = TransportPlan(matrix=matrix, row_marginal=a.copy(), col_marginal=b.copy())
     duals = DualPotentials(phi=phi, psi=psi)
     if return_info:
         info = SolveInfo(
-            dropped_rows=tuple(int(i) for i in np.flatnonzero(~keep_r)),
-            dropped_cols=tuple(int(j) for j in np.flatnonzero(~keep_c)),
+            dropped_rows=tuple(int(i) for i in np.flatnonzero(a < WEIGHT_DROP)),
+            dropped_cols=tuple(int(j) for j in np.flatnonzero(b < WEIGHT_DROP)),
             iterations=iters)
         return plan, duals, value, info
     return plan, duals, value
@@ -101,10 +110,13 @@ def _restore_dropped(c, keep_r, keep_c, x, u, v):
 
 
 def _northwest_corner(a, b):
-    """Basic feasible start: returns basis cells (spanning tree) and flows."""
+    """Basic feasible start: returns basis cells (spanning tree) and flows.
+
+    ``a`` and ``b`` are lists of floats.
+    """
     m, k = len(a), len(b)
-    ra = a.copy()
-    rb = b.copy()
+    ra = list(a)
+    rb = list(b)
     basis = []
     flow = {}
     i = j = 0
@@ -126,12 +138,16 @@ def _northwest_corner(a, b):
 
 
 def _tree_duals(m, k, basis, c):
-    """Solve ``u_i + v_j = c_ij`` on the basis spanning tree, ``u_0 = 0``."""
+    """Solve ``u_i + v_j = c_ij`` on the basis spanning tree, ``u_0 = 0``.
+
+    ``c`` is a list of rows; returns the potentials as two lists.
+    """
     adj = [[] for _ in range(m + k)]
     for (i, j) in basis:
-        adj[i].append((m + j, c[i, j]))
-        adj[m + j].append((i, c[i, j]))
-    u = np.zeros(m + k)
+        cost = c[i][j]
+        adj[i].append((m + j, cost))
+        adj[m + j].append((i, cost))
+    u = [0.0] * (m + k)
     seen = [False] * (m + k)
     stack = [0]
     seen[0] = True
@@ -152,13 +168,14 @@ def _tree_flows(m, k, basis, a, b):
 
     Peels degree-one nodes, so every flow is a short alternating sum of
     marginals; this avoids the rounding drift of pivot-accumulated flows.
+    ``a`` and ``b`` are lists of floats.
     """
     adj = [[] for _ in range(m + k)]
     for idx, (i, j) in enumerate(basis):
         adj[i].append((m + j, idx))
         adj[m + j].append((i, idx))
     deg = [len(lst) for lst in adj]
-    rem = np.concatenate([a, b]).astype(float)
+    rem = a + b
     used = [False] * len(basis)
     flows = [0.0] * len(basis)
     stack = [node for node in range(m + k) if deg[node] == 1]
@@ -191,18 +208,30 @@ def repair_flow_sums(x: np.ndarray, a: np.ndarray, b: np.ndarray,
     adjustments are ~1e-16 and irrelevant to optimality, but they remove
     stray mass that would otherwise cross finite distances in downstream
     measure comparisons.  A plan whose sums are already exact is returned
-    unchanged.  ``x`` is a nonnegative plan.
+    unchanged, and the sweeps stop once one leaves the plan as it was (the
+    next would repeat it).  ``x`` is a nonnegative plan.
     """
-    x = x.copy()
-    positive = np.concatenate([a[a > 0], b[b > 0]])
-    if positive.size:
-        clip = 1e-15 * float(positive.min())
+    return _repair(x.copy(), a, b, sweeps)
+
+
+def _repair(x, a, b, sweeps=3):
+    """:func:`repair_flow_sums` in place on ``x``, which it returns."""
+    floor = np.minimum(a.min(), b.min()) if a.size and b.size else 0.0
+    if not floor > 0:
+        # a zero, negative or NaN weight: the floor is the least positive one
+        positive = np.concatenate([a[a > 0], b[b > 0]])
+        floor = positive.min() if positive.size else 0.0
+    if floor > 0:
+        clip = 1e-15 * float(floor)
         x[(x > 0) & (x < clip)] = 0.0
     for _ in range(sweeps):
         if (x.sum(axis=1) == a).all() and (x.sum(axis=0) == b).all():
             break
+        before = x.copy()
         _pin_line_sums(x, b)
         _pin_line_sums(x.T, a)
+        if (x == before).all():
+            break
     return x
 
 
@@ -218,8 +247,8 @@ def _pin_line_sums(x: np.ndarray, target: np.ndarray) -> None:
     top = x.argmax(axis=0)
     peak = x[top, cols]
     val = target - (x.sum(axis=0) - peak)
-    ok = (peak > 0) & (val >= 0)
-    x[top[ok], cols[ok]] = val[ok]
+    # where the rewrite is refused the peak is written back unchanged
+    x[top, cols] = np.where((peak > 0) & (val >= 0), val, peak)
 
 
 def _find_cycle(m, basis, enter):
@@ -250,6 +279,20 @@ def _find_cycle(m, basis, enter):
     return [enter] + path_cells
 
 
+def _bland_entering(c, u, v, basis_set, neg_tol):
+    """Bland's rule: the first non-basis cell in row-major order whose
+    reduced cost ``c_ij - u_i - v_j`` is below ``neg_tol``, or None.
+
+    Reduced costs are evaluated only up to that cell.
+    """
+    for i, row in enumerate(c):
+        ui = u[i]
+        for j, vj in enumerate(v):
+            if row[j] - ui - vj < neg_tol and (i, j) not in basis_set:
+                return i, j
+    return None
+
+
 def _simplex(c, a, b, max_pivots=None):
     m, k = c.shape
     if m == 1 or k == 1:
@@ -263,31 +306,22 @@ def _simplex(c, a, b, max_pivots=None):
             u = c[:, 0] - v[0]
         return x, u, v, 0
 
+    neg_tol = -1e-12 * (1.0 + float(np.abs(c).max()))
+    c, a, b = c.tolist(), a.tolist(), b.tolist()
     basis, flow = _northwest_corner(a, b)
     basis_set = set(basis)
-    tol = 1e-12 * (1.0 + float(np.abs(c).max()))
     if max_pivots is None:
         max_pivots = 200 * (m + k) * max(m, k) + 2000
 
     for it in range(max_pivots):
         u, v = _tree_duals(m, k, basis, c)
-        reduced = c - u[:, None] - v[None, :]
-        enter = None
-        # Bland: first eligible cell in row-major order
-        for i in range(m):
-            row = reduced[i]
-            for j in range(k):
-                if (i, j) not in basis_set and row[j] < -tol:
-                    enter = (i, j)
-                    break
-            if enter is not None:
-                break
+        enter = _bland_entering(c, u, v, basis_set, neg_tol)
         if enter is None:
             exact = _tree_flows(m, k, basis, a, b)
             x = np.zeros((m, k))
-            for (i, j) in basis:
-                x[i, j] = max(exact[(i, j)], 0.0)
-            return x, u, v, it
+            for cell in basis:
+                x[cell] = max(exact[cell], 0.0)
+            return x, np.array(u), np.array(v), it
 
         cycle = _find_cycle(m, basis, enter)
         minus = cycle[1::2]
@@ -302,7 +336,8 @@ def _simplex(c, a, b, max_pivots=None):
                 flow[cell] += theta
         basis_set.remove(leaving)
         basis_set.add(enter)
-        basis = [cell for cell in basis if cell != leaving] + [enter]
+        basis.remove(leaving)
+        basis.append(enter)
         del flow[leaving]
 
     raise NumericalFailure("transportation simplex exceeded its pivot budget")

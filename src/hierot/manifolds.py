@@ -95,12 +95,6 @@ class Manifold:
             raise InvalidInput(f"vector not tangent: <v,x> = {float(np.dot(v, x))}")
         return v
 
-    def project_point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.kind == SPHERE:
-            return x / np.linalg.norm(x)
-        return x
-
     def project_tangent(self, x, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if self.kind == SPHERE:

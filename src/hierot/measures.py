@@ -61,10 +61,6 @@ class HierMeasure:
     def __hash__(self):
         return id(self)
 
-    @property
-    def n_atoms(self) -> int:
-        return 0 if self.level == 0 else len(self.atoms)
-
     def structural_key(self):
         """Hashable nested tuple identifying this exact representation."""
         cached = getattr(self, "_key", None)

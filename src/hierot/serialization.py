@@ -33,11 +33,26 @@ def _manifold_to_obj(man: Manifold) -> dict:
     return {"kind": man.kind, "ambient_dim": man.ambient_dim}
 
 
+def _json_int(value, what: str) -> int:
+    # int() would read 1.7, "2" and true as integers
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _no_bools(values, what: str):
+    """``values`` as given, unless it is a list holding a JSON true/false,
+    which ``float`` and numpy would read as 1.0/0.0."""
+    if isinstance(values, list) and any(isinstance(v, bool) for v in values):
+        raise SchemaError(f"{what} must be numbers, got {values!r}")
+    return values
+
+
 def _manifold_from_obj(obj) -> Manifold:
     try:
         kind = obj["kind"]
-        dim = int(obj["ambient_dim"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        dim = _json_int(obj["ambient_dim"], "ambient_dim")
+    except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad manifold object: {exc}") from exc
     if kind == "euclidean":
         return euclidean(dim)
@@ -63,7 +78,7 @@ def _finite_numbers(values, what: str) -> list:
     if not isinstance(values, list):
         raise SchemaError(f"{what} must be a list, got {type(values).__name__}")
     try:
-        out = [float(v) for v in values]
+        out = [float(v) for v in _no_bools(values, what)]
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{what} must be numbers: {exc}") from exc
     if not all(math.isfinite(v) for v in out):
@@ -80,7 +95,8 @@ def _node_from_obj(obj, man: Manifold, level: int) -> HierMeasure:
     if level == 0:
         if "point" not in obj:
             raise SchemaError("level-0 node must carry a point")
-        return HierMeasure(man, 0, point=man.check_point(obj["point"]))
+        point = _no_bools(obj["point"], "point coordinates")
+        return HierMeasure(man, 0, point=man.check_point(point))
     if "weights" not in obj or "atoms" not in obj:
         raise SchemaError("interior node must carry weights and atoms")
     weights = _finite_numbers(obj["weights"], "node weights")
@@ -111,9 +127,9 @@ def measure_from_obj(obj) -> HierMeasure:
         raise SchemaError("document must be a JSON object")
     try:
         man = _manifold_from_obj(obj["manifold"])
-        level = int(obj["level"])
+        level = _json_int(obj["level"], "level")
         node = obj["measure"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
         raise SchemaError(f"bad measure document: {exc}") from exc
     mu = _node_from_obj(node, man, level)
     require_valid(mu, mass_tol=INGEST_MASS_TOL)
@@ -158,7 +174,8 @@ def _plan_node_from_obj(obj, base: HierMeasure) -> VelocityPlan:
         if "tangent" not in obj:
             raise SchemaError("leaf plan node must carry a tangent")
         try:
-            vec = base.manifold.check_tangent(base.point, obj["tangent"])
+            vec = base.manifold.check_tangent(
+                base.point, _no_bools(obj["tangent"], "tangent coordinates"))
         except InvalidInput as exc:
             raise SchemaError(f"bad leaf tangent: {exc}") from exc
         return VelocityPlan(base=base, tangent=vec)
@@ -186,7 +203,7 @@ def plan_from_obj(obj) -> VelocityPlan:
         raise SchemaError("document must be a JSON object")
     try:
         man = _manifold_from_obj(obj["manifold"])
-        level = int(obj["level"])
+        level = _json_int(obj["level"], "level")
         base = _node_from_obj(obj["base"], man, level)
         node = obj["plan"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -269,6 +269,8 @@ def test_deep_measure_document_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("node,message", [
     ({"weights": [1.0], "atoms": 5}, "atoms must be a list"),
     ({"weights": [1.0], "atoms": [{"point": "abc"}]}, "point is not numeric"),
+    ({"weights": [1.0], "atoms": [{"point": [True]}]},
+     "point coordinates must be numbers"),
 ])
 def test_malformed_node_contents_exit_code(tmp_path, capsys, node, message):
     doc = {"manifold": {"kind": "euclidean", "ambient_dim": 1}, "level": 1,

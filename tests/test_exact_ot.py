@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hierot.errors import TooLarge, UnbalancedMarginals
+from hierot.errors import InvalidInput, TooLarge, UnbalancedMarginals
 from hierot.exact_ot import (WEIGHT_DROP, DualPotentials, TransportPlan,
                              permutation_oracle, repair_flow_sums, solve_ot,
                              verify_optimality)
@@ -269,3 +269,25 @@ def test_repair_flow_sums_matches_line_reference():
             assert np.array_equal(got, want)
         else:
             assert np.abs(got - want).max() <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("a", [[float("nan"), 0.5], [float("nan"), 1.0],
+                               [float("inf"), 0.5], [0.5, float("-inf")],
+                               [1.5, -0.5]])
+def test_non_finite_or_negative_marginal_rejected(a):
+    # the mass test must fail for a NaN sum, which compares false with
+    # anything; a negative weight must not be dropped like a tiny one
+    with pytest.raises(UnbalancedMarginals):
+        solve_ot(np.ones((2, 2)), np.array(a), np.array([0.5, 0.5]))
+    with pytest.raises(UnbalancedMarginals):
+        solve_ot(np.ones((2, 2)), np.array([0.5, 0.5]), np.array(a))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("shape", [(1, 3), (3, 1), (2, 2), (3, 3)])
+def test_non_finite_cost_rejected(bad, shape):
+    c = np.ones(shape)
+    c[-1, -1] = bad
+    a, b = np.full(shape[0], 1.0 / shape[0]), np.full(shape[1], 1.0 / shape[1])
+    with pytest.raises(InvalidInput, match="non-finite"):
+        solve_ot(c, a, b)

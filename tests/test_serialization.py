@@ -176,3 +176,54 @@ def test_load_plan_malformed_fibers_and_tangents(tmp_path, plan, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match=message):
         load_plan(path)
+
+
+def one_atom_documents():
+    """A level-1 measure document and a plan document on the same base."""
+    base = {"weights": [1.0], "atoms": [{"point": [0.5]}]}
+    man = {"kind": "euclidean", "ambient_dim": 1}
+    return ({"manifold": man, "level": 1, "measure": base},
+            {"manifold": man, "level": 1, "base": base,
+             "plan": {"fibers": [[{"weight": 1.0, "plan": {"tangent": [0.25]}}]]}})
+
+
+@pytest.mark.parametrize("value", [1.7, 1.0, "1", True, None])
+def test_level_must_be_a_json_integer(value):
+    for parse, doc in zip((measure_from_obj, plan_from_obj), one_atom_documents()):
+        assert parse(doc).level == 1
+        doc["level"] = value
+        with pytest.raises(SchemaError, match="level must be an integer"):
+            parse(doc)
+
+
+@pytest.mark.parametrize("value", [1.7, "1", True])
+def test_ambient_dim_must_be_a_json_integer(value):
+    for parse, doc in zip((measure_from_obj, plan_from_obj), one_atom_documents()):
+        doc["manifold"] = {"kind": "euclidean", "ambient_dim": value}
+        with pytest.raises(SchemaError, match="ambient_dim must be an integer"):
+            parse(doc)
+
+
+@pytest.mark.parametrize("where,message", [
+    ("point", "point coordinates must be numbers"),
+    ("tangent", "tangent coordinates must be numbers"),
+    ("weight", "node weights must be numbers"),
+    ("fiber", "fiber weights must be numbers"),
+])
+def test_bool_numbers_rejected(where, message):
+    # numpy and float() read true as 1.0, so each of these would load
+    measure, plan = one_atom_documents()
+    if where == "point":
+        measure["measure"]["atoms"][0]["point"] = [True]
+    elif where == "weight":
+        measure["measure"]["weights"] = [True]
+    else:
+        entry = plan["plan"]["fibers"][0][0]
+        if where == "tangent":
+            entry["plan"]["tangent"] = [False]
+        else:
+            entry["weight"] = True
+    doc = measure if where in ("point", "weight") else plan
+    parse = measure_from_obj if doc is measure else plan_from_obj
+    with pytest.raises(SchemaError, match=message):
+        parse(doc)

@@ -1,0 +1,93 @@
+"""``solve_ot`` results pinned bit for bit.
+
+``tests/solver_golden.json`` holds the ``float.hex`` of every plan entry,
+dual potential and value, and the pivot count, that ``solve_ot`` returns on
+64 seeded problems: 1xk, mx1, 2x2, 3x3, 5x5, 8x8, 16x16 and 3x8, each with
+uniform weights, random weights, repeated points (exact cost ties, uniform
+weights) and weights below ``WEIGHT_DROP``.  ``test_exact_ot.py`` checks
+values against HiGHS within a tolerance; this file sees every bit and every
+pivot, so a change to the solver's arithmetic or its pivot sequence shows
+here.  Regenerate only when a result is meant to change::
+
+    PYTHONPATH=src python tests/test_solver_golden.py
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hierot.exact_ot import solve_ot
+from hierot.sampling import rng_from_seed
+
+GOLDEN = Path(__file__).with_name("solver_golden.json")
+SHAPES = [(1, 6), (7, 1), (2, 2), (3, 3), (5, 5), (8, 8), (16, 16), (3, 8)]
+KINDS = ("uniform", "random", "ties", "tiny")
+REPEATS = 2
+
+
+def _points(rng, n, kind):
+    if kind == "ties":
+        # few distinct grid points, so points repeat and costs tie exactly
+        return rng.integers(0, 3, size=(n, 2)).astype(float)
+    return rng.random((n, 2)) * 2
+
+
+def problem(m, k, kind, rep):
+    """One seeded problem: squared-distance costs between two point sets."""
+    rng = rng_from_seed(7000 + 100 * m + 10 * k + 3 * KINDS.index(kind) + rep)
+    x, y = _points(rng, m, kind), _points(rng, k, kind)
+    c = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+    if kind in ("uniform", "ties"):
+        return c, np.full(m, 1.0 / m), np.full(k, 1.0 / k)
+    a, b = rng.random(m) + 0.1, rng.random(k) + 0.1
+    if kind == "tiny":
+        if m > 1:
+            a[rng.integers(m)] = 1e-16
+        if k > 1:
+            b[rng.integers(k)] = 1e-16
+    return c, a / a.sum(), b / b.sum()
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def compute(m, k, kind, rep):
+    plan, duals, value, info = solve_ot(*problem(m, k, kind, rep),
+                                        return_info=True)
+    return {"matrix": _hex(plan.matrix), "phi": _hex(duals.phi),
+            "psi": _hex(duals.psi), "value": float(value).hex(),
+            "pivots": info.iterations}
+
+
+CASES = [(m, k, kind, rep) for m, k in SHAPES for kind in KINDS
+         for rep in range(REPEATS)]
+
+
+def _key(m, k, kind, rep):
+    return f"{m}x{k}_{kind}_{rep}"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("m,k,kind,rep", CASES, ids=[_key(*c) for c in CASES])
+def test_solve_matches_golden(golden, m, k, kind, rep):
+    assert compute(m, k, kind, rep) == golden[_key(m, k, kind, rep)]
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(_key(*c) for c in CASES)
+
+
+def regenerate():
+    record = {_key(*c): compute(*c) for c in CASES}
+    GOLDEN.write_text(json.dumps(record, indent=0, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()
