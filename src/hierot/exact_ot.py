@@ -6,8 +6,9 @@ and returns a basic optimal solution: at most ``m + k - 1`` strictly
 positive entries, plus dual potentials certifying optimality through
 complementary slackness.
 
-The pivot loop runs on Python floats (costs and marginals come in through
-``tolist``); numpy builds only the returned plan and potentials.
+A solve runs on Python floats from input validation through the polish
+(costs and marginals come in once through ``tolist``); numpy builds only the
+returned plan and potentials.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ def solve_ot(c, a, b, *, return_info: bool = False):
     ``return_info=True`` a :class:`SolveInfo` is appended.
     """
     c = np.asarray(c, dtype=float)
+    if c.ndim != 2:
+        raise InvalidInput(f"cost matrix must be 2-D, got {c.ndim} dimension(s)")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m, k = c.shape
@@ -58,33 +61,38 @@ def solve_ot(c, a, b, *, return_info: bool = False):
         raise UnbalancedMarginals("marginal shapes do not match the cost matrix")
     if not np.isfinite(c).all():
         raise InvalidInput("cost matrix has a non-finite entry")
-    sa, sb = a.sum(), b.sum()
+    al, bl = a.tolist(), b.tolist()
+    sa, sb = _line_sum(al), _line_sum(bl)
     # written so that a NaN sum (a NaN or infinite weight) fails too
     if not (abs(sa - 1.0) <= MASS_TOL and abs(sb - 1.0) <= MASS_TOL):
         raise UnbalancedMarginals(f"marginals sum to {sa} and {sb}, expected 1")
 
-    a_min, b_min = a.min(), b.min()
+    a_min, b_min = min(al), min(bl)
     if a_min < 0 or b_min < 0:
         raise UnbalancedMarginals("marginals must be nonnegative")
+    cl = c.tolist()
     dropped = a_min < WEIGHT_DROP or b_min < WEIGHT_DROP
-    cc, ar, bc = c, a, b
+    cc, ar, bc = cl, al, bl
     if dropped:
-        keep_r, keep_c = a >= WEIGHT_DROP, b >= WEIGHT_DROP
-        cc, ar, bc = c[np.ix_(keep_r, keep_c)], a[keep_r], b[keep_c]
-        sa, sb = ar.sum(), bc.sum()
+        keep_r = [i for i, w in enumerate(al) if w >= WEIGHT_DROP]
+        keep_c = [j for j, w in enumerate(bl) if w >= WEIGHT_DROP]
+        cc = [[cl[i][j] for j in keep_c] for i in keep_r]
+        ar, bc = [al[i] for i in keep_r], [bl[j] for j in keep_c]
+        sa, sb = _line_sum(ar), _line_sum(bc)
 
-    x, phi, psi, iters = _simplex(cc, ar / sa, bc / sb)
+    x, phi, psi, iters = _simplex(cc, [w / sa for w in ar], [w / sb for w in bc])
     if dropped:
-        x, phi, psi = _restore_dropped(c, keep_r, keep_c, x, phi, psi)
+        x, phi, psi = _restore_dropped(cl, keep_r, keep_c, x, phi, psi)
 
-    matrix = _repair(x, a, b)
+    _polish(x, al, bl)
+    matrix = np.array(x)
     value = float((matrix * c).sum())
     plan = TransportPlan(matrix=matrix, row_marginal=a.copy(), col_marginal=b.copy())
-    duals = DualPotentials(phi=phi, psi=psi)
+    duals = DualPotentials(phi=np.array(phi), psi=np.array(psi))
     if return_info:
         info = SolveInfo(
-            dropped_rows=tuple(int(i) for i in np.flatnonzero(a < WEIGHT_DROP)),
-            dropped_cols=tuple(int(j) for j in np.flatnonzero(b < WEIGHT_DROP)),
+            dropped_rows=tuple(i for i, w in enumerate(al) if w < WEIGHT_DROP),
+            dropped_cols=tuple(j for j, w in enumerate(bl) if w < WEIGHT_DROP),
             iterations=iters)
         return plan, duals, value, info
     return plan, duals, value
@@ -95,17 +103,26 @@ def _restore_dropped(c, keep_r, keep_c, x, u, v):
 
     Dropped rows and columns carry no flow and get tight feasible
     potentials; their mass is below ``WEIGHT_DROP``, so the dual value is
-    unaffected at tolerance scale.
+    unaffected at tolerance scale.  ``c`` is the full cost as a list of rows.
     """
-    m, k = c.shape
-    matrix = np.zeros((m, k))
-    matrix[np.ix_(keep_r, keep_c)] = x
-    phi = np.zeros(m)
-    psi = np.zeros(k)
-    phi[keep_r] = u
-    psi[keep_c] = v
-    phi[~keep_r] = np.min(c[~keep_r][:, keep_c] - v, axis=1)
-    psi[~keep_c] = np.min(c[:, ~keep_c] - phi[:, None], axis=0)
+    m, k = len(c), len(c[0])
+    matrix = [[0.0] * k for _ in range(m)]
+    for i, row in zip(keep_r, x):
+        full = matrix[i]
+        for j, flow in zip(keep_c, row):
+            full[j] = flow
+    phi = [None] * m
+    psi = [None] * k
+    for i, ui in zip(keep_r, u):
+        phi[i] = ui
+    for j, vj in zip(keep_c, v):
+        psi[j] = vj
+    for i in range(m):
+        if phi[i] is None:
+            phi[i] = min(c[i][j] - v_j for j, v_j in zip(keep_c, v))
+    for j in range(k):
+        if psi[j] is None:
+            psi[j] = min(c[i][j] - phi[i] for i in range(m))
     return matrix, phi, psi
 
 
@@ -211,44 +228,98 @@ def repair_flow_sums(x: np.ndarray, a: np.ndarray, b: np.ndarray,
     unchanged, and the sweeps stop once one leaves the plan as it was (the
     next would repeat it).  ``x`` is a nonnegative plan.
     """
-    return _repair(x.copy(), a, b, sweeps)
+    rows = x.tolist()
+    _polish(rows, a.tolist(), b.tolist(), sweeps)
+    return np.array(rows, dtype=float).reshape(x.shape)
 
 
-def _repair(x, a, b, sweeps=3):
-    """:func:`repair_flow_sums` in place on ``x``, which it returns."""
-    floor = np.minimum(a.min(), b.min()) if a.size and b.size else 0.0
-    if not floor > 0:
-        # a zero, negative or NaN weight: the floor is the least positive one
-        positive = np.concatenate([a[a > 0], b[b > 0]])
-        floor = positive.min() if positive.size else 0.0
-    if floor > 0:
-        clip = 1e-15 * float(floor)
-        x[(x > 0) & (x < clip)] = 0.0
-    for _ in range(sweeps):
-        if (x.sum(axis=1) == a).all() and (x.sum(axis=0) == b).all():
-            break
-        before = x.copy()
-        _pin_line_sums(x, b)
-        _pin_line_sums(x.T, a)
-        if (x == before).all():
-            break
-    return x
+def _polish(x, a, b, sweeps=3):
+    """:func:`repair_flow_sums` in place on a list of rows ``x``, with the
+    marginals as lists.
 
-
-def _pin_line_sums(x: np.ndarray, target: np.ndarray) -> None:
-    """Rewrite in place the largest entry of each nonzero column ``j`` of
-    ``x`` as ``target[j]`` minus the column's other entries, unless that
-    complement is negative.
-
-    Columns do not interact, so a whole pass is a few array operations;
-    pass ``x.T`` to treat the rows.
+    Sums are taken in numpy's order (see ``_line_sum``), so a line that is
+    exact here is exact under ``np.sum`` on the returned matrix too.
     """
-    cols = np.arange(x.shape[1])
-    top = x.argmax(axis=0)
-    peak = x[top, cols]
-    val = target - (x.sum(axis=0) - peak)
-    # where the rewrite is refused the peak is written back unchanged
-    x[top, cols] = np.where((peak > 0) & (val >= 0), val, peak)
+    clip = 1e-15 * min((w for w in a + b if w > 0), default=0.0)
+    for row in x:
+        for j, flow in enumerate(row):
+            if 0.0 < flow < clip:
+                row[j] = 0.0
+    for _ in range(sweeps):
+        cols = _column_sums(x)
+        if cols == b and [_line_sum(row) for row in x] == a:
+            break
+        changed = False
+        for j, total in enumerate(cols):
+            col = [row[j] for row in x]
+            peak = max(col)
+            val = b[j] - (total - peak)
+            if peak > 0 and val >= 0 and val != peak:
+                x[col.index(peak)][j] = val
+                changed = True
+        for i, row in enumerate(x):
+            peak = max(row)
+            val = a[i] - (_line_sum(row) - peak)
+            if peak > 0 and val >= 0 and val != peak:
+                row[row.index(peak)] = val
+                changed = True
+        if not changed:
+            break
+
+
+def _line_sum(v):
+    """``np.sum`` of a list of floats, bit for bit.
+
+    numpy adds a contiguous line of fewer than 8 entries in order, and a
+    longer one pairwise with 8 accumulators in blocks of 128; the reduction
+    starts from ``0.0``.  Explicit loops, not the builtin ``sum``, which
+    compensates float sums from Python 3.12 on.
+    """
+    n = len(v)
+    if n < 8:
+        total = 0.0
+        for w in v:
+            total += w
+        return total
+    return 0.0 + _pairwise_sum(v)
+
+
+def _pairwise_sum(v):
+    """numpy's pairwise sum of a list of 8 or more floats."""
+    n = len(v)
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = v[:8]
+    stop = n - n % 8
+    for i in range(8, stop, 8):
+        r0 += v[i]
+        r1 += v[i + 1]
+        r2 += v[i + 2]
+        r3 += v[i + 3]
+        r4 += v[i + 4]
+        r5 += v[i + 5]
+        r6 += v[i + 6]
+        r7 += v[i + 7]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for w in v[stop:]:
+        total += w
+    return total
+
+
+def _column_sums(x):
+    """``np.sum(axis=0)`` of a C-ordered matrix given as a list of rows.
+
+    numpy adds whole rows in order; only an (m, 1) matrix, whose column is
+    contiguous, is summed as one line.
+    """
+    if len(x[0]) == 1:
+        return [_line_sum([row[0] for row in x])]
+    totals = [0.0] * len(x[0])
+    for row in x:
+        totals = [t + w for t, w in zip(totals, row)]
+    return totals
 
 
 def _find_cycle(m, basis, enter):
@@ -294,20 +365,16 @@ def _bland_entering(c, u, v, basis_set, neg_tol):
 
 
 def _simplex(c, a, b, max_pivots=None):
-    m, k = c.shape
-    if m == 1 or k == 1:
-        if m == 1:
-            x = b.reshape(1, -1) * a[0]
-            u = np.zeros(1)
-            v = c[0] - u[0]
-        else:
-            x = a.reshape(-1, 1) * b[0]
-            v = np.zeros(1)
-            u = c[:, 0] - v[0]
-        return x, u, v, 0
+    """Transportation simplex on a list of cost rows and marginal lists;
+    returns the plan as a list of rows, the potentials as lists and the
+    pivot count."""
+    m, k = len(c), len(c[0])
+    if m == 1:
+        return [[w * a[0] for w in b]], [0.0], list(c[0]), 0
+    if k == 1:
+        return [[w * b[0]] for w in a], [row[0] for row in c], [0.0], 0
 
-    neg_tol = -1e-12 * (1.0 + float(np.abs(c).max()))
-    c, a, b = c.tolist(), a.tolist(), b.tolist()
+    neg_tol = -1e-12 * (1.0 + max(abs(cij) for row in c for cij in row))
     basis, flow = _northwest_corner(a, b)
     basis_set = set(basis)
     if max_pivots is None:
@@ -318,10 +385,10 @@ def _simplex(c, a, b, max_pivots=None):
         enter = _bland_entering(c, u, v, basis_set, neg_tol)
         if enter is None:
             exact = _tree_flows(m, k, basis, a, b)
-            x = np.zeros((m, k))
-            for cell in basis:
-                x[cell] = max(exact[cell], 0.0)
-            return x, np.array(u), np.array(v), it
+            x = [[0.0] * k for _ in range(m)]
+            for i, j in basis:
+                x[i][j] = max(exact[i, j], 0.0)
+            return x, u, v, it
 
         cycle = _find_cycle(m, basis, enter)
         minus = cycle[1::2]

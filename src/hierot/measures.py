@@ -85,6 +85,16 @@ class HierMeasure:
             object.__setattr__(self, "_max_atoms", cached)
         return cached
 
+    def point_stack(self) -> np.ndarray:
+        """The points of a level-1 measure's atoms as the rows of one
+        read-only array, stacked once and cached."""
+        cached = getattr(self, "_points", None)
+        if cached is None:
+            cached = np.stack([a.point for a in self.atoms])
+            cached.flags.writeable = False
+            object.__setattr__(self, "_points", cached)
+        return cached
+
 
 def dirac(manifold: Manifold, point) -> HierMeasure:
     """Level-0 measure: a bare manifold point."""

@@ -43,10 +43,13 @@ def clear_cache() -> None:
 def max_atoms_budget() -> int:
     raw = os.environ.get("HIEROT_MAX_ATOMS", "")
     try:
-        return int(raw) if raw else DEFAULT_MAX_ATOMS
+        limit = int(raw) if raw else DEFAULT_MAX_ATOMS
     except ValueError:
+        limit = 0  # not an integer: rejected below with the rest
+    if limit < 1:
         raise InvalidInput(
-            f"HIEROT_MAX_ATOMS must be an integer, got {raw!r}") from None
+            f"HIEROT_MAX_ATOMS must be a positive integer, got {raw!r}")
+    return limit
 
 
 def _check_budget(mu: HierMeasure) -> None:
@@ -117,9 +120,7 @@ def cost_matrix(mu: HierMeasure, nu: HierMeasure, kids=None) -> np.ndarray:
     if mu.level != nu.level or mu.level < 1:
         raise LevelMismatch("cost_matrix needs two measures of equal level >= 1")
     if mu.level == 1:
-        xs = np.stack([a.point for a in mu.atoms])
-        ys = np.stack([a.point for a in nu.atoms])
-        return mu.manifold.pairwise_sq_dist(xs, ys)
+        return mu.manifold.pairwise_sq_dist(mu.point_stack(), nu.point_stack())
     m, k = len(mu.atoms), len(nu.atoms)
     c = np.empty((m, k))
     for i, ai in enumerate(mu.atoms):

@@ -111,6 +111,17 @@ def test_malformed_max_atoms_exit_code(tmp_path, capsys, monkeypatch):
     assert "HIEROT_MAX_ATOMS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_non_positive_max_atoms_exit_code(tmp_path, capsys, monkeypatch, raw):
+    # a budget below one atom would reject every measure with a confusing
+    # "exceeds the budget" message instead of naming the variable
+    pa, qa = write_level2_pair(tmp_path)
+    monkeypatch.setenv("HIEROT_MAX_ATOMS", raw)
+    assert main(["distance", str(pa), str(qa)]) == 2
+    err = capsys.readouterr().err
+    assert "HIEROT_MAX_ATOMS" in err and "positive" in err
+
+
 def test_memo_freed_after_each_command(tmp_path, capsys):
     pa, qa = write_level2_pair(tmp_path)
     assert main(["distance", str(pa), str(qa)]) == 0

@@ -5,8 +5,8 @@ import pytest
 
 from hierot.errors import InvalidInput, TooLarge, UnbalancedMarginals
 from hierot.exact_ot import (WEIGHT_DROP, DualPotentials, TransportPlan,
-                             permutation_oracle, repair_flow_sums, solve_ot,
-                             verify_optimality)
+                             _column_sums, _line_sum, permutation_oracle,
+                             repair_flow_sums, solve_ot, verify_optimality)
 from hierot.sampling import rng_from_seed
 
 
@@ -291,3 +291,45 @@ def test_non_finite_cost_rejected(bad, shape):
     a, b = np.full(shape[0], 1.0 / shape[0]), np.full(shape[1], 1.0 / shape[1])
     with pytest.raises(InvalidInput, match="non-finite"):
         solve_ot(c, a, b)
+
+
+@pytest.mark.parametrize("c", [np.zeros(3), np.zeros((2, 2, 2)), np.float64(1.0)])
+def test_cost_that_is_not_2d_rejected(c):
+    with pytest.raises(InvalidInput, match="2-D"):
+        solve_ot(c, [1.0], [1.0])
+
+
+def _spread(rng, shape):
+    """Positive values over ten decades, with some exact zeros."""
+    x = rng.random(shape) * 10.0 ** rng.integers(-10, 1, size=shape)
+    return np.where(rng.random(shape) < 0.1, 0.0, x)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# The polish decides exactness with these sums, so they must be numpy's to
+# the last bit: short lines in order, longer ones pairwise in blocks.  The
+# builtin sum() is no substitute: from Python 3.12 it compensates float sums
+# and returns different bits.
+def test_line_sum_matches_numpy_bit_for_bit():
+    rng = rng_from_seed(41)
+    for n in range(1, 301):
+        for _ in range(3):
+            x = _spread(rng, n)
+            assert _bits(_line_sum(x.tolist())) == _bits(np.sum(x)), n
+    assert _bits(_line_sum([-0.0, -0.0])) == _bits(np.sum([-0.0, -0.0]))
+
+
+@pytest.mark.parametrize("m,k", [(1, 1), (1, 9), (9, 1), (20, 1), (300, 1),
+                                 (2, 3), (5, 9), (9, 5), (7, 7), (8, 8),
+                                 (13, 130), (130, 13), (300, 2), (2, 300)])
+def test_matrix_line_sums_match_numpy_bit_for_bit(m, k):
+    rng = rng_from_seed(43 + m * k)
+    for _ in range(3):
+        x = _spread(rng, (m, k))
+        rows = x.tolist()
+        assert _bits([_line_sum(r) for r in rows]) == _bits(x.sum(axis=1))
+        # (m, 1) included: its column is contiguous and sums pairwise
+        assert _bits(_column_sums(rows)) == _bits(x.sum(axis=0))

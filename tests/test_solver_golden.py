@@ -2,9 +2,11 @@
 
 ``tests/solver_golden.json`` holds the ``float.hex`` of every plan entry,
 dual potential and value, and the pivot count, that ``solve_ot`` returns on
-64 seeded problems: 1xk, mx1, 2x2, 3x3, 5x5, 8x8, 16x16 and 3x8, each with
-uniform weights, random weights, repeated points (exact cost ties, uniform
-weights) and weights below ``WEIGHT_DROP``.  ``test_exact_ot.py`` checks
+112 seeded problems: 1x6, 1x9, 7x1, 9x1, 20x1, 2x2, 2x3, 3x3, 5x5, 8x8,
+16x16, 3x8, 5x9 and 9x5, each with uniform weights, random weights, repeated
+points (exact cost ties, uniform weights) and weights below ``WEIGHT_DROP``.
+Lines of 8 entries or more reach numpy's pairwise summation in the polish,
+rows and columns alike, and the (m, 1) shapes its contiguous column.  ``test_exact_ot.py`` checks
 values against HiGHS within a tolerance; this file sees every bit and every
 pivot, so a change to the solver's arithmetic or its pivot sequence shows
 here.  Regenerate only when a result is meant to change::
@@ -22,7 +24,8 @@ from hierot.exact_ot import solve_ot
 from hierot.sampling import rng_from_seed
 
 GOLDEN = Path(__file__).with_name("solver_golden.json")
-SHAPES = [(1, 6), (7, 1), (2, 2), (3, 3), (5, 5), (8, 8), (16, 16), (3, 8)]
+SHAPES = [(1, 6), (7, 1), (2, 2), (3, 3), (5, 5), (8, 8), (16, 16), (3, 8),
+          (9, 1), (1, 9), (20, 1), (5, 9), (9, 5), (2, 3)]
 KINDS = ("uniform", "random", "ties", "tiny")
 REPEATS = 2
 
