@@ -17,6 +17,7 @@ from . import functionals as fn
 from . import geodesics as geo
 from . import plans as pl
 from . import sampling as smp
+from .errors import InvalidInput
 from .manifolds import euclidean, sphere
 from .measures import (HierMeasure, base_support, canonicalize, collapse,
                        dirac_lift, eval_unrolled, mixture, n_expectancy,
@@ -45,6 +46,12 @@ class CheckConfig:
     levels: tuple = (1, 2, 3)
     max_atoms: int = 3
     tolerances: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # with no samples most properties would pass vacuously
+        if self.samples < 1:
+            raise InvalidInput(
+                f"samples (--samples) must be at least 1, got {self.samples}")
 
     def tol(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))

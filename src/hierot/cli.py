@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import HierotError, LevelMismatch
+from .errors import HierotError, InvalidInput, LevelMismatch
 from .functionals import gradient_descent
 from .geodesics import interpolate, optimal_velocity_plan
 from .serialization import (dumps, format_float, functional_spec_from_obj,
@@ -42,6 +42,11 @@ def cmd_distance(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
+    if args.steps < 1:
+        raise InvalidInput(f"--steps must be at least 1, got {args.steps}")
+    if not args.tolerance >= 0.0:  # NaN fails too
+        raise InvalidInput(
+            f"--tolerance must be a number >= 0, got {args.tolerance}")
     a = load_measure(args.a)
     b = load_measure(args.b)
     outdir = Path(args.out)

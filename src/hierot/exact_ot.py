@@ -126,16 +126,24 @@ def _restore_dropped(c, keep_r, keep_c, x, u, v):
     return matrix, phi, psi
 
 
-def _northwest_corner(a, b):
-    """Basic feasible start: returns basis cells (spanning tree) and flows.
+def _northwest_corner(a, b, c):
+    """Basic feasible start: the basis cells of the staircase (a spanning
+    tree), their flows and the tree's potentials.
 
-    ``a`` and ``b`` are lists of floats.
+    Each cell after ``(0, 0)`` joins one new row or column to the tree, whose
+    potential is the cell's cost minus that of the line it joins, from
+    ``u_0 = 0``: the recurrence of ``_tree_duals``, whose potentials these
+    equal bit for bit.  ``a`` and ``b`` are lists of floats, ``c`` a list of
+    rows.
     """
     m, k = len(a), len(b)
     ra = list(a)
     rb = list(b)
     basis = []
     flow = {}
+    u = [0.0] * m
+    v = [0.0] * k
+    v[0] = c[0][0] - u[0]
     i = j = 0
     while True:
         q = min(ra[i], rb[j])
@@ -145,13 +153,13 @@ def _northwest_corner(a, b):
         rb[j] -= q
         if i == m - 1 and j == k - 1:
             break
-        if ra[i] <= rb[j] and i < m - 1:
+        if (ra[i] <= rb[j] and i < m - 1) or j == k - 1:
             i += 1
-        elif j < k - 1:
-            j += 1
+            u[i] = c[i][j] - v[j]
         else:
-            i += 1
-    return basis, flow
+            j += 1
+            v[j] = c[i][j] - u[i]
+    return basis, flow, u, v
 
 
 def _tree_duals(m, k, basis, c):
@@ -375,13 +383,12 @@ def _simplex(c, a, b, max_pivots=None):
         return [[w * b[0]] for w in a], [row[0] for row in c], [0.0], 0
 
     neg_tol = -1e-12 * (1.0 + max(abs(cij) for row in c for cij in row))
-    basis, flow = _northwest_corner(a, b)
+    basis, flow, u, v = _northwest_corner(a, b, c)
     basis_set = set(basis)
     if max_pivots is None:
         max_pivots = 200 * (m + k) * max(m, k) + 2000
 
     for it in range(max_pivots):
-        u, v = _tree_duals(m, k, basis, c)
         enter = _bland_entering(c, u, v, basis_set, neg_tol)
         if enter is None:
             exact = _tree_flows(m, k, basis, a, b)
@@ -406,6 +413,7 @@ def _simplex(c, a, b, max_pivots=None):
         basis.remove(leaving)
         basis.append(enter)
         del flow[leaving]
+        u, v = _tree_duals(m, k, basis, c)
 
     raise NumericalFailure("transportation simplex exceeded its pivot budget")
 

@@ -95,6 +95,21 @@ class HierMeasure:
             object.__setattr__(self, "_points", cached)
         return cached
 
+    def leaf_stack(self):
+        """The leaf points of a level-2 measure as the rows of one read-only
+        array, atom after atom, and the row offsets of the atoms (atom ``i``
+        holds rows ``offsets[i]:offsets[i + 1]``); stacked once and cached."""
+        cached = getattr(self, "_leaves", None)
+        if cached is None:
+            offsets = [0]
+            for a in self.atoms:
+                offsets.append(offsets[-1] + len(a.atoms))
+            stack = np.stack([leaf.point for a in self.atoms for leaf in a.atoms])
+            stack.flags.writeable = False
+            cached = (stack, tuple(offsets))
+            object.__setattr__(self, "_leaves", cached)
+        return cached
+
 
 def dirac(manifold: Manifold, point) -> HierMeasure:
     """Level-0 measure: a bare manifold point."""

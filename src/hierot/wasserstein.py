@@ -89,25 +89,29 @@ def w2(mu: HierMeasure, nu: HierMeasure) -> float:
     return float(np.sqrt(w2_sq(mu, nu)))
 
 
-def _solve(mu: HierMeasure, nu: HierMeasure, keep: bool):
-    """``(value_sq, cost, plan, duals, kids)`` of one exact solve; with
-    ``keep``, ``kids`` maps each support cell to the solve made for its
-    entry here (a cell whose entry came from the memo has none)."""
+def _solve(mu: HierMeasure, nu: HierMeasure, keep: bool, c=None):
+    """``(value_sq, cost, plan, duals, kids)`` of one exact solve on the cost
+    ``c`` (``None``: build it); with ``keep``, ``kids`` maps each support
+    cell to the solve made for its entry here (a cell whose entry came from
+    the memo has none)."""
     kids = {} if keep else None
-    c = cost_matrix(mu, nu, kids)
+    if c is None:
+        c = cost_matrix(mu, nu, kids)
     plan, duals, value = solve_ot(c, np.asarray(mu.weights), np.asarray(nu.weights))
     if kids:  # only support cells become children; what one call keeps stays small
         kids = {ij: kid for ij, kid in kids.items() if plan.matrix[ij] > 0.0}
     return max(value, 0.0), c, plan, duals, kids
 
 
-def _memo_sq(mu: HierMeasure, nu: HierMeasure, kids=None, cell=None) -> float:
+def _memo_sq(mu: HierMeasure, nu: HierMeasure, kids=None, cell=None,
+             c=None) -> float:
     """Squared distance of a level >= 1 pair, memoized; a solve made here
-    is kept as ``kids[cell]`` when ``kids`` is a dict."""
+    uses the cost ``c`` when given and is kept as ``kids[cell]`` when
+    ``kids`` is a dict."""
     key = _pair_key(mu, nu)
     value = _w2_cache.get(key)
     if value is None:
-        solve = _solve(mu, nu, kids is not None)
+        solve = _solve(mu, nu, kids is not None, c)
         value = _w2_cache[key] = solve[0]
         if kids is not None:
             kids[cell] = solve
@@ -116,16 +120,27 @@ def _memo_sq(mu: HierMeasure, nu: HierMeasure, kids=None, cell=None) -> float:
 
 def cost_matrix(mu: HierMeasure, nu: HierMeasure, kids=None) -> np.ndarray:
     """Pairwise squared distances between the atom lists of ``mu`` and ``nu``
-    (``kids``: see ``_solve``)."""
+    (``kids``: see ``_solve``).
+
+    At level 2 the leaf distances of the whole pair come from one table, and
+    an entry solved here reads its block of it.
+    """
     if mu.level != nu.level or mu.level < 1:
         raise LevelMismatch("cost_matrix needs two measures of equal level >= 1")
     if mu.level == 1:
         return mu.manifold.pairwise_sq_dist(mu.point_stack(), nu.point_stack())
+    table = None
+    if mu.level == 2:
+        xs, rows = mu.leaf_stack()
+        ys, cols = nu.leaf_stack()
+        table = mu.manifold.pairwise_sq_dist(xs, ys)
     m, k = len(mu.atoms), len(nu.atoms)
     c = np.empty((m, k))
     for i, ai in enumerate(mu.atoms):
         for j, bj in enumerate(nu.atoms):
-            c[i, j] = _memo_sq(ai, bj, kids, (i, j))
+            block = (None if table is None
+                     else table[rows[i]:rows[i + 1], cols[j]:cols[j + 1]])
+            c[i, j] = _memo_sq(ai, bj, kids, (i, j), block)
     return c
 
 
@@ -175,7 +190,10 @@ def _velocity(mu: HierMeasure, nu: HierMeasure, solve) -> VelocityPlan:
             # complement the largest entry so the fiber still carries w_i
             # exactly after dropping degenerate slivers
             top = max(range(len(kept)), key=lambda t: kept[t][0])
-            others = sum(w for t, (w, _) in enumerate(kept) if t != top)
+            others = 0.0  # in order: the builtin sum compensates from 3.12
+            for t, (w, _) in enumerate(kept):
+                if t != top:
+                    others += w
             kept[top] = (w_i - others, kept[top][1])
         fibers.append(tuple(
             FiberEntry(w, _velocity(mu.atoms[i], nu.atoms[j], kids.get((i, j))))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hierot.checks import SUITES, CheckConfig, run_suite
+from hierot.errors import InvalidInput
 from hierot.manifolds import set_fault_injection
 from hierot.serialization import dumps
 
@@ -58,3 +59,10 @@ def test_tolerance_overrides():
              for p in s["properties"]}
     # an absurdly tight override can only keep or break the property
     assert "w2.metric_axioms" in names
+
+
+@pytest.mark.parametrize("samples", [0, -2])
+def test_sample_count_below_one_rejected(samples):
+    # no samples would pass most properties vacuously
+    with pytest.raises(InvalidInput, match="samples"):
+        run_suite("metric", 0, CheckConfig(samples=samples))

@@ -193,6 +193,20 @@ def test_geodesic_single_step(tmp_path, capsys):
     assert len(list(outdir.glob("geodesic_*.json"))) == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--steps", "0"), ("--steps", "-1"), ("--steps", "-3"),
+    ("--tolerance", "nan"), ("--tolerance", "-1e-9")])
+def test_geodesic_bad_option_exit_code(tmp_path, capsys, flag, value):
+    pa, qa = write_level2_pair(tmp_path)
+    outdir = tmp_path / "geo"
+    code = main(["geodesic", str(pa), str(qa), "--out", str(outdir),
+                 f"{flag}={value}"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: ") and flag in err and out == ""
+    assert not outdir.exists()
+
+
 def test_geodesic_dirac_endpoints_are_dirac_lifts(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -346,6 +360,15 @@ def test_check_command_and_determinism(tmp_path, capsys):
     report = json.loads(r1.read_text())
     assert report["passed"] is True
     assert set(report["suites"]) == {"metric"}
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_check_without_samples_exit_code(capsys, samples):
+    # a suite of no samples would report a vacuous pass
+    code = main(["check", "--suite", "metric", f"--samples={samples}"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: ") and "--samples" in err and out == ""
 
 
 def test_check_fault_injection_fails_geodesic_suite(tmp_path, capsys):

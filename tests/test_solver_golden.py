@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hierot.exact_ot import solve_ot
+from hierot.exact_ot import _northwest_corner, _tree_duals, solve_ot
 from hierot.sampling import rng_from_seed
 
 GOLDEN = Path(__file__).with_name("solver_golden.json")
@@ -85,6 +85,16 @@ def test_solve_matches_golden(golden, m, k, kind, rep):
 
 def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(_key(*c) for c in CASES)
+
+
+@pytest.mark.parametrize("m,k,kind,rep", CASES, ids=[_key(*c) for c in CASES])
+def test_northwest_potentials_are_tree_duals(m, k, kind, rep):
+    # the start's potentials stand in for the first _tree_duals solve
+    c, a, b = problem(m, k, kind, rep)
+    c = c.tolist()
+    basis, _, u, v = _northwest_corner(a.tolist(), b.tolist(), c)
+    tu, tv = _tree_duals(m, k, basis, c)
+    assert [x.hex() for x in u + v] == [x.hex() for x in tu + tv]
 
 
 def regenerate():

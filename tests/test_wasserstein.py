@@ -7,11 +7,14 @@ import pytest
 from hierot import euclidean, sphere
 from hierot.cli import main
 from hierot.errors import DeskScaleError, LevelMismatch
+from hierot.exact_ot import DualPotentials, TransportPlan
+from hierot.manifolds import Manifold
 from hierot.measures import canonicalize, collapse, dirac, dirac_lift, mixture
 from hierot.geodesics import optimal_velocity_plan
 from hierot.sampling import random_measure, random_point, rng_from_seed
 from hierot.serialization import save_measure
-from hierot.wasserstein import cost_matrix, measures_close, w2, w2_sq
+from hierot.wasserstein import (FIBER_DROP, _velocity, clear_cache, cost_matrix,
+                                measures_close, w2, w2_sq)
 
 E1 = euclidean(1)
 
@@ -167,3 +170,62 @@ def test_desk_scale_guard(monkeypatch):
         w2(big, big)
     monkeypatch.setenv("HIEROT_MAX_ATOMS", "64")
     assert w2(big, big) == 0.0
+
+
+@pytest.mark.parametrize("man", [euclidean(1), euclidean(3), sphere(3)],
+                         ids=["euclidean1", "euclidean3", "sphere3"])
+def test_level2_leaf_table_blocks_match_pairwise(man):
+    # atoms of 1 to 9 leaves: every block of one table over all the leaves
+    # is the atom pair's own pairwise_sq_dist, bit for bit
+    rng = rng_from_seed(23)
+    for _ in range(6):
+        a = random_measure(rng, man, 2, 9)
+        b = random_measure(rng, man, 2, 9)
+        xs, rows = a.leaf_stack()
+        ys, cols = b.leaf_stack()
+        assert rows[-1] == len(xs) and cols[-1] == len(ys)
+        assert not xs.flags.writeable and a.leaf_stack()[0] is xs
+        table = man.pairwise_sq_dist(xs, ys)
+        for i, ai in enumerate(a.atoms):
+            for j, bj in enumerate(b.atoms):
+                block = table[rows[i]:rows[i + 1], cols[j]:cols[j + 1]]
+                own = man.pairwise_sq_dist(ai.point_stack(), bj.point_stack())
+                assert block.tobytes() == own.tobytes()
+
+
+@pytest.mark.parametrize("man", [euclidean(3), sphere(3)], ids=["euclidean", "sphere"])
+def test_level2_distance_makes_one_pairwise_call(monkeypatch, man):
+    calls = []
+    pairwise = Manifold.pairwise_sq_dist
+
+    def counted(self, xs, ys):
+        calls.append((len(xs), len(ys)))
+        return pairwise(self, xs, ys)
+
+    monkeypatch.setattr(Manifold, "pairwise_sq_dist", counted)
+    rng = rng_from_seed(29)
+    a = random_measure(rng, man, 2, 5)
+    b = random_measure(rng, man, 2, 5)
+    clear_cache()
+    w2_sq(a, b)
+    n_a = sum(len(x.atoms) for x in a.atoms)
+    n_b = sum(len(y.atoms) for y in b.atoms)
+    assert calls == [(n_a, n_b)]
+
+
+def test_velocity_sliver_complement_adds_in_order():
+    # a certified solve by hand: zero costs and duals, and a sliver below
+    # FIBER_DROP that is dropped; the largest kept entry becomes the atom's
+    # weight minus the others added left to right (0.1 + 0.2 + 0.3 is
+    # 0.6000000000000001 in order, 0.6 correctly rounded)
+    row = np.array([[0.1, 0.2, 0.3, 0.4, 1e-18]])
+    assert row[0, -1] < FIBER_DROP
+    mu = mixture((1.0,), [pt(0)])
+    nu = mixture(tuple(row[0]), [pt(j) for j in range(5)])
+    plan = TransportPlan(matrix=row, row_marginal=np.array([1.0]),
+                         col_marginal=row[0].copy())
+    duals = DualPotentials(phi=np.zeros(1), psi=np.zeros(5))
+    solve = (0.0, np.zeros((1, 5)), plan, duals, {})
+    fiber, = _velocity(mu, nu, solve).fibers
+    assert [e.weight for e in fiber] == [0.1, 0.2, 0.3, 1.0 - ((0.1 + 0.2) + 0.3)]
+    assert [e.plan.tangent[0] for e in fiber] == [0.0, 1.0, 2.0, 3.0]
