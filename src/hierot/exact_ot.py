@@ -6,14 +6,16 @@ and returns a basic optimal solution: at most ``m + k - 1`` strictly
 positive entries, plus dual potentials certifying optimality through
 complementary slackness.
 
-A solve runs on Python floats from input validation through the polish
-(costs and marginals come in once through ``tolist``); numpy builds only the
-returned plan and potentials.
+A solve runs on Python floats from input validation through the polish and
+the value (costs and marginals come in once through ``tolist``); numpy
+builds only the returned plan and potentials.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +61,11 @@ def solve_ot(c, a, b, *, return_info: bool = False):
     m, k = c.shape
     if a.shape != (m,) or b.shape != (k,):
         raise UnbalancedMarginals("marginal shapes do not match the cost matrix")
-    if not np.isfinite(c).all():
+    cl = c.tolist()
+    # a NaN or infinite entry makes the sum non-finite; only an overflowing
+    # sum of finite entries needs the entry-by-entry test
+    if not math.isfinite(sum(map(sum, cl))) and not all(
+            map(math.isfinite, itertools.chain.from_iterable(cl))):
         raise InvalidInput("cost matrix has a non-finite entry")
     al, bl = a.tolist(), b.tolist()
     sa, sb = _line_sum(al), _line_sum(bl)
@@ -70,7 +76,6 @@ def solve_ot(c, a, b, *, return_info: bool = False):
     a_min, b_min = min(al), min(bl)
     if a_min < 0 or b_min < 0:
         raise UnbalancedMarginals("marginals must be nonnegative")
-    cl = c.tolist()
     dropped = a_min < WEIGHT_DROP or b_min < WEIGHT_DROP
     cc, ar, bc = cl, al, bl
     if dropped:
@@ -80,14 +85,18 @@ def solve_ot(c, a, b, *, return_info: bool = False):
         ar, bc = [al[i] for i in keep_r], [bl[j] for j in keep_c]
         sa, sb = _line_sum(ar), _line_sum(bc)
 
-    x, phi, psi, iters = _simplex(cc, [w / sa for w in ar], [w / sb for w in bc])
+    x, phi, psi, iters, basis = _simplex(cc, [w / sa for w in ar],
+                                         [w / sb for w in bc])
     if dropped:
         x, phi, psi = _restore_dropped(cl, keep_r, keep_c, x, phi, psi)
+        basis = [(keep_r[i], keep_c[j]) for i, j in basis]
 
-    _polish(x, al, bl)
-    matrix = np.array(x)
-    value = float((matrix * c).sum())
-    plan = TransportPlan(matrix=matrix, row_marginal=a.copy(), col_marginal=b.copy())
+    _polish(x, al, bl, basis)
+    # np.sum of the C-ordered product matrix, bit for bit
+    flat = itertools.chain.from_iterable
+    value = _line_sum(list(map(operator.mul, flat(x), flat(cl))))
+    plan = TransportPlan(matrix=np.array(x), row_marginal=a.copy(),
+                         col_marginal=b.copy())
     duals = DualPotentials(phi=np.array(phi), psi=np.array(psi))
     if return_info:
         info = SolveInfo(
@@ -128,7 +137,7 @@ def _restore_dropped(c, keep_r, keep_c, x, u, v):
 
 def _northwest_corner(a, b, c):
     """Basic feasible start: the basis cells of the staircase (a spanning
-    tree), their flows and the tree's potentials.
+    tree) in row-major order, their flows and the tree's potentials.
 
     Each cell after ``(0, 0)`` joins one new row or column to the tree, whose
     potential is the cell's cost minus that of the line it joins, from
@@ -140,7 +149,7 @@ def _northwest_corner(a, b, c):
     ra = list(a)
     rb = list(b)
     basis = []
-    flow = {}
+    flows = []
     u = [0.0] * m
     v = [0.0] * k
     v[0] = c[0][0] - u[0]
@@ -148,7 +157,7 @@ def _northwest_corner(a, b, c):
     while True:
         q = min(ra[i], rb[j])
         basis.append((i, j))
-        flow[(i, j)] = q
+        flows.append(q)
         ra[i] -= q
         rb[j] -= q
         if i == m - 1 and j == k - 1:
@@ -159,7 +168,7 @@ def _northwest_corner(a, b, c):
         else:
             j += 1
             v[j] = c[i][j] - u[i]
-    return basis, flow, u, v
+    return basis, flows, u, v
 
 
 def _tree_duals(m, k, basis, c):
@@ -189,38 +198,38 @@ def _tree_duals(m, k, basis, c):
 
 
 def _tree_flows(m, k, basis, a, b):
-    """Unique flows on the basis spanning tree satisfying the marginals.
+    """The plan, as a list of rows, whose only nonzero entries are the unique
+    flows on the basis spanning tree that satisfy the marginals.
 
     Peels degree-one nodes, so every flow is a short alternating sum of
     marginals; this avoids the rounding drift of pivot-accumulated flows.
+    A negative flow is written as ``0.0``, and a ``-0.0`` stays ``-0.0``.
     ``a`` and ``b`` are lists of floats.
     """
     adj = [[] for _ in range(m + k)]
-    for idx, (i, j) in enumerate(basis):
-        adj[i].append((m + j, idx))
-        adj[m + j].append((i, idx))
-    deg = [len(lst) for lst in adj]
+    for i, j in basis:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
     rem = a + b
-    used = [False] * len(basis)
-    flows = [0.0] * len(basis)
-    stack = [node for node in range(m + k) if deg[node] == 1]
+    x = [[0.0] * k for _ in range(m)]
+    stack = [node for node, nbrs in enumerate(adj) if len(nbrs) == 1]
     while stack:
         node = stack.pop()
-        if deg[node] != 1:
+        nbrs = adj[node]
+        if len(nbrs) != 1:
             continue
-        for other, idx in adj[node]:
-            if not used[idx]:
-                f = rem[node]
-                flows[idx] = f
-                used[idx] = True
-                rem[node] = 0.0
-                rem[other] -= f
-                deg[node] -= 1
-                deg[other] -= 1
-                if deg[other] == 1:
-                    stack.append(other)
-                break
-    return {basis[idx]: flows[idx] for idx in range(len(basis))}
+        other = nbrs.pop()
+        rest = adj[other]
+        rest.remove(node)
+        f = rem[node]
+        if node < m:
+            x[node][other - m] = 0.0 if f < 0.0 else f
+        else:
+            x[other][node - m] = 0.0 if f < 0.0 else f
+        rem[other] -= f
+        if len(rest) == 1:
+            stack.append(other)
+    return x
 
 
 def repair_flow_sums(x: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -237,42 +246,96 @@ def repair_flow_sums(x: np.ndarray, a: np.ndarray, b: np.ndarray,
     next would repeat it).  ``x`` is a nonnegative plan.
     """
     rows = x.tolist()
-    _polish(rows, a.tolist(), b.tolist(), sweeps)
+    m, k = x.shape
+    cells = [(i, j) for i in range(m) for j in range(k)]
+    _polish(rows, a.tolist(), b.tolist(), cells, sweeps)
     return np.array(rows, dtype=float).reshape(x.shape)
 
 
-def _polish(x, a, b, sweeps=3):
-    """:func:`repair_flow_sums` in place on a list of rows ``x``, with the
-    marginals as lists.
+def _polish(x, a, b, cells, sweeps=3):
+    """:func:`repair_flow_sums` in place on a list of rows ``x`` whose
+    entries outside ``cells`` (row-major ``(i, j)`` pairs, a solve's basis)
+    are zero, with the marginals as lists.
 
-    Sums are taken in numpy's order (see ``_line_sum``), so a line that is
-    exact here is exact under ``np.sum`` on the returned matrix too.
+    Sums are taken in numpy's order, so a line that is exact here is exact
+    under ``np.sum`` on the returned matrix too.  numpy adds a row of fewer
+    than 8 entries in order, and the columns of a matrix with more than one
+    column row by row; such a sum starts from ``0.0`` and a zero term changes
+    none of its partial sums, so it takes only ``cells``.  Longer rows and a
+    contiguous (m, 1) column go pairwise (``_line_sum``), where every
+    position counts.  The sweeps run only when a line is off, and read and
+    write only ``cells``: a zero entry is never a line's positive peak.
     """
-    clip = 1e-15 * min((w for w in a + b if w > 0), default=0.0)
-    for row in x:
-        for j, flow in enumerate(row):
-            if 0.0 < flow < clip:
-                row[j] = 0.0
-    for _ in range(sweeps):
+    m, k = len(a), len(b)
+    low = min(a + b, default=0.0)
+    if not low > 0:
+        low = min((w for w in a + b if w > 0), default=0.0)
+    clip = 1e-15 * low
+    rows = [0.0] * m
+    cols = [0.0] * k
+    for i, j in cells:
+        flow = x[i][j]
+        if 0.0 < flow < clip:
+            x[i][j] = flow = 0.0
+        rows[i] += flow
+        cols[j] += flow
+    pairwise_rows = k >= 8
+    pairwise_col = k == 1 and m >= 8
+    if pairwise_rows:
+        rows = [_line_sum(row) for row in x]
+    if pairwise_col:
         cols = _column_sums(x)
-        if cols == b and [_line_sum(row) for row in x] == a:
-            break
+    if cols == b and rows == a:
+        return
+    in_row = [[] for _ in range(m)]
+    for i, j in cells:
+        in_row[i].append(j)
+    for sweep in range(sweeps):
+        # column sums and each column's first largest positive entry
+        cols = [0.0] * k
+        peaks = [0.0] * k
+        tops = [None] * k
+        for i, js in enumerate(in_row):
+            row = x[i]
+            for j in js:
+                flow = row[j]
+                cols[j] += flow
+                if flow > peaks[j]:
+                    peaks[j] = flow
+                    tops[j] = i
+        if pairwise_col:
+            cols = _column_sums(x)
+        if sweep and cols == b and rows == a:
+            return
         changed = False
-        for j, total in enumerate(cols):
-            col = [row[j] for row in x]
-            peak = max(col)
-            val = b[j] - (total - peak)
-            if peak > 0 and val >= 0 and val != peak:
-                x[col.index(peak)][j] = val
+        for j, i in enumerate(tops):
+            if i is not None:
+                val = b[j] - (cols[j] - peaks[j])
+                if val >= 0 and val != peaks[j]:
+                    x[i][j] = val
+                    changed = True
+        for i, js in enumerate(in_row):
+            row = x[i]
+            peak, top, total = 0.0, None, 0.0
+            for j in js:
+                flow = row[j]
+                total += flow
+                if flow > peak:
+                    peak, top = flow, j
+            if pairwise_rows:
+                total = _line_sum(row)
+            val = a[i] - (total - peak)
+            if top is not None and val >= 0 and val != peak:
+                row[top] = val
                 changed = True
-        for i, row in enumerate(x):
-            peak = max(row)
-            val = a[i] - (_line_sum(row) - peak)
-            if peak > 0 and val >= 0 and val != peak:
-                row[row.index(peak)] = val
-                changed = True
+                total = 0.0
+                for j in js:
+                    total += row[j]
+                if pairwise_rows:
+                    total = _line_sum(row)
+            rows[i] = total
         if not changed:
-            break
+            return
 
 
 def _line_sum(v):
@@ -372,31 +435,109 @@ def _bland_entering(c, u, v, basis_set, neg_tol):
     return None
 
 
-def _simplex(c, a, b, max_pivots=None):
+def _simplex(c, a, b):
     """Transportation simplex on a list of cost rows and marginal lists;
-    returns the plan as a list of rows, the potentials as lists and the
-    pivot count."""
+    returns the plan as a list of rows, the potentials as lists, the pivot
+    count and the basis cells in row-major order.
+
+    1xk and mx1 problems take closed forms, and 2x2 problems one that
+    returns the pivot loop's results bit for bit.
+    """
     m, k = len(c), len(c[0])
     if m == 1:
-        return [[w * a[0] for w in b]], [0.0], list(c[0]), 0
+        return ([[w * a[0] for w in b]], [0.0], list(c[0]), 0,
+                [(0, j) for j in range(k)])
     if k == 1:
-        return [[w * b[0]] for w in a], [row[0] for row in c], [0.0], 0
+        return ([[w * b[0]] for w in a], [row[0] for row in c], [0.0], 0,
+                [(i, 0) for i in range(m)])
+    # max |c_ij|, from the extremes of the finite costs
+    neg_tol = -1e-12 * (1.0 + max(max(map(max, c)), -min(map(min, c))))
+    if m == 2 and k == 2:
+        return _two_by_two(c, a, b, neg_tol)
+    return _bland_simplex(c, a, b, neg_tol)
 
-    neg_tol = -1e-12 * (1.0 + max(abs(cij) for row in c for cij in row))
-    basis, flow, u, v = _northwest_corner(a, b, c)
+
+def _two_by_two(c, a, b, neg_tol):
+    """:func:`_bland_simplex` on a 2x2 problem in closed form.
+
+    The north-west start holds three of the four cells; the fourth enters if
+    its reduced cost is below ``neg_tol``, and the leaving cell is ``(0, 0)``
+    unless ``(1, 1)`` carries less start flow (Bland's rule).  After that
+    pivot the reduced cost of the cell that left is minus that of the one
+    that entered, up to rounding far below ``neg_tol``, so no second pivot
+    follows.  Potentials come from ``u_0 = 0`` along the tree and flows
+    from peeling it from its highest-numbered leaf (columns after rows), as
+    ``_tree_duals`` and ``_tree_flows`` compute them.
+    """
+    (c00, c01), (c10, c11) = c
+    a0, a1 = a
+    b0, b1 = b
+    if a0 <= b0:  # staircase (0, 0), (1, 0), (1, 1)
+        f00 = a0
+        f10 = min(a1, b0 - a0)
+        f11 = min(a1 - f10, b1)
+        v0 = c00 - 0.0
+        u1 = c10 - v0
+        v1 = c11 - u1
+        pivot = c01 - 0.0 - v1 < neg_tol
+        out = (0, 1)
+    else:  # staircase (0, 0), (0, 1), (1, 1)
+        f00 = b0
+        f01 = min(a0 - b0, b1)
+        f11 = min(a1, b1 - f01)
+        v0 = c00 - 0.0
+        v1 = c01 - 0.0
+        u1 = c11 - v1
+        pivot = c10 - u1 - v0 < neg_tol
+        out = (1, 0)
+    if pivot:
+        out = (0, 0) if f00 <= f11 else (1, 1)
+    if out == (0, 1):
+        f11 = b1
+        f10 = a1 - f11
+        f00 = b0 - f10
+        f01 = 0.0
+    elif out == (1, 0):
+        f00 = b0
+        f01 = a0 - f00
+        f11 = b1 - f01
+        f10 = 0.0
+    elif out == (0, 0):
+        v1 = c01 - 0.0
+        u1 = c11 - v1
+        v0 = c10 - u1
+        f10 = b0
+        f11 = a1 - f10
+        f01 = b1 - f11
+        f00 = 0.0
+    else:
+        v0 = c00 - 0.0
+        v1 = c01 - 0.0
+        u1 = c10 - v0
+        f01 = b1
+        f00 = a0 - f01
+        f10 = b0 - f00
+        f11 = 0.0
+    x = [[max(f00, 0.0), max(f01, 0.0)], [max(f10, 0.0), max(f11, 0.0)]]
+    basis = [cell for cell in ((0, 0), (0, 1), (1, 0), (1, 1)) if cell != out]
+    return x, [0.0, u1], [v0, v1], int(pivot), basis
+
+
+def _bland_simplex(c, a, b, neg_tol):
+    """The pivot loop of :func:`_simplex`, from the north-west start."""
+    m, k = len(c), len(c[0])
+    basis, flows, u, v = _northwest_corner(a, b, c)
     basis_set = set(basis)
-    if max_pivots is None:
-        max_pivots = 200 * (m + k) * max(m, k) + 2000
+    flow = None  # cell -> flow, built at the first pivot
 
-    for it in range(max_pivots):
+    for it in range(200 * (m + k) * max(m, k) + 2000):
         enter = _bland_entering(c, u, v, basis_set, neg_tol)
         if enter is None:
-            exact = _tree_flows(m, k, basis, a, b)
-            x = [[0.0] * k for _ in range(m)]
-            for i, j in basis:
-                x[i][j] = max(exact[i, j], 0.0)
-            return x, u, v, it
+            basis.sort()
+            return _tree_flows(m, k, basis, a, b), u, v, it, basis
 
+        if flow is None:
+            flow = dict(zip(basis, flows))
         cycle = _find_cycle(m, basis, enter)
         minus = cycle[1::2]
         theta = min(flow[cell] for cell in minus)

@@ -103,8 +103,8 @@ def verify_constant_speed(gamma: VelocityPlan, grid=None,
         grid = [i / 10.0 for i in range(11)]
     grid = sorted(float(t) for t in grid)
     samples = {t: interpolate(gamma, t) for t in grid}
-    mu0 = interpolate(gamma, 0.0)
-    mu1 = interpolate(gamma, 1.0)
+    mu0 = samples[0.0] if 0.0 in samples else interpolate(gamma, 0.0)
+    mu1 = samples[1.0] if 1.0 in samples else interpolate(gamma, 1.0)
     dist = w2(mu0, mu1)
     worst = 0.0
     pairs = 0
@@ -113,6 +113,7 @@ def verify_constant_speed(gamma: VelocityPlan, grid=None,
             dev = abs(w2(samples[t], samples[s]) - (s - t) * dist)
             worst = max(worst, dev)
             pairs += 1
-    return SpeedReport(distance=dist, norm=plan_norm(gamma),
-                       speed_mismatch=abs(plan_norm(gamma) - dist),
+    norm = plan_norm(gamma)
+    return SpeedReport(distance=dist, norm=norm,
+                       speed_mismatch=abs(norm - dist),
                        max_deviation=worst, pairs=pairs, tolerance=tol)

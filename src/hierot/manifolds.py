@@ -22,6 +22,8 @@ SPHERE = "sphere"
 SPHERE_RENORM_BAND = 1e-6
 POINT_TOL = 1e-12
 TANGENT_TOL = 1e-10
+# entries of the (rows, points, dim) temporaries of one pairwise_sq_dist block
+PAIRWISE_BLOCK = 1 << 15
 
 # Test-only negative control: flips a sign inside parallel transport so the
 # geodesic check suite can demonstrate that it catches real faults.
@@ -117,11 +119,27 @@ class Manifold:
         return float(np.pi) - 2.0 * float(np.arcsin(min(half, 1.0)))
 
     def pairwise_sq_dist(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Squared distances between two stacks of points (rows)."""
+        """Squared distances between two stacks of points (rows).
+
+        Taken in blocks of rows, so the (rows, len(ys), dim) difference
+        arrays stay near ``PAIRWISE_BLOCK`` entries at any size; each row
+        is computed alone, so the result does not depend on the blocks.
+        The sphere's dot products (the (len(xs), len(ys)) matrix product that
+        picks the branch) are taken in one call.
+        """
+        out = np.empty((len(xs), len(ys)))
+        dots = None if self.kind == EUCLIDEAN else xs @ ys.T
+        step = max(1, PAIRWISE_BLOCK // max(1, ys.size))
+        for lo in range(0, len(xs), step):
+            rows = slice(lo, lo + step)
+            out[rows] = self._sq_dist_rows(xs[rows], ys,
+                                           None if dots is None else dots[rows])
+        return out
+
+    def _sq_dist_rows(self, xs, ys, dots):
         if self.kind == EUCLIDEAN:
             diff = xs[:, None, :] - ys[None, :, :]
             return np.einsum("ijk,ijk->ij", diff, diff)
-        dots = xs @ ys.T
         d_minus = np.linalg.norm(xs[:, None, :] - ys[None, :, :], axis=2)
         d_plus = np.linalg.norm(xs[:, None, :] + ys[None, :, :], axis=2)
         near = 2.0 * np.arcsin(np.minimum(0.5 * d_minus, 1.0))

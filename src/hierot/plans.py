@@ -13,6 +13,7 @@ fields, and a plan with a fully deterministic side has a unique coupling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -292,11 +293,28 @@ def validate_coupling(alpha: Coupling, g1: VelocityPlan, g2: VelocityPlan,
     _validate_coupling(alpha, g1, g2, weight_tol)
 
 
+def _allclose(x, y, atol):
+    """``np.allclose(x, y, atol=atol)`` for two leaf vectors, in floats.
+
+    Each ``|x_i - y_i| <= atol + 1e-5 * |y_i|`` (numpy's default ``rtol``)
+    with ``y_i`` finite, or ``x_i == y_i``: NaN is never close and equal
+    infinities are.  Vectors of unequal length are never close.
+    """
+    xs, ys = np.ravel(x).tolist(), np.ravel(y).tolist()
+    if len(xs) != len(ys):
+        return False
+    for xi, yi in zip(xs, ys):
+        if not (xi == yi or (abs(xi - yi) <= atol + 1e-5 * abs(yi)
+                             and math.isfinite(yi))):
+            return False
+    return True
+
+
 def _validate_coupling(alpha, g1, g2, tol):
     base = alpha.base
     if base.level == 0:
-        if not (np.allclose(alpha.v1, g1.tangent, atol=tol)
-                and np.allclose(alpha.v2, g2.tangent, atol=tol)):
+        if not (_allclose(alpha.v1, g1.tangent, tol)
+                and _allclose(alpha.v2, g2.tangent, tol)):
             raise CouplingMismatch("leaf tangents do not match the marginals")
         return
     for i, (f1, f2) in enumerate(zip(g1.fibers, g2.fibers)):
@@ -468,8 +486,8 @@ def plans_structurally_equal(g1: VelocityPlan, g2: VelocityPlan,
     if g1.level != g2.level:
         return False
     if g1.level == 0:
-        return (np.allclose(g1.base.point, g2.base.point, atol=tol)
-                and np.allclose(g1.tangent, g2.tangent, atol=tol))
+        return (_allclose(g1.base.point, g2.base.point, tol)
+                and _allclose(g1.tangent, g2.tangent, tol))
     if len(g1.fibers) != len(g2.fibers):
         return False
     for f1, f2 in zip(g1.fibers, g2.fibers):
@@ -488,8 +506,8 @@ def couplings_structurally_equal(a1: Coupling, a2: Coupling,
     if a1.level != a2.level:
         return False
     if a1.level == 0:
-        return (np.allclose(a1.v1, a2.v1, atol=tol)
-                and np.allclose(a1.v2, a2.v2, atol=tol))
+        return (_allclose(a1.v1, a2.v1, tol)
+                and _allclose(a1.v2, a2.v2, tol))
     if len(a1.entries) != len(a2.entries):
         return False
     for e1s, e2s in zip(a1.entries, a2.entries):

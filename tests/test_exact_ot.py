@@ -5,8 +5,9 @@ import pytest
 
 from hierot.errors import InvalidInput, TooLarge, UnbalancedMarginals
 from hierot.exact_ot import (WEIGHT_DROP, DualPotentials, TransportPlan,
-                             _column_sums, _line_sum, permutation_oracle,
-                             repair_flow_sums, solve_ot, verify_optimality)
+                             _bland_simplex, _column_sums, _line_sum, _polish,
+                             _two_by_two, permutation_oracle, repair_flow_sums,
+                             solve_ot, verify_optimality)
 from hierot.sampling import rng_from_seed
 
 
@@ -333,3 +334,68 @@ def test_matrix_line_sums_match_numpy_bit_for_bit(m, k):
         assert _bits([_line_sum(r) for r in rows]) == _bits(x.sum(axis=1))
         # (m, 1) included: its column is contiguous and sums pairwise
         assert _bits(_column_sums(rows)) == _bits(x.sum(axis=0))
+
+
+def _hexes(rows):
+    return [[v.hex() for v in row] for row in rows]
+
+
+def test_two_by_two_closed_form_matches_pivot_loop():
+    # plan, potentials, pivot count and basis of the pivot loop, bit for bit:
+    # random costs, tied costs, degenerate marginals (a == b) and reduced
+    # costs on both sides of the tolerance
+    rng = rng_from_seed(71)
+    pivots = []
+    for trial in range(4000):
+        kind = trial % 4
+        if kind == 0:
+            c = rng.standard_normal((2, 2)) * 10.0 ** rng.integers(-3, 4)
+        elif kind == 1:
+            c = rng.integers(0, 3, size=(2, 2)).astype(float)
+        elif kind == 2:
+            c = rng.random((2, 2))
+        else:
+            eps = float(rng.choice([1e-13, 2.9e-12, 3.1e-12, 1e-11]))
+            c = np.array([[0.0, 1.0], [1.0, 2.0 + float(rng.choice([-1, 1])) * eps]])
+        a = rng.random(2) + 0.05
+        b = a.copy() if kind == 2 else rng.random(2) + 0.05
+        if kind == 1 and trial % 8 == 1:
+            a, b = np.full(2, 0.5), np.full(2, 0.5)
+        a, b = (a / a.sum()).tolist(), (b / b.sum()).tolist()
+        cl = c.tolist()
+        neg_tol = -1e-12 * (1.0 + float(np.abs(c).max()))
+        x, u, v, it, basis = _two_by_two(cl, a, b, neg_tol)
+        wx, wu, wv, wit, wbasis = _bland_simplex(cl, a, b, neg_tol)
+        assert _hexes(x) == _hexes(wx), (cl, a, b)
+        assert _hexes([u, v]) == _hexes([wu, wv]), (cl, a, b)
+        assert (it, list(basis)) == (wit, wbasis), (cl, a, b)
+        pivots.append(it)
+    assert 0 < sum(pivots) < len(pivots)
+
+
+@pytest.mark.parametrize("m,k", [(1, 5), (5, 1), (3, 4), (4, 3), (6, 6),
+                                 (3, 7), (3, 8), (2, 9), (9, 2), (12, 1),
+                                 (1, 12), (10, 10)])
+def test_polish_on_support_cells_matches_all_cells(m, k):
+    # a plan's sums over its support cells alone, in numpy's order, decide
+    # and repair exactly as the sums over every cell do
+    rng = rng_from_seed(73 + 16 * m + k)
+    for _ in range(200):
+        x = rng.random((m, k)) * (rng.random((m, k)) < 0.5)
+        x[rng.integers(m), rng.integers(k)] += 0.3
+        x[rng.integers(m), rng.integers(k)] = 1e-19  # below the clip
+        x /= x.sum()
+        a = (x.sum(axis=1) + rng.integers(-2, 3, size=m) * 1e-17).tolist()
+        b = (x.sum(axis=0) + rng.integers(-2, 3, size=k) * 1e-17).tolist()
+        every = [(i, j) for i in range(m) for j in range(k)]
+        support = [(i, j) for i, j in every if x[i, j] != 0.0]
+        full, sparse = x.tolist(), x.tolist()
+        _polish(full, a, b, every)
+        _polish(sparse, a, b, support)
+        assert _hexes(sparse) == _hexes(full)
+        # a plan whose sums are numpy's marginals to the last bit is left as
+        # it is, which needs numpy's order (pairwise from 8 entries up)
+        x[x < 1e-17] = 0.0
+        exact = x.tolist()
+        _polish(exact, x.sum(axis=1).tolist(), x.sum(axis=0).tolist(), support)
+        assert _hexes(exact) == _hexes(x.tolist())

@@ -214,3 +214,55 @@ def test_point_validation():
     assert abs(np.linalg.norm(x) - 1.0) <= 1e-15
     with pytest.raises(InvalidInput):
         m.check_tangent(N, np.array([0.0, 0.0, 0.5]))
+
+
+def _one_shot_sq_dist(man, xs, ys):
+    """pairwise_sq_dist as one (n, k, dim) computation."""
+    if man.kind == "euclidean":
+        diff = xs[:, None, :] - ys[None, :, :]
+        return np.einsum("ijk,ijk->ij", diff, diff)
+    dots = xs @ ys.T
+    d_minus = np.linalg.norm(xs[:, None, :] - ys[None, :, :], axis=2)
+    d_plus = np.linalg.norm(xs[:, None, :] + ys[None, :, :], axis=2)
+    near = 2.0 * np.arcsin(np.minimum(0.5 * d_minus, 1.0))
+    far = np.pi - 2.0 * np.arcsin(np.minimum(0.5 * d_plus, 1.0))
+    ang = np.where(dots >= 0.0, near, far)
+    return ang * ang
+
+
+@pytest.mark.parametrize("man", [euclidean(1), euclidean(3), sphere(3), sphere(5)],
+                         ids=["euclidean1", "euclidean3", "sphere3", "sphere5"])
+def test_pairwise_sq_dist_blocks_keep_the_bits(monkeypatch, man):
+    import hierot.manifolds as manifolds
+    rng = rng_from_seed(61)
+    shapes = [(1, 1), (1, 17), (17, 1), (9, 13), (40, 7), (33, 33)]
+    for block in (1, 5, 64, 1000, manifolds.PAIRWISE_BLOCK):
+        monkeypatch.setattr(manifolds, "PAIRWISE_BLOCK", block)
+        for n, k in shapes:
+            xs = np.stack([random_point(rng, man) for _ in range(n)])
+            ys = np.stack([random_point(rng, man) for _ in range(k)])
+            if man.kind == "sphere":
+                ys[: min(n, k) // 2] = -xs[: min(n, k) // 2]  # antipodes: far branch
+            got = man.pairwise_sq_dist(xs, ys)
+            assert got.shape == (n, k)
+            assert got.tobytes() == _one_shot_sq_dist(man, xs, ys).tobytes()
+
+
+@pytest.mark.parametrize("man", [euclidean(3), sphere(3)], ids=["euclidean", "sphere"])
+def test_pairwise_sq_dist_memory_is_bounded(man):
+    # a 1024 x 1024 table is 8 MB; the one-shot form peaked at 32 MB
+    # (euclidean) and 80 MB (sphere) in (n, k, dim) temporaries
+    import tracemalloc
+    rng = rng_from_seed(67)
+    xs = np.stack([random_point(rng, man) for _ in range(1024)])
+    ys = np.stack([random_point(rng, man) for _ in range(1024)])
+    tracemalloc.start()
+    try:
+        man.pairwise_sq_dist(xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = 1024 * 1024 * 8
+    # the sphere also holds its (n, k) matrix of dot products
+    allowed = (1 if man.kind == "euclidean" else 2) * result + 2 * 2**20
+    assert peak <= allowed, peak / 2**20

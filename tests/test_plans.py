@@ -303,3 +303,34 @@ def test_validate_plan_detects_bad_weights():
         (FiberEntry(0.5, VelocityPlan(base=mu.atoms[1], tangent=np.zeros(2))),)))
     with pytest.raises(InvalidInput):
         validate_plan(bad)
+
+
+def test_leaf_allclose_matches_numpy():
+    # the float loop that compares leaf vectors keeps np.allclose's answer
+    from hierot.plans import _allclose
+    rng = rng_from_seed(53)
+    inf, nan = float("inf"), float("nan")
+    specials = [0.0, -0.0, 1.0, -1.0, inf, -inf, nan, 1e-9, -1e-9, 1e300]
+    atol = 1e-9
+    cases = []
+    for _ in range(2000):
+        n = int(rng.integers(1, 4))
+        y = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 3, size=n)
+        x = y + rng.standard_normal(n) * 10.0 ** rng.integers(-14, -5, size=n)
+        cases.append((x, y))
+    for s in specials:
+        for t in specials:
+            cases.append((np.array([s, 0.5]), np.array([t, 0.5])))
+    for y in (0.0, 1.0, -3.0, 1e4, 2.5e-3):
+        edge = atol + 1e-5 * abs(y)
+        for d in (edge, -edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)):
+            cases.append((np.array([y + d]), np.array([y])))
+            cases.append((np.array([d]), np.array([0.0])))
+    closes = 0
+    for x, y in cases:
+        want = bool(np.allclose(x, y, atol=atol))
+        assert _allclose(x, y, atol) == want, (x, y)
+        closes += want
+    assert 0 < closes < len(cases)
+    assert not _allclose(np.zeros(2), np.zeros(3), atol)
+    assert not _allclose(np.zeros(3), np.zeros(2), atol)

@@ -2,9 +2,11 @@
 
 ``tests/solver_golden.json`` holds the ``float.hex`` of every plan entry,
 dual potential and value, and the pivot count, that ``solve_ot`` returns on
-112 seeded problems: 1x6, 1x9, 7x1, 9x1, 20x1, 2x2, 2x3, 3x3, 5x5, 8x8,
-16x16, 3x8, 5x9 and 9x5, each with uniform weights, random weights, repeated
-points (exact cost ties, uniform weights) and weights below ``WEIGHT_DROP``.
+160 seeded problems: 1x2, 1x6, 1x9, 2x1, 7x1, 9x1, 20x1, 2x2, 2x3, 2x4, 4x2,
+3x3, 3x4, 4x4, 5x5, 8x8, 16x16, 3x8, 5x9 and 9x5, each with uniform weights,
+random weights, repeated points (exact cost ties, uniform weights) and
+weights below ``WEIGHT_DROP``; and on hand-made 2x2 problems (``HAND_2X2``)
+whose north-west start is optimal, on a tie or not, or needs one pivot.
 Lines of 8 entries or more reach numpy's pairwise summation in the polish,
 rows and columns alike, and the (m, 1) shapes its contiguous column.  ``test_exact_ot.py`` checks
 values against HiGHS within a tolerance; this file sees every bit and every
@@ -25,9 +27,33 @@ from hierot.sampling import rng_from_seed
 
 GOLDEN = Path(__file__).with_name("solver_golden.json")
 SHAPES = [(1, 6), (7, 1), (2, 2), (3, 3), (5, 5), (8, 8), (16, 16), (3, 8),
-          (9, 1), (1, 9), (20, 1), (5, 9), (9, 5), (2, 3)]
+          (9, 1), (1, 9), (20, 1), (5, 9), (9, 5), (2, 3),
+          (1, 2), (2, 1), (2, 4), (4, 2), (3, 4), (4, 4)]
 KINDS = ("uniform", "random", "ties", "tiny")
 REPEATS = 2
+# (cost, a, b): the north-west start (0, 0), (1, 0), (1, 1) when a[0] <= b[0],
+# else (0, 0), (0, 1), (1, 1); the other cell enters if its reduced cost is
+# below -1e-12 * (1 + max |c|)
+HAND_2X2 = {
+    # north-west start optimal
+    "equal_costs": ([[1.0, 1.0], [1.0, 1.0]], [0.5, 0.5], [0.5, 0.5]),
+    "diagonal": ([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5], [0.5, 0.5]),
+    "zero_reduced_cost": ([[0.0, 1.0], [1.0, 2.0]], [0.3, 0.7], [0.6, 0.4]),
+    "reduced_cost_inside_tolerance": ([[0.0, 1.0], [1.0, 2.0 + 1e-13]],
+                                      [0.5, 0.5], [0.5, 0.5]),
+    "column_first_optimal": ([[0.0, 1.0], [4.0, 0.5]], [0.7, 0.3], [0.4, 0.6]),
+    # one pivot
+    "anti_diagonal": ([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], [0.5, 0.5]),
+    "crossed": ([[3.0, 1.0], [1.0, 3.0]], [0.3, 0.7], [0.6, 0.4]),
+    "leaving_tie": ([[2.0, 0.0], [0.0, 2.0]], [0.4, 0.6], [0.6, 0.4]),
+    "column_first_pivot": ([[5.0, 0.0], [0.0, 5.0]], [0.7, 0.3], [0.4, 0.6]),
+    "reduced_cost_past_tolerance": ([[0.0, 1.0], [1.0, 2.0 + 1e-11]],
+                                    [0.5, 0.5], [0.5, 0.5]),
+    "negative_costs": ([[-1.0, -2.0], [-3.0, -0.5]], [0.45, 0.55],
+                       [0.25, 0.75]),
+    "unnormalized": ([[2.0, 0.5], [0.25, 3.0]], [0.3 + 1e-10, 0.7],
+                     [0.1, 0.9]),
+}
 
 
 def _points(rng, n, kind):
@@ -38,7 +64,10 @@ def _points(rng, n, kind):
 
 
 def problem(m, k, kind, rep):
-    """One seeded problem: squared-distance costs between two point sets."""
+    """One seeded problem: squared-distance costs between two point sets,
+    or a ``HAND_2X2`` problem for ``kind`` ``"hand"``."""
+    if kind == "hand":
+        return tuple(np.array(v) for v in HAND_2X2[rep])
     rng = rng_from_seed(7000 + 100 * m + 10 * k + 3 * KINDS.index(kind) + rep)
     x, y = _points(rng, m, kind), _points(rng, k, kind)
     c = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
@@ -65,8 +94,9 @@ def compute(m, k, kind, rep):
             "pivots": info.iterations}
 
 
-CASES = [(m, k, kind, rep) for m, k in SHAPES for kind in KINDS
-         for rep in range(REPEATS)]
+CASES = ([(m, k, kind, rep) for m, k in SHAPES for kind in KINDS
+          for rep in range(REPEATS)]
+         + [(2, 2, "hand", name) for name in HAND_2X2])
 
 
 def _key(m, k, kind, rep):
