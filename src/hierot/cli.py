@@ -90,8 +90,7 @@ def cmd_flow(args) -> int:
 
 def cmd_check(args) -> int:
     from . import checks  # the suites are large; only `check` compiles them
-    cfg = checks.CheckConfig(samples=args.samples)
-    report = checks.run_suite(args.suite, args.seed, cfg)
+    report = checks.run_suite(args.suite, args.seed, args.samples)
     text = dumps(report)
     if args.report:
         Path(args.report).write_text(text)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,19 +39,10 @@ class DualPotentials:
     psi: np.ndarray
 
 
-@dataclass(frozen=True)
-class SolveInfo:
-    """Bookkeeping for a solve: indices dropped below the weight floor."""
-    dropped_rows: tuple = field(default_factory=tuple)
-    dropped_cols: tuple = field(default_factory=tuple)
-    iterations: int = 0
-
-
-def solve_ot(c, a, b, *, return_info: bool = False):
+def solve_ot(c, a, b):
     """Minimize ``sum_ij x_ij c_ij`` over couplings of ``a`` and ``b``.
 
-    Returns ``(TransportPlan, DualPotentials, value)``; with
-    ``return_info=True`` a :class:`SolveInfo` is appended.
+    Returns ``(TransportPlan, DualPotentials, value)``.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2:
@@ -85,8 +76,8 @@ def solve_ot(c, a, b, *, return_info: bool = False):
         ar, bc = [al[i] for i in keep_r], [bl[j] for j in keep_c]
         sa, sb = _line_sum(ar), _line_sum(bc)
 
-    x, phi, psi, iters, basis = _simplex(cc, [w / sa for w in ar],
-                                         [w / sb for w in bc])
+    x, phi, psi, _, basis = _simplex(cc, [w / sa for w in ar],
+                                     [w / sb for w in bc])
     if dropped:
         x, phi, psi = _restore_dropped(cl, keep_r, keep_c, x, phi, psi)
         basis = [(keep_r[i], keep_c[j]) for i, j in basis]
@@ -98,12 +89,6 @@ def solve_ot(c, a, b, *, return_info: bool = False):
     plan = TransportPlan(matrix=np.array(x), row_marginal=a.copy(),
                          col_marginal=b.copy())
     duals = DualPotentials(phi=np.array(phi), psi=np.array(psi))
-    if return_info:
-        info = SolveInfo(
-            dropped_rows=tuple(i for i, w in enumerate(al) if w < WEIGHT_DROP),
-            dropped_cols=tuple(j for j, w in enumerate(bl) if w < WEIGHT_DROP),
-            iterations=iters)
-        return plan, duals, value, info
     return plan, duals, value
 
 
@@ -232,39 +217,31 @@ def _tree_flows(m, k, basis, a, b):
     return x
 
 
-def repair_flow_sums(x: np.ndarray, a: np.ndarray, b: np.ndarray,
-                     sweeps: int = 3) -> np.ndarray:
+def _polish(x, a, b, cells):
     """Nudge positive flows so row and column sums reproduce the marginals.
 
     Each pass rewrites the largest entry of a line as the complement of the
     others, which makes that line's floating-point sum exact (Sterbenz);
-    alternating passes drive both sides to exactness at ulp scale.  The
-    adjustments are ~1e-16 and irrelevant to optimality, but they remove
-    stray mass that would otherwise cross finite distances in downstream
-    measure comparisons.  A plan whose sums are already exact is returned
-    unchanged, and the sweeps stop once one leaves the plan as it was (the
-    next would repeat it).  ``x`` is a nonnegative plan.
-    """
-    rows = x.tolist()
-    m, k = x.shape
-    cells = [(i, j) for i in range(m) for j in range(k)]
-    _polish(rows, a.tolist(), b.tolist(), cells, sweeps)
-    return np.array(rows, dtype=float).reshape(x.shape)
+    up to three alternating passes drive both sides to exactness at ulp
+    scale.  The adjustments are ~1e-16 and irrelevant to optimality, but
+    they remove stray mass that would otherwise cross finite distances in
+    downstream measure comparisons.  A plan whose sums are already exact is
+    left unchanged, and the sweeps stop once one leaves the plan as it was
+    (the next would repeat it).
 
-
-def _polish(x, a, b, cells, sweeps=3):
-    """:func:`repair_flow_sums` in place on a list of rows ``x`` whose
-    entries outside ``cells`` (row-major ``(i, j)`` pairs, a solve's basis)
-    are zero, with the marginals as lists.
+    Works in place on a nonnegative plan ``x``, a list of rows whose entries
+    outside ``cells`` (row-major ``(i, j)`` pairs, a solve's basis) are
+    zero, with the marginals as lists.
 
     Sums are taken in numpy's order, so a line that is exact here is exact
-    under ``np.sum`` on the returned matrix too.  numpy adds a row of fewer
-    than 8 entries in order, and the columns of a matrix with more than one
-    column row by row; such a sum starts from ``0.0`` and a zero term changes
-    none of its partial sums, so it takes only ``cells``.  Longer rows and a
-    contiguous (m, 1) column go pairwise (``_line_sum``), where every
-    position counts.  The sweeps run only when a line is off, and read and
-    write only ``cells``: a zero entry is never a line's positive peak.
+    under ``np.sum`` on the matrix built from ``x`` too.  numpy adds a row
+    of fewer than 8 entries in order, and the columns of a matrix with more
+    than one column row by row; such a sum starts from ``0.0`` and a zero
+    term changes none of its partial sums, so it takes only ``cells``.
+    Longer rows and a contiguous (m, 1) column go pairwise (``_line_sum``),
+    where every position counts.  The sweeps run only when a line is off,
+    and read and write only ``cells``: a zero entry is never a line's
+    positive peak.
     """
     m, k = len(a), len(b)
     low = min(a + b, default=0.0)
@@ -290,7 +267,7 @@ def _polish(x, a, b, cells, sweeps=3):
     in_row = [[] for _ in range(m)]
     for i, j in cells:
         in_row[i].append(j)
-    for sweep in range(sweeps):
+    for sweep in range(3):
         # column sums and each column's first largest positive entry
         cols = [0.0] * k
         peaks = [0.0] * k

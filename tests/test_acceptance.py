@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hierot import euclidean, sphere
-from hierot.checks import CheckConfig, run_suite
+from hierot.checks import run_suite
 from hierot.exact_ot import permutation_oracle, solve_ot, verify_optimality
 from hierot.functionals import (DistanceTerm, FunctionalSpec,
                                 GeneralizedGeodesicCurve, GeodesicCurve,

@@ -2,14 +2,16 @@ import json
 
 import pytest
 
-from hierot.checks import SUITES, CheckConfig, run_suite
+from hierot import checks
+from hierot.checks import SUITES, run_suite
+from hierot.cli import EXIT_CHECK, main
 from hierot.errors import InvalidInput
 from hierot.manifolds import set_fault_injection
 from hierot.serialization import dumps
 
 
 def test_all_suites_pass_with_default_seed():
-    report = run_suite("all", 0, CheckConfig(samples=3))
+    report = run_suite("all", 0, 3)
     assert report["passed"] is True
     assert set(report["suites"]) == set(SUITES)
     for suite in report["suites"].values():
@@ -18,29 +20,29 @@ def test_all_suites_pass_with_default_seed():
 
 
 def test_single_suite_subset():
-    report = run_suite("metric", 5, CheckConfig(samples=2))
+    report = run_suite("metric", 5, 2)
     assert set(report["suites"]) == {"metric"}
     assert report["passed"] is True
 
 
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
-        run_suite("nonsense", 0, CheckConfig(samples=1))
+        run_suite("nonsense", 0, 1)
 
 
 def test_reports_are_deterministic():
-    a = dumps(run_suite("coupling", 3, CheckConfig(samples=2)))
-    b = dumps(run_suite("coupling", 3, CheckConfig(samples=2)))
+    a = dumps(run_suite("coupling", 3, 2))
+    b = dumps(run_suite("coupling", 3, 2))
     assert a == b
     # different seeds change residuals but stay valid JSON
-    c = json.loads(dumps(run_suite("coupling", 4, CheckConfig(samples=2))))
+    c = json.loads(dumps(run_suite("coupling", 4, 2)))
     assert c["seed"] == 4
 
 
 def test_fault_injection_negative_control():
     set_fault_injection("pt_sign")
     try:
-        report = run_suite("geodesic", 0, CheckConfig(samples=2))
+        report = run_suite("geodesic", 0, 2)
     finally:
         set_fault_injection(None)
     assert report["passed"] is False
@@ -48,21 +50,30 @@ def test_fault_injection_negative_control():
              for p in s["properties"] if not p["passed"]]
     assert any("parallel_transport" in n or "pt_" in n for n in names)
     # the suite recovers once the fault is cleared
-    clean = run_suite("geodesic", 0, CheckConfig(samples=2))
+    clean = run_suite("geodesic", 0, 2)
     assert clean["passed"] is True
 
 
-def test_tolerance_overrides():
-    cfg = CheckConfig(samples=2, tolerances={"w2_metric": 1e-30})
-    report = run_suite("metric", 0, cfg)
-    names = {p["name"]: p for s in report["suites"].values()
-             for p in s["properties"]}
-    # an absurdly tight override can only keep or break the property
-    assert "w2.metric_axioms" in names
+def test_nan_residual_fails_its_property(monkeypatch, capsys):
+    # max(worst, nan) keeps worst; the fold must keep the NaN instead
+    monkeypatch.setattr(checks, "w2", lambda a, b: float("nan"))
+    for check in (checks.check_w2_metric, checks.check_dirac_isometry):
+        result = check(0, 1)
+        assert not result.passed and result.worst_residual != result.worst_residual
+    assert main(["check", "--suite", "metric", "--samples", "1"]) == EXIT_CHECK
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+
+
+def test_nan_residual_fails_a_plain_check(monkeypatch):
+    monkeypatch.setattr(checks.fn, "check_potential_gradient",
+                        lambda pot, man, pts: float("nan"))
+    result = checks.check_potential_gradients(0, 1)
+    assert not result.passed and result.samples == 4
 
 
 @pytest.mark.parametrize("samples", [0, -2])
 def test_sample_count_below_one_rejected(samples):
     # no samples would pass most properties vacuously
     with pytest.raises(InvalidInput, match="samples"):
-        run_suite("metric", 0, CheckConfig(samples=samples))
+        run_suite("metric", 0, samples)

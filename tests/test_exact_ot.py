@@ -6,9 +6,10 @@ import pytest
 from hierot.errors import InvalidInput, TooLarge, UnbalancedMarginals
 from hierot.exact_ot import (WEIGHT_DROP, DualPotentials, TransportPlan,
                              _bland_simplex, _column_sums, _line_sum, _polish,
-                             _two_by_two, permutation_oracle, repair_flow_sums,
-                             solve_ot, verify_optimality)
+                             _two_by_two, permutation_oracle, solve_ot,
+                             verify_optimality)
 from hierot.sampling import rng_from_seed
+from test_solver_golden import pivot_counts
 
 
 def two_by_two():
@@ -136,9 +137,8 @@ def test_tiny_weights_are_dropped():
     c = np.array([[1.0, 2.0], [3.0, 0.5]])
     a = np.array([1.0 - 1e-16, 1e-16])
     b = np.array([0.5, 0.5])
-    plan, duals, value, info = solve_ot(c, a, b, return_info=True)
-    assert info.dropped_rows == (1,)
-    assert plan.matrix[1].sum() == 0.0
+    plan, duals, value = solve_ot(c, a, b)
+    assert (plan.matrix[1] == 0.0).all()
     assert verify_optimality(plan, duals, c)
 
 
@@ -211,22 +211,24 @@ HIGHS_INEXACT = {
 
 def test_solver_matches_highs():
     for idx, (case, c, a, b) in enumerate(highs_cases()):
-        plan, duals, value, info = solve_ot(c, a, b, return_info=True)
+        with pivot_counts() as pivots:
+            plan, duals, value = solve_ot(c, a, b)
         assert value == pytest.approx(highs_value(c, a, b), rel=1e-9, abs=1e-12), case
         assert verify_optimality(plan, duals, c), case
-        assert info.dropped_rows == tuple(np.flatnonzero(a < WEIGHT_DROP)), case
-        assert info.dropped_cols == tuple(np.flatnonzero(b < WEIGHT_DROP)), case
+        # rows and columns below the weight floor carry no flow
+        assert (plan.matrix[a < WEIGHT_DROP] == 0.0).all(), case
+        assert (plan.matrix[:, b < WEIGHT_DROP] == 0.0).all(), case
         gap = max(np.abs(plan.matrix.sum(axis=1) - a).max(),
                   np.abs(plan.matrix.sum(axis=0) - b).max())
         if case in HIGHS_INEXACT:
             assert gap <= 4 * np.finfo(float).eps, case
         else:
             assert gap == 0.0, case
-        assert info.iterations == HIGHS_PIVOTS[idx], case
+        assert pivots == [HIGHS_PIVOTS[idx]], case
 
 
 def repair_by_lines(x, a, b, sweeps=3):
-    """Line-by-line reference for repair_flow_sums."""
+    """Line-by-line reference for the polish on every cell."""
     x = x.copy()
     m, k = x.shape
     positive = np.concatenate([a[a > 0], b[b > 0]])
@@ -264,7 +266,10 @@ def test_repair_flow_sums_matches_line_reference():
         x /= x.sum()
         a = x.sum(axis=1) + rng.integers(-2, 3, size=m) * 1e-17
         b = x.sum(axis=0) + rng.integers(-2, 3, size=k) * 1e-17
-        got = repair_flow_sums(x, a, b)
+        rows = x.tolist()
+        _polish(rows, a.tolist(), b.tolist(),
+                [(i, j) for i in range(m) for j in range(k)])
+        got = np.array(rows)
         want = repair_by_lines(x, a, b)
         if max(m, k) < 8:
             assert np.array_equal(got, want)

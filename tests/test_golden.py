@@ -109,6 +109,9 @@ def commands(inp: Path, out: Path):
         cmds.append((f"check_{seed}",
                      ["check", "--suite", "all", "--seed", str(seed), "--samples", "1",
                       "--report", str(report)], [report]))
+    # the command's own defaults: every suite, seed 0, six samples
+    report = out / "check_default.json"
+    cmds.append(("check_default", ["check", "--report", str(report)], [report]))
     return cmds
 
 
