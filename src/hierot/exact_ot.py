@@ -6,9 +6,11 @@ and returns a basic optimal solution: at most ``m + k - 1`` strictly
 positive entries, plus dual potentials certifying optimality through
 complementary slackness.
 
-A solve runs on Python floats from input validation through the polish and
-the value (costs and marginals come in once through ``tolist``); numpy
-builds only the returned plan and potentials.
+The solve itself, :func:`_solve_lists`, runs on Python lists of floats from
+input validation through the polish and the value; the library's own
+callers (the level recursion and the fiber couplings) call it on lists.
+:func:`solve_ot` is its numpy edge: costs and marginals come in once through
+``tolist``, and numpy builds only the returned plan and potentials.
 """
 
 from __future__ import annotations
@@ -26,14 +28,14 @@ WEIGHT_DROP = 1e-14
 MASS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransportPlan:
     matrix: np.ndarray
     row_marginal: np.ndarray
     col_marginal: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualPotentials:
     phi: np.ndarray
     psi: np.ndarray
@@ -52,44 +54,56 @@ def solve_ot(c, a, b):
     m, k = c.shape
     if a.shape != (m,) or b.shape != (k,):
         raise UnbalancedMarginals("marginal shapes do not match the cost matrix")
-    cl = c.tolist()
+    x, phi, psi, value = _solve_lists(c.tolist(), a.tolist(), b.tolist())
+    plan = TransportPlan(matrix=np.array(x), row_marginal=a.copy(),
+                         col_marginal=b.copy())
+    duals = DualPotentials(phi=np.array(phi), psi=np.array(psi))
+    return plan, duals, value
+
+
+def _solve_lists(c, a, b):
+    """:func:`solve_ot` on a list of ``m`` cost rows of ``k`` floats and
+    marginal lists of ``m`` and ``k`` floats; returns the plan as a list of
+    rows, the potentials as two lists and the value.
+
+    Validates the costs and marginals (the shapes are the caller's), drops
+    and restores the rows and columns below ``WEIGHT_DROP``, normalizes,
+    solves, polishes and sums the value, as ``solve_ot`` does.  The inputs
+    are not modified.
+    """
     # a NaN or infinite entry makes the sum non-finite; only an overflowing
     # sum of finite entries needs the entry-by-entry test
-    if not math.isfinite(sum(map(sum, cl))) and not all(
-            map(math.isfinite, itertools.chain.from_iterable(cl))):
+    if not math.isfinite(sum(map(sum, c))) and not all(
+            map(math.isfinite, itertools.chain.from_iterable(c))):
         raise InvalidInput("cost matrix has a non-finite entry")
-    al, bl = a.tolist(), b.tolist()
-    sa, sb = _line_sum(al), _line_sum(bl)
+    sa, sb = _line_sum(a), _line_sum(b)
     # written so that a NaN sum (a NaN or infinite weight) fails too
     if not (abs(sa - 1.0) <= MASS_TOL and abs(sb - 1.0) <= MASS_TOL):
         raise UnbalancedMarginals(f"marginals sum to {sa} and {sb}, expected 1")
 
-    a_min, b_min = min(al), min(bl)
+    a_min, b_min = min(a), min(b)
     if a_min < 0 or b_min < 0:
         raise UnbalancedMarginals("marginals must be nonnegative")
     dropped = a_min < WEIGHT_DROP or b_min < WEIGHT_DROP
-    cc, ar, bc = cl, al, bl
+    cc, ar, bc = c, a, b
     if dropped:
-        keep_r = [i for i, w in enumerate(al) if w >= WEIGHT_DROP]
-        keep_c = [j for j, w in enumerate(bl) if w >= WEIGHT_DROP]
-        cc = [[cl[i][j] for j in keep_c] for i in keep_r]
-        ar, bc = [al[i] for i in keep_r], [bl[j] for j in keep_c]
+        keep_r = [i for i, w in enumerate(a) if w >= WEIGHT_DROP]
+        keep_c = [j for j, w in enumerate(b) if w >= WEIGHT_DROP]
+        cc = [[c[i][j] for j in keep_c] for i in keep_r]
+        ar, bc = [a[i] for i in keep_r], [b[j] for j in keep_c]
         sa, sb = _line_sum(ar), _line_sum(bc)
 
     x, phi, psi, _, basis = _simplex(cc, [w / sa for w in ar],
                                      [w / sb for w in bc])
     if dropped:
-        x, phi, psi = _restore_dropped(cl, keep_r, keep_c, x, phi, psi)
+        x, phi, psi = _restore_dropped(c, keep_r, keep_c, x, phi, psi)
         basis = [(keep_r[i], keep_c[j]) for i, j in basis]
 
-    _polish(x, al, bl, basis)
+    _polish(x, a, b, basis)
     # np.sum of the C-ordered product matrix, bit for bit
     flat = itertools.chain.from_iterable
-    value = _line_sum(list(map(operator.mul, flat(x), flat(cl))))
-    plan = TransportPlan(matrix=np.array(x), row_marginal=a.copy(),
-                         col_marginal=b.copy())
-    duals = DualPotentials(phi=np.array(phi), psi=np.array(psi))
-    return plan, duals, value
+    value = _line_sum(list(map(operator.mul, flat(x), flat(c))))
+    return x, phi, psi, value
 
 
 def _restore_dropped(c, keep_r, keep_c, x, u, v):
@@ -551,6 +565,49 @@ def permutation_oracle(c, n_max: int = 7) -> float:
         if val < best:
             best = val
     return best / n
+
+
+def _certified(c, a, b, x, phi, psi) -> bool:
+    """:func:`verify_optimality` on lists: the plan ``x`` and potentials
+    ``phi``, ``psi`` of a solve on the cost rows ``c`` and marginal lists
+    ``a``, ``b``, by the same five conditions at the same tolerances.
+
+    Sums are taken in order rather than in numpy's order, which moves them
+    by ulps, far below the tolerances.  A NaN flow fails the sign test, and
+    a NaN or infinite potential the duality gap.
+    """
+    m, k = len(a), len(b)
+    if len(x) != m or not all(len(row) == k for row in x):
+        return False
+    scale = 1.0 + max(max(map(max, c)), -min(map(min, c)))
+    cols = [0.0] * k
+    value = 0.0
+    low = 0.0        # the least reduced cost
+    loose = 0.0      # the largest |reduced cost| on the support
+    for row, cost, ai, ui in zip(x, c, a, phi):
+        total = 0.0
+        for j, (flow, cij, vj) in enumerate(zip(row, cost, psi)):
+            if not flow >= -1e-12:
+                return False
+            slack = cij - ui - vj
+            if slack < low:
+                low = slack
+            if flow > 1e-12 and abs(slack) > loose:
+                loose = abs(slack)
+            total += flow
+            cols[j] += flow
+            value += flow * cij
+        if not abs(total - ai) <= 1e-10:
+            return False
+    for total, bj in zip(cols, b):
+        if not abs(total - bj) <= 1e-10:
+            return False
+    dual = 0.0
+    for w, p in zip(a + b, phi + psi):
+        dual += w * p
+    return (low >= -1e-9 * scale
+            and abs(value - dual) <= 1e-8 * (1.0 + abs(value))
+            and loose <= 1e-8 * scale)
 
 
 def verify_optimality(plan: TransportPlan, duals: DualPotentials, c,

@@ -21,7 +21,8 @@ def optimal_velocity_plan(mu: HierMeasure, nu: HierMeasure) -> VelocityPlan:
 
     Built by solving the transport problem at every level and taking the
     minimizing log at the leaves, so its energy equals the distance; every
-    transport plan in it passes ``verify_optimality``.
+    transport plan it uses passes the conditions of ``verify_optimality``
+    (``NumericalFailure`` otherwise).
     """
     return transport(mu, nu).velocity
 

@@ -19,8 +19,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BaseMismatch, CouplingMismatch, InvalidInput
-from .exact_ot import solve_ot
+from .errors import (BaseMismatch, CouplingMismatch, InvalidInput,
+                     UnbalancedMarginals)
+from .exact_ot import _solve_lists
 from .manifolds import Manifold, euclidean
 from .measures import HierMeasure, dirac
 
@@ -264,24 +265,34 @@ def _couple(g1, g2, cost_fn=None):
     for w, f1, f2 in zip(base.weights, g1.fibers, g2.fibers):
         if cost_fn is None:
             kids = [[_couple(e1.plan, e2.plan) for e2 in f2] for e1 in f1]
-            cost = np.array([[energy for _, energy in row] for row in kids])
+            cost = [[energy for _, energy in row] for row in kids]
         else:
             kids = None
-            cost = np.asarray(cost_fn(len(f1), len(f2)), dtype=float)
-        a = np.array([e.weight for e in f1]) / w
-        b = np.array([e.weight for e in f2]) / w
-        plan, _, val = solve_ot(cost, a, b)
-        x = plan.matrix
+            cost = _cost_fn_rows(cost_fn, len(f1), len(f2))
+        x, _, _, val = _solve_lists(cost, [e.weight / w for e in f1],
+                                    [e.weight / w for e in f2])
         # a cost_fn's children are built on support cells only, in row-major
         # order, so cost_fn is called once per fiber pair the coupling uses
         entries = tuple(
-            CouplingEntry(w * x[k, l], k, l,
+            CouplingEntry(w * flow, k, l,
                           kids[k][l][0] if kids is not None
                           else _couple(f1[k].plan, f2[l].plan, cost_fn)[0])
-            for k in range(len(f1)) for l in range(len(f2)) if x[k, l] > 0.0)
+            for k, row in enumerate(x) for l, flow in enumerate(row) if flow > 0.0)
         per_atom.append(entries)
         total += w * val
     return Coupling(base=base, entries=tuple(per_atom)), total
+
+
+def _cost_fn_rows(cost_fn, n1, n2):
+    """``cost_fn(n1, n2)`` as a list of rows, with ``solve_ot``'s errors for
+    a cost that is not a matrix of that shape."""
+    cost = np.asarray(cost_fn(n1, n2), dtype=float)
+    if cost.ndim != 2:
+        raise InvalidInput(
+            f"cost matrix must be 2-D, got {cost.ndim} dimension(s)")
+    if cost.shape != (n1, n2):
+        raise UnbalancedMarginals("marginal shapes do not match the cost matrix")
+    return cost.tolist()
 
 
 def validate_coupling(alpha: Coupling, g1: VelocityPlan, g2: VelocityPlan,
@@ -428,13 +439,9 @@ def _max_inner(g1, g2):
         return float(np.dot(g1.tangent, g2.tangent))
     total = 0.0
     for w, f1, f2 in zip(base.weights, g1.fibers, g2.fibers):
-        reward = np.empty((len(f1), len(f2)))
-        for k in range(len(f1)):
-            for l in range(len(f2)):
-                reward[k, l] = _max_inner(f1[k].plan, f2[l].plan)
-        a = np.array([e.weight for e in f1]) / w
-        b = np.array([e.weight for e in f2]) / w
-        _, _, val = solve_ot(-reward, a, b)
+        cost = [[-_max_inner(e1.plan, e2.plan) for e2 in f2] for e1 in f1]
+        _, _, _, val = _solve_lists(cost, [e.weight / w for e in f1],
+                                    [e.weight / w for e in f2])
         total += w * (-val)
     return total
 

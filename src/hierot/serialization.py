@@ -137,7 +137,29 @@ def measure_from_obj(obj) -> HierMeasure:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Strict JSON text of ``obj``, sorted keys, no spaces, one line.
+
+    A non-finite float is written as the string ``"NaN"``, ``"Infinity"``
+    or ``"-Infinity"``; JSON has no token for it.
+    """
+    try:
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+    except ValueError:  # a non-finite float: spell it out and write again
+        text = json.dumps(_finite_or_named(obj), sort_keys=True,
+                          separators=(",", ":"), allow_nan=False)
+    return text + "\n"
+
+
+def _finite_or_named(obj):
+    """``obj`` with every non-finite float replaced by its name."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {key: _finite_or_named(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_named(value) for value in obj]
+    return obj
 
 
 def save_measure(mu: HierMeasure, path) -> None:

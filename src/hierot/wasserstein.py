@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DeskScaleError, InvalidInput, LevelMismatch,
                      NumericalFailure)
-from .exact_ot import DualPotentials, TransportPlan, solve_ot, verify_optimality
+from .exact_ot import DualPotentials, TransportPlan, _certified, _solve_lists
 from .measures import HierMeasure
 from .plans import FiberEntry, VelocityPlan
 
@@ -90,27 +90,29 @@ def w2(mu: HierMeasure, nu: HierMeasure) -> float:
 
 
 def _solve(mu: HierMeasure, nu: HierMeasure, keep: bool, c=None):
-    """``(value_sq, cost, plan, duals, kids)`` of one exact solve on the cost
-    ``c`` (``None``: build it); with ``keep``, ``kids`` maps each support
+    """``(value_sq, c, x, phi, psi, kids)`` of one exact solve on the cost
+    rows ``c`` (``None``: build them), with the plan ``x`` as a list of rows
+    and the potentials as lists; with ``keep``, ``kids`` maps each support
     cell to the solve made for its entry here (a cell whose entry came from
     the memo has none)."""
     kids = {} if keep else None
     if c is None:
-        c = cost_matrix(mu, nu, kids)
-    plan, duals, value = solve_ot(c, np.asarray(mu.weights), np.asarray(nu.weights))
+        c = _cost_rows(mu, nu, kids)
+    x, phi, psi, value = _solve_lists(c, list(mu.weights), list(nu.weights))
     if kids:  # only support cells become children; what one call keeps stays small
-        kids = {ij: kid for ij, kid in kids.items() if plan.matrix[ij] > 0.0}
-    return max(value, 0.0), c, plan, duals, kids
+        kids = {ij: kid for ij, kid in kids.items() if x[ij[0]][ij[1]] > 0.0}
+    return max(value, 0.0), c, x, phi, psi, kids
 
 
 def _memo_sq(mu: HierMeasure, nu: HierMeasure, kids=None, cell=None,
-             c=None) -> float:
+             band=None, span=None) -> float:
     """Squared distance of a level >= 1 pair, memoized; a solve made here
-    uses the cost ``c`` when given and is kept as ``kids[cell]`` when
-    ``kids`` is a dict."""
+    takes its cost from the leaf-table rows ``band``, columns ``span``, when
+    given and is kept as ``kids[cell]`` when ``kids`` is a dict."""
     key = _pair_key(mu, nu)
     value = _w2_cache.get(key)
     if value is None:
+        c = None if band is None else [row[span] for row in band]
         solve = _solve(mu, nu, kids is not None, c)
         value = _w2_cache[key] = solve[0]
         if kids is not None:
@@ -120,27 +122,34 @@ def _memo_sq(mu: HierMeasure, nu: HierMeasure, kids=None, cell=None,
 
 def cost_matrix(mu: HierMeasure, nu: HierMeasure, kids=None) -> np.ndarray:
     """Pairwise squared distances between the atom lists of ``mu`` and ``nu``
-    (``kids``: see ``_solve``).
-
-    At level 2 the leaf distances of the whole pair come from one table, and
-    an entry solved here reads its block of it.
-    """
+    (``kids``: see ``_solve``)."""
     if mu.level != nu.level or mu.level < 1:
         raise LevelMismatch("cost_matrix needs two measures of equal level >= 1")
+    return np.array(_cost_rows(mu, nu, kids))
+
+
+def _cost_rows(mu: HierMeasure, nu: HierMeasure, kids=None) -> list:
+    """:func:`cost_matrix` as a list of rows.
+
+    At level 2 the leaf distances of the whole pair come from one table, and
+    an entry solved here takes its block of it.  The table becomes lists one
+    atom's band of rows at a time, never whole.
+    """
     if mu.level == 1:
-        return mu.manifold.pairwise_sq_dist(mu.point_stack(), nu.point_stack())
-    table = None
-    if mu.level == 2:
-        xs, rows = mu.leaf_stack()
-        ys, cols = nu.leaf_stack()
-        table = mu.manifold.pairwise_sq_dist(xs, ys)
-    m, k = len(mu.atoms), len(nu.atoms)
-    c = np.empty((m, k))
+        return mu.manifold.pairwise_sq_dist(mu.point_stack(),
+                                            nu.point_stack()).tolist()
+    if mu.level > 2:
+        return [[_memo_sq(ai, bj, kids, (i, j)) for j, bj in enumerate(nu.atoms)]
+                for i, ai in enumerate(mu.atoms)]
+    xs, rows = mu.leaf_stack()
+    ys, cols = nu.leaf_stack()
+    table = mu.manifold.pairwise_sq_dist(xs, ys)
+    spans = [slice(lo, hi) for lo, hi in zip(cols, cols[1:])]
+    c = []
     for i, ai in enumerate(mu.atoms):
-        for j, bj in enumerate(nu.atoms):
-            block = (None if table is None
-                     else table[rows[i]:rows[i + 1], cols[j]:cols[j + 1]])
-            c[i, j] = _memo_sq(ai, bj, kids, (i, j), block)
+        band = table[rows[i]:rows[i + 1]].tolist()
+        c.append([_memo_sq(ai, bj, kids, (i, j), band, span)
+                  for j, (bj, span) in enumerate(zip(nu.atoms, spans))])
     return c
 
 
@@ -167,9 +176,13 @@ def transport(mu: HierMeasure, nu: HierMeasure) -> Transport:
     if mu.level == 0:
         return Transport(w2_sq(mu, nu), None, None, _velocity(mu, nu, None))
     solve = _solve(mu, nu, keep=True)
-    value_sq, _, plan, duals, _ = solve
+    value_sq, _, x, phi, psi, _ = solve
     value_sq = _w2_cache.setdefault(_pair_key(mu, nu), value_sq)
-    return Transport(value_sq, plan, duals, _velocity(mu, nu, solve))
+    velocity = _velocity(mu, nu, solve)
+    a = np.array(mu.weights, dtype=float)
+    b = np.array(nu.weights, dtype=float)
+    return Transport(value_sq, TransportPlan(np.array(x), a, b),
+                     DualPotentials(np.array(phi), np.array(psi)), velocity)
 
 
 def _velocity(mu: HierMeasure, nu: HierMeasure, solve) -> VelocityPlan:
@@ -177,14 +190,12 @@ def _velocity(mu: HierMeasure, nu: HierMeasure, solve) -> VelocityPlan:
     it now), with the minimizing log at the leaves."""
     if mu.level == 0:
         return VelocityPlan(base=mu, tangent=mu.manifold.log(mu.point, nu.point))
-    _, c, plan, duals, kids = solve or _solve(mu, nu, keep=True)
-    if not verify_optimality(plan, duals, c):
+    _, c, x, phi, psi, kids = solve or _solve(mu, nu, keep=True)
+    if not _certified(c, list(mu.weights), list(nu.weights), x, phi, psi):
         raise NumericalFailure("solver returned an uncertified plan")
-    x = plan.matrix
     fibers = []
-    for i, w_i in enumerate(mu.weights):
-        entries = [(float(x[i, j]), j)
-                   for j in range(x.shape[1]) if x[i, j] > 0.0]
+    for i, (w_i, row) in enumerate(zip(mu.weights, x)):
+        entries = [(w, j) for j, w in enumerate(row) if w > 0.0]
         kept = [(w, j) for w, j in entries if w >= FIBER_DROP * w_i]
         if len(kept) < len(entries):
             # complement the largest entry so the fiber still carries w_i

@@ -65,6 +65,20 @@ def test_nan_residual_fails_its_property(monkeypatch, capsys):
     assert report["passed"] is False
 
 
+def _bare_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_nan_report_is_strict_json(monkeypatch, capsys):
+    # the report that exit code 4 asks to be read must parse everywhere
+    monkeypatch.setattr(checks, "w2", lambda a, b: float("nan"))
+    assert main(["check", "--suite", "metric", "--samples", "1"]) == EXIT_CHECK
+    report = json.loads(capsys.readouterr().out, parse_constant=_bare_constant)
+    assert report["passed"] is False
+    properties = report["suites"]["metric"]["properties"]
+    assert "NaN" in [p["worst_residual"] for p in properties]
+
+
 def test_nan_residual_fails_a_plain_check(monkeypatch):
     monkeypatch.setattr(checks.fn, "check_potential_gradient",
                         lambda pot, man, pts: float("nan"))

@@ -50,13 +50,13 @@ def test_distance_solves_each_problem_once(tmp_path, capsys, monkeypatch,
     # the plan's children taken from the cost entries' solves
     import hierot.wasserstein as wasserstein
     calls = []
-    solve_ot = wasserstein.solve_ot
+    solve = wasserstein._solve_lists
 
     def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return solve_ot(*args, **kwargs)
+        calls.append((len(args[0]), len(args[0][0])))
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(wasserstein, "solve_ot", counted)
+    monkeypatch.setattr(wasserstein, "_solve_lists", counted)
     inputs = Path(__file__).with_name("golden") / "inputs"
     assert main(["distance", str(inputs / f"{stem}_euclidean_a.json"),
                  str(inputs / f"{stem}_euclidean_b.json"),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -404,3 +405,13 @@ def test_polish_on_support_cells_matches_all_cells(m, k):
         exact = x.tolist()
         _polish(exact, x.sum(axis=1).tolist(), x.sum(axis=0).tolist(), support)
         assert _hexes(exact) == _hexes(x.tolist())
+
+
+def test_plan_and_duals_are_frozen_slotted_dataclasses():
+    plan, duals, _ = solve_ot([[0.0, 1.0]], [1.0], [0.5, 0.5])
+    for obj, names in ((plan, ("matrix", "row_marginal", "col_marginal")),
+                       (duals, ("phi", "psi"))):
+        assert tuple(f.name for f in dataclasses.fields(obj)) == names
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, names[0], None)

@@ -227,3 +227,9 @@ def test_bool_numbers_rejected(where, message):
     parse = measure_from_obj if doc is measure else plan_from_obj
     with pytest.raises(SchemaError, match=message):
         parse(doc)
+
+
+def test_dumps_names_non_finite_floats():
+    obj = {"b": [float("nan"), float("inf"), -float("inf"), 0.5], "a": (1e308,)}
+    assert dumps(obj) == '{"a":[1e+308],"b":["NaN","Infinity","-Infinity",0.5]}\n'
+    assert dumps({"x": 0.1}) == json.dumps({"x": 0.1}, separators=(",", ":")) + "\n"

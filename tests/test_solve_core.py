@@ -1,0 +1,115 @@
+"""The list core behind ``solve_ot`` and the list certificate.
+
+``exact_ot._solve_lists`` is the solve the level recursion and the fiber
+couplings call; ``solve_ot`` wraps it in numpy.  Here the core must return
+the wrapper's pinned results bit for bit, ``cost_matrix`` must be the
+internal cost rows as an array, and ``exact_ot._certified`` must decide as
+``verify_optimality`` does.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from hierot import euclidean, sphere
+from hierot.exact_ot import (DualPotentials, TransportPlan, _certified,
+                             _solve_lists, solve_ot, verify_optimality)
+from hierot.sampling import random_measure, rng_from_seed
+from hierot.wasserstein import _cost_rows, clear_cache, cost_matrix, w2_sq
+from test_solver_golden import CASES, GOLDEN, _hex, _key, problem
+
+IDS = [_key(*c) for c in CASES]
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def _lists(m, k, kind, rep):
+    c, a, b = problem(m, k, kind, rep)
+    return c.tolist(), a.tolist(), b.tolist()
+
+
+@pytest.mark.parametrize("m,k,kind,rep", CASES, ids=IDS)
+def test_core_returns_the_wrappers_bits(golden, m, k, kind, rep):
+    x, phi, psi, value = _solve_lists(*_lists(m, k, kind, rep))
+    plan, duals, wrapped = solve_ot(*problem(m, k, kind, rep))
+    core = {"matrix": _hex(x), "phi": _hex(phi), "psi": _hex(psi),
+            "value": value.hex()}
+    assert core == {"matrix": _hex(plan.matrix), "phi": _hex(duals.phi),
+                    "psi": _hex(duals.psi), "value": wrapped.hex()}
+    pinned = golden[_key(m, k, kind, rep)]
+    assert core == {key: pinned[key] for key in core}
+    assert all(type(v) is float for row in x for v in row)
+
+
+def test_core_leaves_its_inputs_alone():
+    c, a, b = _lists(5, 9, "tiny", 0)
+    saved = json.dumps([c, a, b])
+    _solve_lists(c, a, b)
+    assert json.dumps([c, a, b]) == saved
+
+
+@pytest.mark.parametrize("man", [euclidean(3), sphere(3)], ids=["euclidean", "sphere"])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_cost_matrix_is_the_cost_rows(man, level):
+    rng = rng_from_seed(40 + level)
+    mu, nu = random_measure(rng, man, level, 3), random_measure(rng, man, level, 3)
+    clear_cache()
+    rows = _cost_rows(mu, nu)
+    clear_cache()
+    c = cost_matrix(mu, nu)
+    clear_cache()
+    assert all(type(v) is float for row in rows for v in row)
+    assert c.dtype == float and c.shape == (len(mu.atoms), len(nu.atoms))
+    assert np.array(rows).tobytes() == c.tobytes()
+    # each entry is the squared distance of its atom pair, solved on its own
+    if level == 1:
+        ref = man.pairwise_sq_dist(mu.point_stack(), nu.point_stack())
+    else:
+        ref = np.array([[w2_sq(ai, bj) for bj in nu.atoms] for ai in mu.atoms])
+        clear_cache()
+    assert ref.tobytes() == c.tobytes()
+
+
+def _both(c, a, b, x, phi, psi):
+    """The list certificate's verdict, after checking that
+    ``verify_optimality`` reaches the same one."""
+    listed = _certified(c, a, b, x, phi, psi)
+    plan = TransportPlan(np.array(x), np.array(a), np.array(b))
+    assert verify_optimality(plan, DualPotentials(np.array(phi), np.array(psi)),
+                             np.array(c)) == listed
+    return listed
+
+
+@pytest.mark.parametrize("m,k,kind,rep", CASES, ids=IDS)
+def test_list_certificate_decides_as_verify_optimality(m, k, kind, rep):
+    c, a, b = _lists(m, k, kind, rep)
+    x, phi, psi, _ = _solve_lists(c, a, b)
+    assert _both(c, a, b, x, phi, psi)
+    scale = 1.0 + max(abs(v) for row in c for v in row)
+    # a perturbed potential: a tight cell of row 0 goes negative
+    assert not _both(c, a, b, x, [phi[0] + 1e-6 * scale] + phi[1:], psi)
+    # a plan off its marginals: row 0 and column 0 carry 1e-9 too much
+    off = [list(row) for row in x]
+    off[0][0] += 1e-9
+    assert not _both(c, a, b, off, phi, psi)
+    # the product plan with the optimal duals: feasible, optimal only where
+    # the coupling is forced or the costs allow it
+    product = [[ai * bj for bj in b] for ai in a]
+    value = sum(xi * ci for pr, cr in zip(product, c) for xi, ci in zip(pr, cr))
+    if min(m, k) > 1 and value > sum(xi * ci for xr, cr in zip(x, c)
+                                     for xi, ci in zip(xr, cr)) + 1e-6:
+        assert not _both(c, a, b, product, phi, psi)
+
+
+def test_list_certificate_refuses_nan_potentials_and_bad_shapes():
+    c, a, b = _lists(3, 4, "random", 0)
+    x, phi, psi, _ = _solve_lists(c, a, b)
+    assert _certified(c, a, b, x, phi, psi)
+    assert not _certified(c, a, b, x, [float("nan")] + phi[1:], psi)
+    assert not _certified(c, a, b, x, phi, psi[:-1] + [float("inf")])
+    assert not _certified(c, a, b, x[:-1], phi, psi)
+    assert not _certified(c, a, b, [row[:-1] for row in x], phi, psi)

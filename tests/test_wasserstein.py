@@ -7,7 +7,6 @@ import pytest
 from hierot import euclidean, sphere
 from hierot.cli import main
 from hierot.errors import DeskScaleError, LevelMismatch
-from hierot.exact_ot import DualPotentials, TransportPlan
 from hierot.manifolds import Manifold
 from hierot.measures import canonicalize, collapse, dirac, dirac_lift, mixture
 from hierot.geodesics import optimal_velocity_plan
@@ -222,10 +221,7 @@ def test_velocity_sliver_complement_adds_in_order():
     assert row[0, -1] < FIBER_DROP
     mu = mixture((1.0,), [pt(0)])
     nu = mixture(tuple(row[0]), [pt(j) for j in range(5)])
-    plan = TransportPlan(matrix=row, row_marginal=np.array([1.0]),
-                         col_marginal=row[0].copy())
-    duals = DualPotentials(phi=np.zeros(1), psi=np.zeros(5))
-    solve = (0.0, np.zeros((1, 5)), plan, duals, {})
+    solve = (0.0, [[0.0] * 5], row.tolist(), [0.0], [0.0] * 5, {})
     fiber, = _velocity(mu, nu, solve).fibers
     assert [e.weight for e in fiber] == [0.1, 0.2, 0.3, 1.0 - ((0.1 + 0.2) + 0.3)]
     assert [e.plan.tangent[0] for e in fiber] == [0.0, 1.0, 2.0, 3.0]
