@@ -9,6 +9,7 @@ Outputs are byte-deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -72,6 +73,8 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    if not 0.0 <= args.tau < math.inf:  # NaN fails too
+        raise InvalidInput(f"--tau must be a finite number >= 0, got {args.tau}")
     mu0 = load_measure(args.init)
     spec = functional_spec_from_obj(load_json(args.spec), mu0.manifold, mu0.level)
     trace = gradient_descent(spec, mu0, args.tau, args.iters)

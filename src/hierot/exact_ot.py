@@ -92,18 +92,81 @@ def _solve_lists(c, a, b):
         cc = [[c[i][j] for j in keep_c] for i in keep_r]
         ar, bc = [a[i] for i in keep_r], [b[j] for j in keep_c]
         sa, sb = _line_sum(ar), _line_sum(bc)
+    elif len(a) == 1 or len(b) == 1:
+        return _forced(c, a, b, sa, sb)
 
-    x, phi, psi, _, basis = _simplex(cc, [w / sa for w in ar],
-                                     [w / sb for w in bc])
+    # w / 1.0 is w: marginals that sum to 1.0 exactly need no division
+    x, phi, psi, _, basis = _simplex(cc, ar if sa == 1.0 else [w / sa for w in ar],
+                                     bc if sb == 1.0 else [w / sb for w in bc])
     if dropped:
         x, phi, psi = _restore_dropped(c, keep_r, keep_c, x, phi, psi)
         basis = [(keep_r[i], keep_c[j]) for i, j in basis]
 
     _polish(x, a, b, basis)
-    # np.sum of the C-ordered product matrix, bit for bit
-    flat = itertools.chain.from_iterable
-    value = _line_sum(list(map(operator.mul, flat(x), flat(c))))
-    return x, phi, psi, value
+    return x, phi, psi, _plan_value(x, c, basis)
+
+
+def _forced(c, a, b, sa, sb):
+    """The solve of a 1xk or mx1 problem with no weight below
+    ``WEIGHT_DROP``, whose coupling is forced: what normalizing, the closed
+    form of :func:`_simplex`, :func:`_polish` and the value sum return, bit
+    for bit, without them.  ``sa`` and ``sb`` are the marginals' sums.
+
+    An mx1 plan is ``a`` itself: the polish's row pass writes each row's
+    only entry as its weight, and it runs last.  A 1xk plan is ``b``: when
+    both sums are exactly 1.0 the normalized plan is ``b`` and already
+    exact; otherwise the column pass writes each column's only entry as its
+    weight, and the row pass then writes the row's first largest entry as
+    ``a[0]`` minus the sum of the others, every sweep alike.
+    """
+    if len(a) == 1:
+        row = list(b)
+        if not (sa == 1.0 and sb == 1.0):
+            peak = max(row)
+            val = a[0] - (sb - peak)
+            if val >= 0 and val != peak:
+                row[row.index(peak)] = val
+        return [row], [0.0], list(c[0]), _line_sum(list(map(operator.mul, row, c[0])))
+    x = [[w] for w in a]
+    return (x, [row[0] for row in c], [0.0],
+            _line_sum([w * row[0] for w, row in zip(a, c)]))
+
+
+def _plan_value(x, c, cells):
+    """``np.sum`` of the C-ordered product of the plan ``x`` and the costs
+    ``c`` (lists of rows), bit for bit, from the row-major ``cells`` outside
+    which ``x`` is zero.
+
+    A zero product changes no partial sum of numpy's reduction, and the
+    reduction's final ``0.0 +`` clears the sign of a zero total.  So below 8
+    entries the cells' products add in order, and up to 128 each goes to
+    the accumulator of its position, or to the tail, as in
+    :func:`_pairwise_sum`; larger matrices take the full sum.
+    """
+    k = len(c[0])
+    n = len(c) * k
+    if n < 8:
+        total = 0.0
+        for i, j in cells:
+            total += x[i][j] * c[i][j]
+        return total
+    if n > 128:
+        flat = itertools.chain.from_iterable
+        return _line_sum(list(map(operator.mul, flat(x), flat(c))))
+    stop = n - n % 8
+    acc = [0.0] * 8
+    tail = []
+    for i, j in cells:
+        pos = i * k + j
+        if pos < stop:
+            acc[pos % 8] += x[i][j] * c[i][j]
+        else:
+            tail.append(x[i][j] * c[i][j])
+    r0, r1, r2, r3, r4, r5, r6, r7 = acc
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for w in tail:
+        total += w
+    return 0.0 + total
 
 
 def _restore_dropped(c, keep_r, keep_c, x, u, v):
@@ -145,27 +208,29 @@ def _northwest_corner(a, b, c):
     rows.
     """
     m, k = len(a), len(b)
-    ra = list(a)
-    rb = list(b)
     basis = []
     flows = []
     u = [0.0] * m
     v = [0.0] * k
     v[0] = c[0][0] - u[0]
     i = j = 0
+    last_i, last_j = m - 1, k - 1
+    ra, rb = a[0], b[0]  # what row i and column j have left
     while True:
-        q = min(ra[i], rb[j])
+        q = ra if ra <= rb else rb  # min(ra, rb)
         basis.append((i, j))
         flows.append(q)
-        ra[i] -= q
-        rb[j] -= q
-        if i == m - 1 and j == k - 1:
-            break
-        if (ra[i] <= rb[j] and i < m - 1) or j == k - 1:
+        ra -= q
+        rb -= q
+        if (ra <= rb and i < last_i) or j == last_j:
+            if i == last_i:
+                break
             i += 1
+            ra = a[i]
             u[i] = c[i][j] - v[j]
         else:
             j += 1
+            rb = b[j]
             v[j] = c[i][j] - u[i]
     return basis, flows, u, v
 
@@ -203,30 +268,35 @@ def _tree_flows(m, k, basis, a, b):
     Peels degree-one nodes, so every flow is a short alternating sum of
     marginals; this avoids the rounding drift of pivot-accumulated flows.
     A negative flow is written as ``0.0``, and a ``-0.0`` stays ``-0.0``.
-    ``a`` and ``b`` are lists of floats.
+    ``a`` and ``b`` are lists of floats.  Nodes are rows ``0..m-1`` and
+    columns ``m..m+k-1``; a node of degree one finds its last neighbour as
+    the XOR of all it had, less those peeled.
     """
-    adj = [[] for _ in range(m + k)]
+    deg = [0] * (m + k)
+    link = [0] * (m + k)
     for i, j in basis:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
+        j += m
+        deg[i] += 1
+        deg[j] += 1
+        link[i] ^= j
+        link[j] ^= i
     rem = a + b
     x = [[0.0] * k for _ in range(m)]
-    stack = [node for node, nbrs in enumerate(adj) if len(nbrs) == 1]
+    stack = [node for node, d in enumerate(deg) if d == 1]
     while stack:
         node = stack.pop()
-        nbrs = adj[node]
-        if len(nbrs) != 1:
+        if deg[node] != 1:  # the last node, whose neighbours all went first
             continue
-        other = nbrs.pop()
-        rest = adj[other]
-        rest.remove(node)
+        other = link[node]
+        link[other] ^= node
         f = rem[node]
         if node < m:
             x[node][other - m] = 0.0 if f < 0.0 else f
         else:
             x[other][node - m] = 0.0 if f < 0.0 else f
         rem[other] -= f
-        if len(rest) == 1:
+        deg[other] -= 1
+        if deg[other] == 1:
             stack.append(other)
     return x
 
@@ -298,13 +368,15 @@ def _polish(x, a, b, cells):
             cols = _column_sums(x)
         if sweep and cols == b and rows == a:
             return
-        changed = False
+        start = {}  # each cell the column pass wrote -> its flow before
+        moved = 0  # cells whose flow differs from the one before the sweep
         for j, i in enumerate(tops):
             if i is not None:
                 val = b[j] - (cols[j] - peaks[j])
                 if val >= 0 and val != peaks[j]:
+                    start[i, j] = peaks[j]
                     x[i][j] = val
-                    changed = True
+                    moved += 1
         for i, js in enumerate(in_row):
             row = x[i]
             peak, top, total = 0.0, None, 0.0
@@ -318,14 +390,21 @@ def _polish(x, a, b, cells):
             val = a[i] - (total - peak)
             if top is not None and val >= 0 and val != peak:
                 row[top] = val
-                changed = True
+                # a cell the column pass did not write held its flow from
+                # before the sweep; == is exact, a written flow being positive
+                if (i, top) not in start:
+                    moved += 1
+                elif val == start[i, top]:
+                    moved -= 1
                 total = 0.0
                 for j in js:
                     total += row[j]
                 if pairwise_rows:
                     total = _line_sum(row)
             rows[i] = total
-        if not changed:
+        # a sweep that leaves the plan as it found it leaves every later
+        # sweep so too
+        if not moved:
             return
 
 
@@ -441,19 +520,24 @@ def _simplex(c, a, b):
     if k == 1:
         return ([[w * b[0]] for w in a], [row[0] for row in c], [0.0], 0,
                 [(i, 0) for i in range(m)])
-    # max |c_ij|, from the extremes of the finite costs
-    neg_tol = -1e-12 * (1.0 + max(max(map(max, c)), -min(map(min, c))))
     if m == 2 and k == 2:
-        return _two_by_two(c, a, b, neg_tol)
-    return _bland_simplex(c, a, b, neg_tol)
+        return _two_by_two(c, a, b)
+    return _bland_simplex(c, a, b)
 
 
-def _two_by_two(c, a, b, neg_tol):
+def _neg_tol(c):
+    """Bland's entering threshold ``-1e-12 * (1 + max |c_ij|)`` on the
+    finite costs ``c``, a list of rows."""
+    return -1e-12 * (1.0 + max(map(abs, itertools.chain.from_iterable(c))))
+
+
+def _two_by_two(c, a, b):
     """:func:`_bland_simplex` on a 2x2 problem in closed form.
 
     The north-west start holds three of the four cells; the fourth enters if
-    its reduced cost is below ``neg_tol``, and the leaving cell is ``(0, 0)``
-    unless ``(1, 1)`` carries less start flow (Bland's rule).  After that
+    its reduced cost is below ``neg_tol`` (:func:`_neg_tol`, computed only
+    for a negative one), and the leaving cell is ``(0, 0)`` unless
+    ``(1, 1)`` carries less start flow (Bland's rule).  After that
     pivot the reduced cost of the cell that left is minus that of the one
     that entered, up to rounding far below ``neg_tol``, so no second pivot
     follows.  Potentials come from ``u_0 = 0`` along the tree and flows
@@ -470,7 +554,7 @@ def _two_by_two(c, a, b, neg_tol):
         v0 = c00 - 0.0
         u1 = c10 - v0
         v1 = c11 - u1
-        pivot = c01 - 0.0 - v1 < neg_tol
+        red = c01 - 0.0 - v1
         out = (0, 1)
     else:  # staircase (0, 0), (0, 1), (1, 1)
         f00 = b0
@@ -479,8 +563,9 @@ def _two_by_two(c, a, b, neg_tol):
         v0 = c00 - 0.0
         v1 = c01 - 0.0
         u1 = c11 - v1
-        pivot = c10 - u1 - v0 < neg_tol
+        red = c10 - u1 - v0
         out = (1, 0)
+    pivot = red < 0.0 and red < _neg_tol(c)
     if pivot:
         out = (0, 0) if f00 <= f11 else (1, 1)
     if out == (0, 1):
@@ -514,9 +599,10 @@ def _two_by_two(c, a, b, neg_tol):
     return x, [0.0, u1], [v0, v1], int(pivot), basis
 
 
-def _bland_simplex(c, a, b, neg_tol):
+def _bland_simplex(c, a, b):
     """The pivot loop of :func:`_simplex`, from the north-west start."""
     m, k = len(c), len(c[0])
+    neg_tol = _neg_tol(c)
     basis, flows, u, v = _northwest_corner(a, b, c)
     basis_set = set(basis)
     flow = None  # cell -> flow, built at the first pivot

@@ -9,6 +9,7 @@ nonnegatively curved manifolds supported here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -290,8 +291,8 @@ def gradient_step(spec: FunctionalSpec, mu: HierMeasure, tau: float):
 
     Returns ``(next_measure, step_plan)``.
     """
-    if tau < 0:
-        raise InvalidInput("tau must be nonnegative")
+    if not 0 <= tau < math.inf:  # NaN fails too
+        raise InvalidInput(f"tau must be a finite number >= 0, got {tau}")
     pot_terms = [t for t in spec.terms if isinstance(t, PotentialTerm)]
     dist_terms = [t for t in spec.terms if isinstance(t, DistanceTerm)]
 

@@ -7,6 +7,7 @@ ambient coordinates; sphere points live on ``S^{d-1}`` embedded in ``R^d``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,22 @@ def set_fault_injection(name):
     if name not in (None, "pt_sign"):
         raise InvalidInput(f"unknown fault {name!r}")
     _FAULT = name
+
+
+def _finite(x) -> bool:
+    """Whether every entry of the float array ``x`` is finite.
+
+    A NaN or infinite entry makes the sum non-finite; only a sum of finite
+    entries that overflows needs the entry-by-entry test.  The sum is taken
+    in Python floats, which overflow without numpy's warning.
+    """
+    return math.isfinite(sum(x.tolist())) or bool(np.all(np.isfinite(x)))
+
+
+def _norm(x) -> float:
+    """``np.linalg.norm`` of a real 1-D array, bit for bit: the square root
+    of its dot product with itself, without numpy's dispatch."""
+    return math.sqrt(float(x.dot(x)))
 
 
 def _as_floats(value, what: str) -> np.ndarray:
@@ -74,10 +91,10 @@ class Manifold:
             raise InvalidInput(
                 f"point of shape {x.shape}, expected ({self.ambient_dim},)"
             )
-        if not np.all(np.isfinite(x)):
+        if not _finite(x):
             raise InvalidPoint("non-finite coordinates")
         if self.kind == SPHERE:
-            nrm = float(np.linalg.norm(x))
+            nrm = _norm(x)
             if abs(nrm - 1.0) > SPHERE_RENORM_BAND:
                 raise InvalidPoint(f"sphere point has norm {nrm}")
             if abs(nrm - 1.0) > POINT_TOL:
@@ -91,10 +108,12 @@ class Manifold:
             raise InvalidInput(
                 f"tangent of shape {v.shape}, expected ({self.ambient_dim},)"
             )
-        if not np.all(np.isfinite(v)):
+        if not _finite(v):
             raise InvalidInput("non-finite tangent")
-        if self.kind == SPHERE and abs(float(np.dot(v, x))) > TANGENT_TOL:
-            raise InvalidInput(f"vector not tangent: <v,x> = {float(np.dot(v, x))}")
+        if self.kind == SPHERE:
+            dot = float(v.dot(x))
+            if abs(dot) > TANGENT_TOL:
+                raise InvalidInput(f"vector not tangent: <v,x> = {dot}")
         return v
 
     def project_tangent(self, x, v) -> np.ndarray:
@@ -150,11 +169,11 @@ class Manifold:
     def exp(self, x, v) -> np.ndarray:
         if self.kind == EUCLIDEAN:
             return x + v
-        nrm = float(np.linalg.norm(v))
+        nrm = _norm(v)
         if nrm == 0.0:
             return x
         y = np.cos(nrm) * x + np.sin(nrm) * (v / nrm)
-        return y / np.linalg.norm(y)
+        return y / _norm(y)
 
     def log(self, x, y) -> np.ndarray:
         """A minimizing tangent ``v`` with ``exp_x(v) = y`` and ``|v| = dist(x, y)``.

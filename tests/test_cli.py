@@ -283,6 +283,24 @@ def test_flow_malformed_spec_exit_code(tmp_path, capsys, term):
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf", "-0.5"])
+def test_flow_bad_tau_exit_code(tmp_path, capsys, tau):
+    # a NaN or infinite step is refused up front, naming the option
+    init = tmp_path / "init.json"
+    save_measure(mixture((1.0,), [dirac(E1, [0.0])]), init)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "terms": [{"type": "potential", "name": "quadratic",
+                   "params": {"center": [1.0]}, "weight": 1.0}]}))
+    trace = tmp_path / "t.csv"
+    code = main(["flow", "--spec", str(spec), "--init", str(init),
+                 f"--tau={tau}", "--iters", "1", "--trace", str(trace)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: --tau ") and out == ""
+    assert not trace.exists()
+
+
 def test_deep_measure_document_exit_code(tmp_path, capsys):
     from test_serialization import deep_document
     deep = tmp_path / "deep.json"

@@ -6,9 +6,9 @@ import pytest
 
 from hierot.errors import InvalidInput, TooLarge, UnbalancedMarginals
 from hierot.exact_ot import (WEIGHT_DROP, DualPotentials, TransportPlan,
-                             _bland_simplex, _column_sums, _line_sum, _polish,
-                             _two_by_two, permutation_oracle, solve_ot,
-                             verify_optimality)
+                             _bland_simplex, _column_sums, _forced, _line_sum,
+                             _plan_value, _polish, _simplex, _two_by_two,
+                             permutation_oracle, solve_ot, verify_optimality)
 from hierot.sampling import rng_from_seed
 from test_solver_golden import pivot_counts
 
@@ -369,14 +369,56 @@ def test_two_by_two_closed_form_matches_pivot_loop():
             a, b = np.full(2, 0.5), np.full(2, 0.5)
         a, b = (a / a.sum()).tolist(), (b / b.sum()).tolist()
         cl = c.tolist()
-        neg_tol = -1e-12 * (1.0 + float(np.abs(c).max()))
-        x, u, v, it, basis = _two_by_two(cl, a, b, neg_tol)
-        wx, wu, wv, wit, wbasis = _bland_simplex(cl, a, b, neg_tol)
+        x, u, v, it, basis = _two_by_two(cl, a, b)
+        wx, wu, wv, wit, wbasis = _bland_simplex(cl, a, b)
         assert _hexes(x) == _hexes(wx), (cl, a, b)
         assert _hexes([u, v]) == _hexes([wu, wv]), (cl, a, b)
         assert (it, list(basis)) == (wit, wbasis), (cl, a, b)
         pivots.append(it)
     assert 0 < sum(pivots) < len(pivots)
+
+
+@pytest.mark.parametrize("m,k", [(1, 1), (1, 2), (1, 7), (1, 8), (1, 13),
+                                 (2, 1), (7, 1), (8, 1), (13, 1)])
+def test_forced_coupling_is_the_general_path(m, k):
+    # normalize, the simplex's closed form, the polish and the value sum,
+    # bit for bit: marginals whose sums are 1.0 exactly, and a few ulps or
+    # up to the 1e-9 tolerance off
+    rng = rng_from_seed(61 + 16 * m + k)
+    for trial in range(300):
+        c = (rng.standard_normal((m, k)) * 10.0 ** rng.integers(-2, 3)).tolist()
+        a = rng.random(m) + 0.05
+        b = rng.random(k) + 0.05
+        a, b = (a / a.sum()).tolist(), (b / b.sum()).tolist()
+        off = [0.0, 2e-16, -3e-16, 1e-12, -5e-10][trial % 5]
+        a = [w * (1.0 + off) for w in a]
+        sa, sb = _line_sum(a), _line_sum(b)
+        x, phi, psi, _, basis = _simplex(c, [w / sa for w in a],
+                                         [w / sb for w in b])
+        _polish(x, a, b, basis)
+        value = _line_sum([xv * cv for xr, cr in zip(x, c)
+                           for xv, cv in zip(xr, cr)])
+        got = _forced(c, a, b, sa, sb)
+        assert _hexes(got[0]) == _hexes(x)
+        assert _hexes(got[1:3]) == _hexes([phi, psi])
+        assert got[3].hex() == value.hex()
+
+
+@pytest.mark.parametrize("m,k", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 5),
+                                 (4, 4), (5, 7), (8, 8), (9, 15), (11, 12),
+                                 (12, 11), (16, 16)])
+def test_plan_value_from_cells_is_numpys_sum(m, k):
+    # the products of the cells alone, placed as numpy's reduction places
+    # them, give np.sum of the whole product matrix bit for bit
+    rng = rng_from_seed(67 + 16 * m + k)
+    for _ in range(200):
+        x = rng.random((m, k)) * (rng.random((m, k)) < 0.3)
+        c = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-3, 4)
+        x[rng.integers(m), rng.integers(k)] = 0.0
+        cells = [(i, j) for i in range(m) for j in range(k)
+                 if x[i, j] != 0.0 or rng.random() < 0.2]
+        got = _plan_value(x.tolist(), c.tolist(), cells)
+        assert got.hex() == float(np.sum(x * c)).hex()
 
 
 @pytest.mark.parametrize("m,k", [(1, 5), (5, 1), (3, 4), (4, 3), (6, 6),

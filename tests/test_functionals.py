@@ -11,6 +11,7 @@ from hierot.functionals import (DistanceTerm, FunctionalSpec,
                                 gradient_step, make_linear_ambient,
                                 make_quadratic, supergradient_inequality_check,
                                 taylor_remainder_check, w2_supergradient)
+from hierot.errors import InvalidInput
 from hierot.geodesics import interpolate, optimal_velocity_plan
 from hierot.measures import collapse, dirac, dirac_lift, mixture, n_expectancy
 from hierot.plans import (exp_push, fd_add, fd_from_field, fd_scale,
@@ -223,6 +224,15 @@ def test_gradient_step_zero_tau():
     nxt, step = gradient_step(spec, mu, 0.0)
     assert plan_norm(step) == 0.0
     assert w2(nxt, mu) == 0.0
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf"), -1e-3])
+def test_gradient_step_rejects_bad_tau(tau):
+    rng = rng_from_seed(11)
+    mu = random_measure(rng, E2, 2, 3)
+    spec = FunctionalSpec((PotentialTerm(make_quadratic(E2, [0.0, 0.0]), 1.0),))
+    with pytest.raises(InvalidInput, match="tau"):
+        gradient_step(spec, mu, tau)
 
 
 def test_gradient_step_pure_distance_reaches_target():

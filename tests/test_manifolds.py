@@ -266,3 +266,65 @@ def test_pairwise_sq_dist_memory_is_bounded(man):
     # the sphere also holds its (n, k) matrix of dot products
     allowed = (1 if man.kind == "euclidean" else 2) * result + 2 * 2**20
     assert peak <= allowed, peak / 2**20
+
+
+def _check_point_reference(man, x):
+    """``check_point`` as it was written with numpy's ``isfinite`` and
+    ``linalg.norm``."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise InvalidPoint("non-finite coordinates")
+    if man.kind == "sphere":
+        nrm = float(np.linalg.norm(x))
+        if abs(nrm - 1.0) > 1e-6:
+            raise InvalidPoint(f"sphere point has norm {nrm}")
+        if abs(nrm - 1.0) > 1e-12:
+            x = x / nrm
+    return x
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).tobytes()
+    except InvalidPoint as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("man", [euclidean(3), sphere(3), sphere(2)],
+                         ids=["euclidean", "sphere3", "sphere2"])
+def test_point_validation_matches_numpy_forms_bit_for_bit(man):
+    # unit points, points inside and outside the renormalization band, and
+    # coordinates from tiny to huge; the same array or the same error
+    rng = rng_from_seed(91)
+    d = man.ambient_dim
+    for _ in range(4000):
+        x = rng.standard_normal(d)
+        if man.kind == "sphere":
+            x /= np.linalg.norm(x)
+            x *= 1.0 + float(rng.choice([0.0, 1e-15, 3e-13, 2e-9, 8e-7, 2e-6]))
+        else:
+            x *= 10.0 ** rng.integers(-300, 300)
+        assert _outcome(man.check_point, x) == _outcome(_check_point_reference, man, x)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        x = np.full(d, 0.5)
+        x[-1] = bad
+        with pytest.raises(InvalidPoint, match="non-finite"):
+            man.check_point(x)
+        with pytest.raises(InvalidInput, match="non-finite"):
+            man.check_tangent(np.eye(d)[0], x)
+    if man.kind == "euclidean":
+        # finite coordinates whose sum overflows are finite
+        huge = np.full(d, 1e308)
+        assert man.check_point(huge).tobytes() == huge.tobytes()
+        assert man.check_tangent(np.zeros(d), huge).tobytes() == huge.tobytes()
+
+
+def test_sphere_exp_matches_numpy_norms_bit_for_bit():
+    man = sphere(3)
+    rng = rng_from_seed(92)
+    for _ in range(2000):
+        x = random_point(rng, man)
+        v = random_tangent(rng, man, x) * 10.0 ** rng.integers(-8, 2)
+        nrm = float(np.linalg.norm(v))
+        y = np.cos(nrm) * x + np.sin(nrm) * (v / nrm)
+        assert man.exp(x, v).tobytes() == (y / np.linalg.norm(y)).tobytes()

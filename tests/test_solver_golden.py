@@ -90,20 +90,26 @@ def _hex(values):
 
 @contextlib.contextmanager
 def pivot_counts():
-    """The pivot count of every ``_simplex`` call made inside the block."""
+    """The pivot count of every ``_simplex`` call made inside the block, and
+    a 0 for every forced 1xk or mx1 solve, which the core answers without
+    calling ``_simplex``."""
     counts = []
-    simplex = exact_ot._simplex
+    simplex, forced = exact_ot._simplex, exact_ot._forced
 
     def counted(*args):
         out = simplex(*args)
         counts.append(out[3])
         return out
 
-    exact_ot._simplex = counted
+    def counted_forced(*args):
+        counts.append(0)
+        return forced(*args)
+
+    exact_ot._simplex, exact_ot._forced = counted, counted_forced
     try:
         yield counts
     finally:
-        exact_ot._simplex = simplex
+        exact_ot._simplex, exact_ot._forced = simplex, forced
 
 
 def compute(m, k, kind, rep):
