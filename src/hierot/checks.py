@@ -927,6 +927,9 @@ def run_suite(suite: str, seed: int, samples: int) -> dict:
     # with no samples most properties would pass vacuously
     if samples < 1:
         raise InvalidInput(f"samples (--samples) must be at least 1, got {samples}")
+    # the generators take nonnegative seeds only
+    if seed < 0:
+        raise InvalidInput(f"seed (--seed) must be nonnegative, got {seed}")
     names = list(SUITES) if suite == "all" else [suite]
     for name in names:
         if name not in SUITES:

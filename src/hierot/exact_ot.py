@@ -103,7 +103,7 @@ def _solve_lists(c, a, b):
         basis = [(keep_r[i], keep_c[j]) for i, j in basis]
 
     _polish(x, a, b, basis)
-    return x, phi, psi, _plan_value(x, c, basis)
+    return x, phi, psi, _plan_value(x, c)
 
 
 def _forced(c, a, b, sa, sb):
@@ -126,47 +126,16 @@ def _forced(c, a, b, sa, sb):
             val = a[0] - (sb - peak)
             if val >= 0 and val != peak:
                 row[row.index(peak)] = val
-        return [row], [0.0], list(c[0]), _line_sum(list(map(operator.mul, row, c[0])))
+        return [row], [0.0], list(c[0]), _plan_value([row], c)
     x = [[w] for w in a]
-    return (x, [row[0] for row in c], [0.0],
-            _line_sum([w * row[0] for w, row in zip(a, c)]))
+    return x, [row[0] for row in c], [0.0], _plan_value(x, c)
 
 
-def _plan_value(x, c, cells):
+def _plan_value(x, c):
     """``np.sum`` of the C-ordered product of the plan ``x`` and the costs
-    ``c`` (lists of rows), bit for bit, from the row-major ``cells`` outside
-    which ``x`` is zero.
-
-    A zero product changes no partial sum of numpy's reduction, and the
-    reduction's final ``0.0 +`` clears the sign of a zero total.  So below 8
-    entries the cells' products add in order, and up to 128 each goes to
-    the accumulator of its position, or to the tail, as in
-    :func:`_pairwise_sum`; larger matrices take the full sum.
-    """
-    k = len(c[0])
-    n = len(c) * k
-    if n < 8:
-        total = 0.0
-        for i, j in cells:
-            total += x[i][j] * c[i][j]
-        return total
-    if n > 128:
-        flat = itertools.chain.from_iterable
-        return _line_sum(list(map(operator.mul, flat(x), flat(c))))
-    stop = n - n % 8
-    acc = [0.0] * 8
-    tail = []
-    for i, j in cells:
-        pos = i * k + j
-        if pos < stop:
-            acc[pos % 8] += x[i][j] * c[i][j]
-        else:
-            tail.append(x[i][j] * c[i][j])
-    r0, r1, r2, r3, r4, r5, r6, r7 = acc
-    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for w in tail:
-        total += w
-    return 0.0 + total
+    ``c`` (lists of rows), bit for bit."""
+    flat = itertools.chain.from_iterable
+    return _line_sum(list(map(operator.mul, flat(x), flat(c))))
 
 
 def _restore_dropped(c, keep_r, keep_c, x, u, v):
@@ -368,15 +337,12 @@ def _polish(x, a, b, cells):
             cols = _column_sums(x)
         if sweep and cols == b and rows == a:
             return
-        start = {}  # each cell the column pass wrote -> its flow before
-        moved = 0  # cells whose flow differs from the one before the sweep
+        before = [row[:] for row in x]
         for j, i in enumerate(tops):
             if i is not None:
                 val = b[j] - (cols[j] - peaks[j])
                 if val >= 0 and val != peaks[j]:
-                    start[i, j] = peaks[j]
                     x[i][j] = val
-                    moved += 1
         for i, js in enumerate(in_row):
             row = x[i]
             peak, top, total = 0.0, None, 0.0
@@ -390,12 +356,6 @@ def _polish(x, a, b, cells):
             val = a[i] - (total - peak)
             if top is not None and val >= 0 and val != peak:
                 row[top] = val
-                # a cell the column pass did not write held its flow from
-                # before the sweep; == is exact, a written flow being positive
-                if (i, top) not in start:
-                    moved += 1
-                elif val == start[i, top]:
-                    moved -= 1
                 total = 0.0
                 for j in js:
                     total += row[j]
@@ -404,7 +364,7 @@ def _polish(x, a, b, cells):
             rows[i] = total
         # a sweep that leaves the plan as it found it leaves every later
         # sweep so too
-        if not moved:
+        if x == before:
             return
 
 
@@ -510,8 +470,7 @@ def _simplex(c, a, b):
     returns the plan as a list of rows, the potentials as lists, the pivot
     count and the basis cells in row-major order.
 
-    1xk and mx1 problems take closed forms, and 2x2 problems one that
-    returns the pivot loop's results bit for bit.
+    1xk and mx1 problems take closed forms.
     """
     m, k = len(c), len(c[0])
     if m == 1:
@@ -520,89 +479,14 @@ def _simplex(c, a, b):
     if k == 1:
         return ([[w * b[0]] for w in a], [row[0] for row in c], [0.0], 0,
                 [(i, 0) for i in range(m)])
-    if m == 2 and k == 2:
-        return _two_by_two(c, a, b)
     return _bland_simplex(c, a, b)
-
-
-def _neg_tol(c):
-    """Bland's entering threshold ``-1e-12 * (1 + max |c_ij|)`` on the
-    finite costs ``c``, a list of rows."""
-    return -1e-12 * (1.0 + max(map(abs, itertools.chain.from_iterable(c))))
-
-
-def _two_by_two(c, a, b):
-    """:func:`_bland_simplex` on a 2x2 problem in closed form.
-
-    The north-west start holds three of the four cells; the fourth enters if
-    its reduced cost is below ``neg_tol`` (:func:`_neg_tol`, computed only
-    for a negative one), and the leaving cell is ``(0, 0)`` unless
-    ``(1, 1)`` carries less start flow (Bland's rule).  After that
-    pivot the reduced cost of the cell that left is minus that of the one
-    that entered, up to rounding far below ``neg_tol``, so no second pivot
-    follows.  Potentials come from ``u_0 = 0`` along the tree and flows
-    from peeling it from its highest-numbered leaf (columns after rows), as
-    ``_tree_duals`` and ``_tree_flows`` compute them.
-    """
-    (c00, c01), (c10, c11) = c
-    a0, a1 = a
-    b0, b1 = b
-    if a0 <= b0:  # staircase (0, 0), (1, 0), (1, 1)
-        f00 = a0
-        f10 = min(a1, b0 - a0)
-        f11 = min(a1 - f10, b1)
-        v0 = c00 - 0.0
-        u1 = c10 - v0
-        v1 = c11 - u1
-        red = c01 - 0.0 - v1
-        out = (0, 1)
-    else:  # staircase (0, 0), (0, 1), (1, 1)
-        f00 = b0
-        f01 = min(a0 - b0, b1)
-        f11 = min(a1, b1 - f01)
-        v0 = c00 - 0.0
-        v1 = c01 - 0.0
-        u1 = c11 - v1
-        red = c10 - u1 - v0
-        out = (1, 0)
-    pivot = red < 0.0 and red < _neg_tol(c)
-    if pivot:
-        out = (0, 0) if f00 <= f11 else (1, 1)
-    if out == (0, 1):
-        f11 = b1
-        f10 = a1 - f11
-        f00 = b0 - f10
-        f01 = 0.0
-    elif out == (1, 0):
-        f00 = b0
-        f01 = a0 - f00
-        f11 = b1 - f01
-        f10 = 0.0
-    elif out == (0, 0):
-        v1 = c01 - 0.0
-        u1 = c11 - v1
-        v0 = c10 - u1
-        f10 = b0
-        f11 = a1 - f10
-        f01 = b1 - f11
-        f00 = 0.0
-    else:
-        v0 = c00 - 0.0
-        v1 = c01 - 0.0
-        u1 = c10 - v0
-        f01 = b1
-        f00 = a0 - f01
-        f10 = b0 - f00
-        f11 = 0.0
-    x = [[max(f00, 0.0), max(f01, 0.0)], [max(f10, 0.0), max(f11, 0.0)]]
-    basis = [cell for cell in ((0, 0), (0, 1), (1, 0), (1, 1)) if cell != out]
-    return x, [0.0, u1], [v0, v1], int(pivot), basis
 
 
 def _bland_simplex(c, a, b):
     """The pivot loop of :func:`_simplex`, from the north-west start."""
     m, k = len(c), len(c[0])
-    neg_tol = _neg_tol(c)
+    # Bland's entering threshold, -1e-12 * (1 + max |c_ij|)
+    neg_tol = -1e-12 * (1.0 + max(map(abs, itertools.chain.from_iterable(c))))
     basis, flows, u, v = _northwest_corner(a, b, c)
     basis_set = set(basis)
     flow = None  # cell -> flow, built at the first pivot

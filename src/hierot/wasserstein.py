@@ -120,16 +120,15 @@ def _memo_sq(mu: HierMeasure, nu: HierMeasure, kids=None, cell=None,
     return value
 
 
-def cost_matrix(mu: HierMeasure, nu: HierMeasure, kids=None) -> np.ndarray:
-    """Pairwise squared distances between the atom lists of ``mu`` and ``nu``
-    (``kids``: see ``_solve``)."""
+def cost_matrix(mu: HierMeasure, nu: HierMeasure) -> np.ndarray:
+    """Pairwise squared distances between the atom lists of ``mu`` and ``nu``."""
     if mu.level != nu.level or mu.level < 1:
         raise LevelMismatch("cost_matrix needs two measures of equal level >= 1")
-    return np.array(_cost_rows(mu, nu, kids))
+    return np.array(_cost_rows(mu, nu))
 
 
 def _cost_rows(mu: HierMeasure, nu: HierMeasure, kids=None) -> list:
-    """:func:`cost_matrix` as a list of rows.
+    """:func:`cost_matrix` as a list of rows (``kids``: see ``_solve``).
 
     At level 2 the leaf distances of the whole pair come from one table, and
     an entry solved here takes its block of it.  The table becomes lists one

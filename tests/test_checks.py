@@ -91,3 +91,9 @@ def test_sample_count_below_one_rejected(samples):
     # no samples would pass most properties vacuously
     with pytest.raises(InvalidInput, match="samples"):
         run_suite("metric", 0, samples)
+
+
+@pytest.mark.parametrize("seed", [-1, -(1 << 40)])
+def test_negative_seed_rejected(seed):
+    with pytest.raises(InvalidInput, match="--seed"):
+        run_suite("metric", seed, 1)

@@ -389,6 +389,15 @@ def test_check_without_samples_exit_code(capsys, samples):
     assert err.startswith("error: ") and "--samples" in err and out == ""
 
 
+@pytest.mark.parametrize("seed", ["-1", "-1000"])
+def test_check_negative_seed_exit_code(capsys, seed):
+    # the generators take nonnegative seeds only
+    code = main(["check", "--suite", "metric", f"--seed={seed}", "--samples", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: ") and "--seed" in err and out == ""
+
+
 def test_check_fault_injection_fails_geodesic_suite(tmp_path, capsys):
     from hierot.manifolds import set_fault_injection
     set_fault_injection("pt_sign")

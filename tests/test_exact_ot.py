@@ -7,7 +7,7 @@ import pytest
 from hierot.errors import InvalidInput, TooLarge, UnbalancedMarginals
 from hierot.exact_ot import (WEIGHT_DROP, DualPotentials, TransportPlan,
                              _bland_simplex, _column_sums, _forced, _line_sum,
-                             _plan_value, _polish, _simplex, _two_by_two,
+                             _plan_value, _polish, _simplex,
                              permutation_oracle, solve_ot, verify_optimality)
 from hierot.sampling import rng_from_seed
 from test_solver_golden import pivot_counts
@@ -346,10 +346,10 @@ def _hexes(rows):
     return [[v.hex() for v in row] for row in rows]
 
 
-def test_two_by_two_closed_form_matches_pivot_loop():
-    # plan, potentials, pivot count and basis of the pivot loop, bit for bit:
+def test_two_by_two_pivot_loop_is_optimal_in_one_pivot():
     # random costs, tied costs, degenerate marginals (a == b) and reduced
-    # costs on both sides of the tolerance
+    # costs on both sides of the tolerance: from the north-west start the
+    # loop makes at most one pivot, and its plan and potentials certify
     rng = rng_from_seed(71)
     pivots = []
     for trial in range(4000):
@@ -367,13 +367,12 @@ def test_two_by_two_closed_form_matches_pivot_loop():
         b = a.copy() if kind == 2 else rng.random(2) + 0.05
         if kind == 1 and trial % 8 == 1:
             a, b = np.full(2, 0.5), np.full(2, 0.5)
-        a, b = (a / a.sum()).tolist(), (b / b.sum()).tolist()
-        cl = c.tolist()
-        x, u, v, it, basis = _two_by_two(cl, a, b)
-        wx, wu, wv, wit, wbasis = _bland_simplex(cl, a, b)
-        assert _hexes(x) == _hexes(wx), (cl, a, b)
-        assert _hexes([u, v]) == _hexes([wu, wv]), (cl, a, b)
-        assert (it, list(basis)) == (wit, wbasis), (cl, a, b)
+        a, b = a / a.sum(), b / b.sum()
+        x, u, v, it, _ = _bland_simplex(c.tolist(), a.tolist(), b.tolist())
+        assert it <= 1, (c, a, b)
+        plan = TransportPlan(matrix=np.array(x), row_marginal=a, col_marginal=b)
+        duals = DualPotentials(phi=np.array(u), psi=np.array(v))
+        assert verify_optimality(plan, duals, c), (c, a, b)
         pivots.append(it)
     assert 0 < sum(pivots) < len(pivots)
 
@@ -408,16 +407,14 @@ def test_forced_coupling_is_the_general_path(m, k):
                                  (4, 4), (5, 7), (8, 8), (9, 15), (11, 12),
                                  (12, 11), (16, 16)])
 def test_plan_value_from_cells_is_numpys_sum(m, k):
-    # the products of the cells alone, placed as numpy's reduction places
-    # them, give np.sum of the whole product matrix bit for bit
+    # a sparse plan's value is np.sum of the whole product matrix, bit for
+    # bit, zero products (of either sign) included
     rng = rng_from_seed(67 + 16 * m + k)
     for _ in range(200):
         x = rng.random((m, k)) * (rng.random((m, k)) < 0.3)
         c = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-3, 4)
         x[rng.integers(m), rng.integers(k)] = 0.0
-        cells = [(i, j) for i in range(m) for j in range(k)
-                 if x[i, j] != 0.0 or rng.random() < 0.2]
-        got = _plan_value(x.tolist(), c.tolist(), cells)
+        got = _plan_value(x.tolist(), c.tolist())
         assert got.hex() == float(np.sum(x * c)).hex()
 
 
