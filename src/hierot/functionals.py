@@ -22,6 +22,7 @@ from .measures import HierMeasure, n_expectancy
 from .plans import (Coupling, VelocityPlan, _combine, coupling_inner,
                     coupling_sq_diff, exp_push, fd_from_field, generic_coupling,
                     plan_norm, plan_norm_sq, push_coupling_leaves, scale)
+from .serialization import _finite_numbers
 from .wasserstein import w2_sq
 
 
@@ -75,18 +76,20 @@ def make_linear_ambient(manifold: Manifold, direction) -> Potential:
         name="linear_ambient")
 
 
+# name -> (constructor, the key of its vector parameter in a spec's params)
 POTENTIALS = {
-    "quadratic": make_quadratic,
-    "linear_ambient": make_linear_ambient,
+    "quadratic": (make_quadratic, "center"),
+    "linear_ambient": (make_linear_ambient, "direction"),
 }
 
 
 def make_potential(name: str, manifold: Manifold, params: dict) -> Potential:
-    if name not in POTENTIALS:
-        raise InvalidInput(f"unknown potential {name!r}")
-    if name == "quadratic":
-        return make_quadratic(manifold, params["center"])
-    return make_linear_ambient(manifold, params["direction"])
+    """The potential ``name`` built from a spec's JSON ``params``."""
+    try:
+        make, key = POTENTIALS[name]
+    except KeyError:
+        raise InvalidInput(f"unknown potential {name!r}") from None
+    return make(manifold, _finite_numbers(params[key], f"potential parameter {key!r}"))
 
 
 def check_potential_gradient(pot: Potential, manifold: Manifold, points,

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 from .errors import NotOptimalInput
 from .measures import HierMeasure
-from .plans import (FiberEntry, VelocityPlan, exp_push, plan_norm,
-                    plan_norm_sq, scale)
+from .plans import (FiberEntry, VelocityPlan, _push_leaves, exp_push,
+                    plan_norm, plan_norm_sq, scale)
 from .wasserstein import transport, w2
 
 
@@ -28,8 +28,11 @@ def optimal_velocity_plan(mu: HierMeasure, nu: HierMeasure) -> VelocityPlan:
 
 
 def interpolate(gamma: VelocityPlan, t: float) -> HierMeasure:
-    """Point of the curve traced by ``gamma`` at time ``t``."""
-    return exp_push(scale(t, gamma))
+    """Point of the curve traced by ``gamma`` at time ``t``: every leaf
+    shot along ``t`` times its tangent."""
+    exp = gamma.manifold.exp
+    return _push_leaves(gamma, gamma.manifold,
+                        lambda g: exp(g.base.point, t * g.tangent))
 
 
 def pt_n(gamma: VelocityPlan, t: float) -> VelocityPlan:

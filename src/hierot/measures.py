@@ -57,10 +57,6 @@ class HierMeasure:
             if len(self.weights) != len(self.atoms):
                 raise InvalidInput("weights and atoms must have equal length")
 
-    # identity-based hashing; semantic equality goes through w2/canonicalize
-    def __hash__(self):
-        return id(self)
-
     def structural_key(self):
         """Hashable nested tuple identifying this exact representation."""
         cached = getattr(self, "_key", None)
@@ -171,8 +167,11 @@ def _validate(mu, expected_level, path, mass_tol):
     if not all(math.isfinite(w) for w in mu.weights):
         return ValidationIssue("InvalidInput", path,
                                f"weights must be finite, got {mu.weights}")
+    if any(w <= 0 for w in mu.weights):
+        return ValidationIssue("NonUnitMass", path,
+                               f"weights must be strictly positive, got {mu.weights}")
     total = kahan_sum(mu.weights)
-    if abs(total - 1.0) > mass_tol or any(w <= 0 for w in mu.weights):
+    if abs(total - 1.0) > mass_tol:
         return ValidationIssue("NonUnitMass", path, f"weights sum to {total}")
     for i, atom in enumerate(mu.atoms):
         if atom.manifold != mu.manifold:
@@ -182,17 +181,6 @@ def _validate(mu, expected_level, path, mass_tol):
         if issue is not None:
             return issue
     return None
-
-
-def require_valid(mu: HierMeasure, mass_tol: float = MASS_TOL) -> None:
-    issue = validate(mu, mass_tol)
-    if issue is None:
-        return
-    exc = {"NonUnitMass": NonUnitMass,
-           "LevelMismatch": LevelMismatch,
-           "InvalidPoint": InvalidPoint,
-           "InvalidInput": InvalidInput}[issue.code]
-    raise exc(f"{issue.path}: {issue.message}")
 
 
 def push_leaf(mu: HierMeasure, f: Callable[[np.ndarray], np.ndarray]) -> HierMeasure:
@@ -339,7 +327,7 @@ def w2_to_dirac(mu: HierMeasure, o) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def canonicalize(mu: HierMeasure, tol: float = DEDUP_TOL) -> HierMeasure:
+def canonicalize(mu: HierMeasure) -> HierMeasure:
     """Normal form for equality testing: dedupe, sort, merge weights.
 
     Only used for comparisons; computational code never merges atoms
@@ -347,7 +335,7 @@ def canonicalize(mu: HierMeasure, tol: float = DEDUP_TOL) -> HierMeasure:
     """
     if mu.level == 0:
         return mu
-    canon_atoms = [canonicalize(a, tol) for a in mu.atoms]
+    canon_atoms = [canonicalize(a) for a in mu.atoms]
     merged = {}
     order = []
     for w, a in zip(mu.weights, canon_atoms):

@@ -6,6 +6,12 @@ base atom ``i`` carries a non-empty fiber of weighted sub-plans whose
 weights sum to the atom's weight.  This representation makes the base
 projection of the plan equal to the base by construction.
 
+A coupling of two plans over the same base has the same shape: a tangent
+pair at level 0, and above a fiber of weighted entries per base atom, each
+entry pairing one fiber index of either plan with the coupling of their
+sub-plans.  The leaf sums, leaf maps, pushforwards and structural
+comparisons below are written once over that shape.
+
 Fully deterministic plans are exactly the plans with singleton fibers at
 every level; they form a vector space with an L2 isometry onto tangent
 fields, and a plan with a fully deterministic side has a unique coupling.
@@ -19,11 +25,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (BaseMismatch, CouplingMismatch, InvalidInput,
-                     UnbalancedMarginals)
+from .errors import BaseMismatch, CouplingMismatch, InvalidInput
 from .exact_ot import _solve_lists
 from .manifolds import Manifold, euclidean
 from .measures import HierMeasure, dirac
+
+# fiber weights must add up to their atom's weight within this
+FIBER_SUM_TOL = 1e-10
+# a coupling's marginal masses and leaf tangents must match within this
+MARGINAL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,9 +49,6 @@ class VelocityPlan:
         else:
             if self.fibers is None or len(self.fibers) != len(self.base.atoms):
                 raise InvalidInput("fibers must align with the base atoms")
-
-    def __hash__(self):
-        return id(self)
 
     @property
     def level(self) -> int:
@@ -60,19 +67,17 @@ class FiberEntry:
 
 @dataclass(frozen=True, eq=False)
 class Coupling:
-    """Fiberwise pairing of two plans over a shared base.
+    """Fiberwise pairing of two plans over a shared base, in a plan's shape.
 
     At level 0 the payload is a tangent pair; above, every base atom
-    carries entries ``(weight, left fiber index, right fiber index, child)``.
+    carries a fiber of entries ``(weight, left fiber index, right fiber
+    index, plan)``, where ``plan`` couples the two indexed sub-plans.
     """
 
     base: HierMeasure
     v1: Optional[np.ndarray] = None
     v2: Optional[np.ndarray] = None
-    entries: Optional[tuple] = None  # one tuple of CouplingEntry per base atom
-
-    def __hash__(self):
-        return id(self)
+    fibers: Optional[tuple] = None  # one tuple of CouplingEntry per base atom
 
     @property
     def level(self) -> int:
@@ -84,7 +89,68 @@ class CouplingEntry:
     weight: float
     left: int
     right: int
-    child: Coupling
+    plan: Coupling
+
+
+# ---------------------------------------------------------------------------
+# walks over the shared shape: a plan or coupling node is a leaf at level 0,
+# and above carries ``fibers`` of entries with a ``weight`` and a ``plan``
+
+
+def _leaf_sum(node, leaf) -> float:
+    """``sum weight * leaf(level-0 node)`` over the leaves, added in order."""
+    if node.level == 0:
+        return leaf(node)
+    total = 0.0
+    for fiber in node.fibers:
+        for e in fiber:
+            total += e.weight * _leaf_sum(e.plan, leaf)
+    return total
+
+
+def _map_leaves(node, tangent) -> VelocityPlan:
+    """The plan with ``node``'s base and weights and ``tangent(leaf)`` at
+    every leaf."""
+    if node.level == 0:
+        return VelocityPlan(base=node.base, tangent=tangent(node))
+    fibers = tuple(tuple(FiberEntry(e.weight, _map_leaves(e.plan, tangent))
+                         for e in fiber)
+                   for fiber in node.fibers)
+    return VelocityPlan(base=node.base, fibers=fibers)
+
+
+def _push_leaves(node, man, point) -> HierMeasure:
+    """Measure on ``man`` with one atom per fiber entry and every leaf
+    mapped to ``point(leaf)``."""
+    if node.level == 0:
+        return dirac(man, point(node))
+    weights = []
+    atoms = []
+    for fiber in node.fibers:
+        for e in fiber:
+            weights.append(e.weight)
+            atoms.append(_push_leaves(e.plan, man, point))
+    return HierMeasure(man, node.level, weights=tuple(weights), atoms=tuple(atoms))
+
+
+def _same_tree(n1, n2, tol, same_leaf, cell=lambda e: None) -> bool:
+    """Equal shapes, entry cells and leaves (``same_leaf``), and entry
+    weights within ``tol``."""
+    if n1.level != n2.level:
+        return False
+    if n1.level == 0:
+        return same_leaf(n1, n2)
+    if len(n1.fibers) != len(n2.fibers):
+        return False
+    for f1, f2 in zip(n1.fibers, n2.fibers):
+        if len(f1) != len(f2):
+            return False
+        for e1, e2 in zip(f1, f2):
+            if cell(e1) != cell(e2) or abs(e1.weight - e2.weight) > tol:
+                return False
+            if not _same_tree(e1.plan, e2.plan, tol, same_leaf, cell):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -96,27 +162,22 @@ def zero_plan(mu: HierMeasure) -> VelocityPlan:
     return fd_from_field(mu, lambda x: np.zeros(mu.manifold.ambient_dim))
 
 
-def fd_from_field(mu: HierMeasure, f: Callable, *, with_path: bool = False) -> VelocityPlan:
-    """Fully deterministic plan carrying ``f(leaf)`` at every leaf.
-
-    With ``with_path=True`` the field also receives the tuple of atom
-    indices from the root, so path-dependent fields are expressible.
-    """
+def fd_from_field(mu: HierMeasure, f: Callable) -> VelocityPlan:
+    """Fully deterministic plan carrying ``f(leaf)`` at every leaf."""
     man = mu.manifold
 
-    def build(node, path):
+    def build(node):
         if node.level == 0:
-            vec = f(node.point, path) if with_path else f(node.point)
-            vec = man.check_tangent(node.point, np.asarray(vec, dtype=float))
+            vec = man.check_tangent(node.point, np.asarray(f(node.point), dtype=float))
             return VelocityPlan(base=node, tangent=vec)
-        fibers = tuple((FiberEntry(w, build(a, path + (i,))),)
-                       for i, (w, a) in enumerate(zip(node.weights, node.atoms)))
+        fibers = tuple((FiberEntry(w, build(a)),)
+                       for w, a in zip(node.weights, node.atoms))
         return VelocityPlan(base=node, fibers=fibers)
 
-    return build(mu, ())
+    return build(mu)
 
 
-def validate_plan(gamma: VelocityPlan, weight_tol: float = 1e-10) -> None:
+def validate_plan(gamma: VelocityPlan) -> None:
     """Check fiber alignment, weight bookkeeping, and leaf tangency."""
     base = gamma.base
     if base.level == 0:
@@ -129,13 +190,13 @@ def validate_plan(gamma: VelocityPlan, weight_tol: float = 1e-10) -> None:
         if not all(e.weight > 0.0 for e in fiber):
             raise InvalidInput(f"fiber weights at atom {i} must be positive")
         total = sum(e.weight for e in fiber)
-        if abs(total - w) > weight_tol:
+        if abs(total - w) > FIBER_SUM_TOL:
             raise InvalidInput(
                 f"fiber weights at atom {i} sum to {total}, expected {w}")
         for e in fiber:
             if e.plan.base.structural_key() != atom.structural_key():
                 raise BaseMismatch(f"fiber plan at atom {i} has a foreign base")
-            validate_plan(e.plan, weight_tol)
+            validate_plan(e.plan)
 
 
 def is_fully_deterministic(gamma: VelocityPlan) -> bool:
@@ -157,13 +218,7 @@ def _check_same_base(g1: VelocityPlan, g2: VelocityPlan) -> None:
 
 
 def plan_norm_sq(gamma: VelocityPlan) -> float:
-    if gamma.level == 0:
-        return float(np.dot(gamma.tangent, gamma.tangent))
-    total = 0.0
-    for fiber in gamma.fibers:
-        for e in fiber:
-            total += e.weight * plan_norm_sq(e.plan)
-    return total
+    return _leaf_sum(gamma, lambda g: float(np.dot(g.tangent, g.tangent)))
 
 
 def plan_norm(gamma: VelocityPlan) -> float:
@@ -172,29 +227,14 @@ def plan_norm(gamma: VelocityPlan) -> float:
 
 def scale(tau: float, gamma: VelocityPlan) -> VelocityPlan:
     """Leafwise scaling; the base is unchanged."""
-    if gamma.level == 0:
-        return VelocityPlan(base=gamma.base, tangent=tau * gamma.tangent)
-    fibers = tuple(tuple(FiberEntry(e.weight, scale(tau, e.plan)) for e in fiber)
-                   for fiber in gamma.fibers)
-    return VelocityPlan(base=gamma.base, fibers=fibers)
+    return _map_leaves(gamma, lambda g: tau * g.tangent)
 
 
 def exp_push(gamma: VelocityPlan) -> HierMeasure:
     """The measure reached by shooting every leaf along its tangent."""
-    return _push_leaves(gamma, gamma.manifold, gamma.manifold.exp)
-
-
-def _push_leaves(gamma, man, f):
-    """Measure on ``man`` with every leaf ``(x, v)`` mapped to ``f(x, v)``."""
-    if gamma.level == 0:
-        return dirac(man, f(gamma.base.point, gamma.tangent))
-    weights = []
-    atoms = []
-    for fiber in gamma.fibers:
-        for e in fiber:
-            weights.append(e.weight)
-            atoms.append(_push_leaves(e.plan, man, f))
-    return HierMeasure(man, gamma.level, weights=tuple(weights), atoms=tuple(atoms))
+    exp = gamma.manifold.exp
+    return _push_leaves(gamma, gamma.manifold,
+                        lambda g: exp(g.base.point, g.tangent))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +269,7 @@ def _generic(g1, g2):
                           _generic(e1.plan, e2.plan))
             for k, e1 in enumerate(f1) for l, e2 in enumerate(f2))
         per_atom.append(entries)
-    return Coupling(base=base, entries=tuple(per_atom))
+    return Coupling(base=base, fibers=tuple(per_atom))
 
 
 def optimal_coupling(g1: VelocityPlan, g2: VelocityPlan):
@@ -243,19 +283,10 @@ def optimal_coupling(g1: VelocityPlan, g2: VelocityPlan):
     return alpha, float(np.sqrt(max(cost, 0.0)))
 
 
-def coupling_with_costs(g1: VelocityPlan, g2: VelocityPlan, cost_fn) -> Coupling:
-    """Coupling whose per-fiber plan minimizes an arbitrary cost.
-
-    ``cost_fn(n1, n2)`` must return an ``(n1, n2)`` cost matrix; used to
-    build randomized witness couplings.
-    """
-    _check_same_base(g1, g2)
-    return _couple(g1, g2, cost_fn)[0]
-
-
-def _couple(g1, g2, cost_fn=None):
-    """``(coupling, attained cost)``, each fiber pair solved once over
-    ``cost_fn(n1, n2)`` or, by default, the children's optimal energies."""
+def _couple(g1, g2, rng=None):
+    """``(coupling, attained cost)``, each fiber pair solved once over the
+    children's optimal energies or, given ``rng``, over a cost matrix drawn
+    uniformly from it (a random extreme point of the fiber polytope)."""
     base = g1.base
     if base.level == 0:
         diff = g1.tangent - g2.tangent
@@ -263,45 +294,31 @@ def _couple(g1, g2, cost_fn=None):
     per_atom = []
     total = 0.0
     for w, f1, f2 in zip(base.weights, g1.fibers, g2.fibers):
-        if cost_fn is None:
+        if rng is None:
             kids = [[_couple(e1.plan, e2.plan) for e2 in f2] for e1 in f1]
             cost = [[energy for _, energy in row] for row in kids]
         else:
-            kids = None
-            cost = _cost_fn_rows(cost_fn, len(f1), len(f2))
+            cost = rng.random((len(f1), len(f2))).tolist()
         x, _, _, val = _solve_lists(cost, [e.weight / w for e in f1],
                                     [e.weight / w for e in f2])
-        # a cost_fn's children are built on support cells only, in row-major
-        # order, so cost_fn is called once per fiber pair the coupling uses
+        # with rng, children are drawn on support cells only, in row-major
+        # order, so one matrix is drawn per fiber pair the coupling uses
         entries = tuple(
             CouplingEntry(w * flow, k, l,
-                          kids[k][l][0] if kids is not None
-                          else _couple(f1[k].plan, f2[l].plan, cost_fn)[0])
+                          kids[k][l][0] if rng is None
+                          else _couple(f1[k].plan, f2[l].plan, rng)[0])
             for k, row in enumerate(x) for l, flow in enumerate(row) if flow > 0.0)
         per_atom.append(entries)
         total += w * val
-    return Coupling(base=base, entries=tuple(per_atom)), total
+    return Coupling(base=base, fibers=tuple(per_atom)), total
 
 
-def _cost_fn_rows(cost_fn, n1, n2):
-    """``cost_fn(n1, n2)`` as a list of rows, with ``solve_ot``'s errors for
-    a cost that is not a matrix of that shape."""
-    cost = np.asarray(cost_fn(n1, n2), dtype=float)
-    if cost.ndim != 2:
-        raise InvalidInput(
-            f"cost matrix must be 2-D, got {cost.ndim} dimension(s)")
-    if cost.shape != (n1, n2):
-        raise UnbalancedMarginals("marginal shapes do not match the cost matrix")
-    return cost.tolist()
-
-
-def validate_coupling(alpha: Coupling, g1: VelocityPlan, g2: VelocityPlan,
-                      weight_tol: float = 1e-9) -> None:
+def validate_coupling(alpha: Coupling, g1: VelocityPlan, g2: VelocityPlan) -> None:
     """Check that ``alpha`` has marginal plans ``g1`` and ``g2``."""
     if alpha.base.structural_key() != g1.base.structural_key():
         raise CouplingMismatch("coupling base differs from the plans' base")
     _check_same_base(g1, g2)
-    _validate_coupling(alpha, g1, g2, weight_tol)
+    _validate_coupling(alpha, g1, g2)
 
 
 def _allclose(x, y, atol):
@@ -321,15 +338,15 @@ def _allclose(x, y, atol):
     return True
 
 
-def _validate_coupling(alpha, g1, g2, tol):
+def _validate_coupling(alpha, g1, g2):
     base = alpha.base
     if base.level == 0:
-        if not (_allclose(alpha.v1, g1.tangent, tol)
-                and _allclose(alpha.v2, g2.tangent, tol)):
+        if not (_allclose(alpha.v1, g1.tangent, MARGINAL_TOL)
+                and _allclose(alpha.v2, g2.tangent, MARGINAL_TOL)):
             raise CouplingMismatch("leaf tangents do not match the marginals")
         return
     for i, (f1, f2) in enumerate(zip(g1.fibers, g2.fibers)):
-        entries = alpha.entries[i]
+        entries = alpha.fibers[i]
         left_mass = [0.0] * len(f1)
         right_mass = [0.0] * len(f2)
         for e in entries:
@@ -337,26 +354,20 @@ def _validate_coupling(alpha, g1, g2, tol):
                 raise CouplingMismatch(f"fiber index out of range at atom {i}")
             left_mass[e.left] += e.weight
             right_mass[e.right] += e.weight
-            _validate_coupling(e.child, f1[e.left].plan, f2[e.right].plan, tol)
+            _validate_coupling(e.plan, f1[e.left].plan, f2[e.right].plan)
         for k, e1 in enumerate(f1):
-            if abs(left_mass[k] - e1.weight) > tol:
+            if abs(left_mass[k] - e1.weight) > MARGINAL_TOL:
                 raise CouplingMismatch(
                     f"left marginal off by {left_mass[k] - e1.weight} at atom {i}")
         for l, e2 in enumerate(f2):
-            if abs(right_mass[l] - e2.weight) > tol:
+            if abs(right_mass[l] - e2.weight) > MARGINAL_TOL:
                 raise CouplingMismatch(
                     f"right marginal off by {right_mass[l] - e2.weight} at atom {i}")
 
 
 def coupling_expectation(alpha: Coupling, f: Callable) -> float:
     """Expectation of ``f(x, v1, v2)`` over the coupling's leaves."""
-    if alpha.level == 0:
-        return float(f(alpha.base.point, alpha.v1, alpha.v2))
-    total = 0.0
-    for entries in alpha.entries:
-        for e in entries:
-            total += e.weight * coupling_expectation(e.child, f)
-    return total
+    return _leaf_sum(alpha, lambda a: float(f(a.base.point, a.v1, a.v2)))
 
 
 def coupling_inner(alpha: Coupling) -> float:
@@ -370,16 +381,8 @@ def coupling_sq_diff(alpha: Coupling) -> float:
 
 def push_coupling_leaves(alpha: Coupling, f: Callable) -> HierMeasure:
     """Measure obtained by mapping every leaf triple ``(x, v1, v2)`` to a point."""
-    man = alpha.base.manifold
-    if alpha.level == 0:
-        return dirac(man, f(alpha.base.point, alpha.v1, alpha.v2))
-    weights = []
-    atoms = []
-    for entries in alpha.entries:
-        for e in entries:
-            weights.append(e.weight)
-            atoms.append(push_coupling_leaves(e.child, f))
-    return HierMeasure(man, alpha.level, weights=tuple(weights), atoms=tuple(atoms))
+    return _push_leaves(alpha, alpha.base.manifold,
+                        lambda a: f(a.base.point, a.v1, a.v2))
 
 
 def coupling_marginal_plan(alpha: Coupling, side: int) -> VelocityPlan:
@@ -391,7 +394,7 @@ def coupling_marginal_plan(alpha: Coupling, side: int) -> VelocityPlan:
         vec = alpha.v1 if side == 1 else alpha.v2
         return VelocityPlan(base=base, tangent=vec)
     fibers = []
-    for entries in alpha.entries:
+    for entries in alpha.fibers:
         grouped = {}
         order = []
         for e in entries:
@@ -399,7 +402,7 @@ def coupling_marginal_plan(alpha: Coupling, side: int) -> VelocityPlan:
             if idx in grouped:
                 grouped[idx] = (grouped[idx][0] + e.weight, grouped[idx][1])
             else:
-                grouped[idx] = (e.weight, e.child)
+                grouped[idx] = (e.weight, e.plan)
                 order.append(idx)
         fibers.append(tuple(
             FiberEntry(grouped[idx][0], coupling_marginal_plan(grouped[idx][1], side))
@@ -461,13 +464,7 @@ def sub(g1: VelocityPlan, g2: VelocityPlan, alpha: Coupling) -> VelocityPlan:
 
 
 def _combine(alpha, sign):
-    base = alpha.base
-    if base.level == 0:
-        return VelocityPlan(base=base, tangent=alpha.v1 + sign * alpha.v2)
-    fibers = tuple(
-        tuple(FiberEntry(e.weight, _combine(e.child, sign)) for e in entries)
-        for entries in alpha.entries)
-    return VelocityPlan(base=base, fibers=fibers)
+    return _map_leaves(alpha, lambda a: a.v1 + sign * a.v2)
 
 
 def fd_add(g1: VelocityPlan, g2: VelocityPlan) -> VelocityPlan:
@@ -490,44 +487,16 @@ def fd_scale(tau: float, gamma: VelocityPlan) -> VelocityPlan:
 
 def plans_structurally_equal(g1: VelocityPlan, g2: VelocityPlan,
                              tol: float = 1e-9) -> bool:
-    if g1.level != g2.level:
-        return False
-    if g1.level == 0:
-        return (_allclose(g1.base.point, g2.base.point, tol)
-                and _allclose(g1.tangent, g2.tangent, tol))
-    if len(g1.fibers) != len(g2.fibers):
-        return False
-    for f1, f2 in zip(g1.fibers, g2.fibers):
-        if len(f1) != len(f2):
-            return False
-        for e1, e2 in zip(f1, f2):
-            if abs(e1.weight - e2.weight) > tol:
-                return False
-            if not plans_structurally_equal(e1.plan, e2.plan, tol):
-                return False
-    return True
+    return _same_tree(g1, g2, tol, lambda a, b: (
+        _allclose(a.base.point, b.base.point, tol)
+        and _allclose(a.tangent, b.tangent, tol)))
 
 
 def couplings_structurally_equal(a1: Coupling, a2: Coupling,
                                  tol: float = 1e-9) -> bool:
-    if a1.level != a2.level:
-        return False
-    if a1.level == 0:
-        return (_allclose(a1.v1, a2.v1, tol)
-                and _allclose(a1.v2, a2.v2, tol))
-    if len(a1.entries) != len(a2.entries):
-        return False
-    for e1s, e2s in zip(a1.entries, a2.entries):
-        if len(e1s) != len(e2s):
-            return False
-        for e1, e2 in zip(e1s, e2s):
-            if (e1.left, e1.right) != (e2.left, e2.right):
-                return False
-            if abs(e1.weight - e2.weight) > tol:
-                return False
-            if not couplings_structurally_equal(e1.child, e2.child, tol):
-                return False
-    return True
+    return _same_tree(a1, a2, tol, lambda a, b: (
+        _allclose(a.v1, b.v1, tol) and _allclose(a.v2, b.v2, tol)),
+        cell=lambda e: (e.left, e.right))
 
 
 def plan_as_measure(gamma: VelocityPlan) -> HierMeasure:
@@ -542,4 +511,4 @@ def plan_as_measure(gamma: VelocityPlan) -> HierMeasure:
     if man.kind != "euclidean":
         raise InvalidInput("plan_as_measure is exact on euclidean bases only")
     return _push_leaves(gamma, euclidean(2 * man.ambient_dim),
-                        lambda x, v: np.concatenate([x, v]))
+                        lambda g: np.concatenate([g.base.point, g.tangent]))

@@ -12,7 +12,8 @@ import numpy as np
 
 from .manifolds import Manifold
 from .measures import HierMeasure, dirac, mixture
-from .plans import Coupling, FiberEntry, VelocityPlan, coupling_with_costs
+from .plans import (Coupling, FiberEntry, VelocityPlan, _check_same_base,
+                    _couple)
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -70,6 +71,7 @@ def random_plan(rng, base: HierMeasure, scale: float = 1.0,
 
 
 def random_coupling(rng, g1: VelocityPlan, g2: VelocityPlan) -> Coupling:
-    """A feasible coupling at a random extreme point of each fiber polytope."""
-    return coupling_with_costs(
-        g1, g2, lambda n1, n2: rng.random((n1, n2)))
+    """A feasible coupling at a random extreme point of each fiber polytope:
+    every fiber pair is solved over a cost matrix drawn from ``rng``."""
+    _check_same_base(g1, g2)
+    return _couple(g1, g2, rng)[0]

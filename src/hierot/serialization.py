@@ -22,8 +22,8 @@ from pathlib import Path
 
 from .errors import InvalidInput, SchemaError
 from .manifolds import Manifold, euclidean, sphere
-from .measures import HierMeasure, kahan_sum, require_valid
-from .plans import FiberEntry, VelocityPlan, validate_plan
+from .measures import HierMeasure, kahan_sum
+from .plans import FIBER_SUM_TOL, FiberEntry, VelocityPlan
 from .wasserstein import MAX_LEVEL
 
 INGEST_MASS_TOL = 1e-9
@@ -105,6 +105,8 @@ def _node_from_obj(obj, man: Manifold, level: int) -> HierMeasure:
         raise SchemaError(f"node atoms must be a list, got {type(atoms).__name__}")
     if len(weights) != len(atoms) or not atoms:
         raise SchemaError("weights and atoms must be non-empty and aligned")
+    if not all(w > 0.0 for w in weights):
+        raise SchemaError(f"node weights must be strictly positive, got {weights}")
     total = kahan_sum(weights)
     if abs(total - 1.0) > INGEST_MASS_TOL:
         raise SchemaError(f"node weights sum to {total}")
@@ -131,9 +133,7 @@ def measure_from_obj(obj) -> HierMeasure:
         node = obj["measure"]
     except KeyError as exc:
         raise SchemaError(f"bad measure document: {exc}") from exc
-    mu = _node_from_obj(node, man, level)
-    require_valid(mu, mass_tol=INGEST_MASS_TOL)
-    return mu
+    return _node_from_obj(node, man, level)
 
 
 def dumps(obj) -> str:
@@ -205,7 +205,8 @@ def _plan_node_from_obj(obj, base: HierMeasure) -> VelocityPlan:
     if not isinstance(fibers_obj, list) or len(fibers_obj) != len(base.atoms):
         raise SchemaError("fibers must align with the base atoms")
     fibers = []
-    for atom, fiber_obj in zip(base.atoms, fibers_obj):
+    for i, (mass, atom, fiber_obj) in enumerate(zip(base.weights, base.atoms,
+                                                     fibers_obj)):
         if not isinstance(fiber_obj, list):
             raise SchemaError(f"a fiber must be a list, got {type(fiber_obj).__name__}")
         entries = []
@@ -213,9 +214,15 @@ def _plan_node_from_obj(obj, base: HierMeasure) -> VelocityPlan:
             if not isinstance(e, dict) or "plan" not in e:
                 raise SchemaError("a fiber entry must be an object with a plan")
             w, = _finite_numbers([e.get("weight")], "fiber weights")
+            if not w > 0.0:
+                raise SchemaError(f"fiber weights at atom {i} must be positive, got {w}")
             entries.append(FiberEntry(w, _plan_node_from_obj(e["plan"], atom)))
         if not entries:
             raise SchemaError("empty fiber")
+        total = sum(e.weight for e in entries)
+        if abs(total - mass) > FIBER_SUM_TOL:
+            raise SchemaError(
+                f"fiber weights at atom {i} sum to {total}, expected {mass}")
         fibers.append(tuple(entries))
     return VelocityPlan(base=base, fibers=tuple(fibers))
 
@@ -230,13 +237,7 @@ def plan_from_obj(obj) -> VelocityPlan:
         node = obj["plan"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad plan document: {exc}") from exc
-    require_valid(base, mass_tol=INGEST_MASS_TOL)
-    gamma = _plan_node_from_obj(node, base)
-    try:
-        validate_plan(gamma)
-    except Exception as exc:
-        raise SchemaError(f"invalid plan: {exc}") from exc
-    return gamma
+    return _plan_node_from_obj(node, base)
 
 
 def save_plan(gamma: VelocityPlan, path) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DeskScaleError, InvalidInput, LevelMismatch,
                      NumericalFailure)
-from .exact_ot import DualPotentials, TransportPlan, _certified, _solve_lists
+from .exact_ot import _certified, _solve_lists
 from .measures import HierMeasure
 from .plans import FiberEntry, VelocityPlan
 
@@ -155,12 +155,11 @@ def _cost_rows(mu: HierMeasure, nu: HierMeasure, kids=None) -> list:
 @dataclass(frozen=True)
 class Transport:
     """A pair's squared distance with its certified optimal plans: the top
-    transport plan and its duals (``None`` at level 0), and the optimal
+    transport plan as a list of rows (``None`` at level 0), and the optimal
     velocity plan, whose energy is ``value_sq``."""
 
     value_sq: float
-    top: Optional[TransportPlan]
-    duals: Optional[DualPotentials]
+    top: Optional[list]
     velocity: VelocityPlan
 
 
@@ -173,15 +172,10 @@ def transport(mu: HierMeasure, nu: HierMeasure) -> Transport:
     """
     _check_pair(mu, nu)
     if mu.level == 0:
-        return Transport(w2_sq(mu, nu), None, None, _velocity(mu, nu, None))
+        return Transport(w2_sq(mu, nu), None, _velocity(mu, nu, None))
     solve = _solve(mu, nu, keep=True)
-    value_sq, _, x, phi, psi, _ = solve
-    value_sq = _w2_cache.setdefault(_pair_key(mu, nu), value_sq)
-    velocity = _velocity(mu, nu, solve)
-    a = np.array(mu.weights, dtype=float)
-    b = np.array(nu.weights, dtype=float)
-    return Transport(value_sq, TransportPlan(np.array(x), a, b),
-                     DualPotentials(np.array(phi), np.array(psi)), velocity)
+    value_sq = _w2_cache.setdefault(_pair_key(mu, nu), solve[0])
+    return Transport(value_sq, solve[2], _velocity(mu, nu, solve))
 
 
 def _velocity(mu: HierMeasure, nu: HierMeasure, solve) -> VelocityPlan:
@@ -217,9 +211,8 @@ def measures_close(mu: HierMeasure, nu: HierMeasure, tol: float = 1e-8) -> bool:
 
 
 def plan_summary(result: Transport) -> dict:
-    x = result.top.matrix
-    sup = [[i, j, float(x[i, j])]
-           for i in range(x.shape[0]) for j in range(x.shape[1]) if x[i, j] > 0.0]
+    sup = [[i, j, float(w)] for i, row in enumerate(result.top)
+           for j, w in enumerate(row) if w > 0.0]
     return {
         "level": result.velocity.level,
         "value": float(np.sqrt(result.value_sq)),

@@ -283,6 +283,24 @@ def test_flow_malformed_spec_exit_code(tmp_path, capsys, term):
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["true", "false", "NaN", "Infinity"])
+@pytest.mark.parametrize("name,key", [("quadratic", "center"),
+                                      ("linear_ambient", "direction")])
+def test_flow_potential_parameter_exit_code(tmp_path, capsys, name, key, value):
+    # a JSON true is not read as 1.0, and NaN or Infinity is refused at ingest,
+    # not later as a non-finite tangent
+    init = tmp_path / "init.json"
+    save_measure(mixture((1.0,), [dirac(E1, [0.0])]), init)
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"terms": [{"type": "potential", "name": "%s", '
+                    '"params": {"%s": [%s]}}]}' % (name, key, value))
+    code = main(["flow", "--spec", str(spec), "--init", str(init),
+                 "--iters", "1", "--trace", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and f"potential parameter '{key}'" in err
+
+
 @pytest.mark.parametrize("tau", ["nan", "inf", "-inf", "-0.5"])
 def test_flow_bad_tau_exit_code(tmp_path, capsys, tau):
     # a NaN or infinite step is refused up front, naming the option
@@ -324,6 +342,19 @@ def test_malformed_node_contents_exit_code(tmp_path, capsys, node, message):
     save_measure(mixture((1.0,), [dirac(E1, [0.0])]), good)
     assert main(["distance", str(bad), str(good)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weights", [[1.0, 0.0], [1.5, -0.5]])
+def test_non_positive_node_weight_message(tmp_path, capsys, weights):
+    # the weights sum to 1.0: the message names their sign, not their sum
+    doc = {"manifold": {"kind": "euclidean", "ambient_dim": 1}, "level": 1,
+           "measure": {"weights": weights,
+                       "atoms": [{"point": [0.0]}, {"point": [1.0]}]}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["distance", str(bad), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: node weights must be strictly positive, got {weights}\n"
 
 
 def unwritable_outputs(tmp_path):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from hierot import euclidean, sphere
-from hierot.errors import InvalidInput, LevelMismatch, NonUnitMass
+from hierot.errors import InvalidInput, LevelMismatch
 from hierot.measures import (HierMeasure, base_support, canonicalize, collapse,
                              dirac, dirac_lift, eval_unrolled, mixture,
-                             n_expectancy, push_leaf, require_valid, unroll,
-                             validate, w2_to_dirac)
+                             n_expectancy, push_leaf, unroll, validate,
+                             w2_to_dirac)
 from hierot.sampling import random_measure, rng_from_seed
 
 E1 = euclidean(1)
@@ -31,8 +31,14 @@ def test_validate_non_unit_mass():
     bad = HierMeasure(E1, 1, weights=(0.5, 0.6), atoms=(pt(0), pt(1)))
     issue = validate(bad)
     assert issue is not None and issue.code == "NonUnitMass"
-    with pytest.raises(NonUnitMass):
-        require_valid(bad)
+
+
+@pytest.mark.parametrize("weights", [(1.0, 0.0), (1.5, -0.5)])
+def test_validate_non_positive_weight_is_a_positivity_fault(weights):
+    # both lists sum to 1.0: the fault is the sign, not the mass
+    bad = HierMeasure(E1, 1, weights=weights, atoms=(pt(0), pt(1)))
+    issue = validate(bad)
+    assert issue.code == "NonUnitMass" and "strictly positive" in issue.message
 
 
 def test_validate_bad_sphere_point():
@@ -51,8 +57,6 @@ def test_non_finite_weights_rejected(w):
     bad = HierMeasure(E1, 1, weights=(w, 0.5), atoms=(pt(0), pt(1)))
     issue = validate(bad)
     assert issue is not None and issue.code == "InvalidInput"
-    with pytest.raises(InvalidInput):
-        require_valid(bad)
 
 
 def test_validate_level_mismatch_path():

@@ -59,10 +59,10 @@ def _coupling(alpha):
     if alpha.level == 0:
         return _hex(alpha.v1) + _hex(alpha.v2)
     out = []
-    for i, entries in enumerate(alpha.entries):
+    for i, entries in enumerate(alpha.fibers):
         out.append(f"atom {i}")
         for e in entries:
-            out += [f"{e.left},{e.right}"] + _hex([e.weight]) + _coupling(e.child)
+            out += [f"{e.left},{e.right}"] + _hex([e.weight]) + _coupling(e.plan)
     return out
 
 

@@ -233,16 +233,6 @@ def test_fd_from_field_and_isometry():
     assert np.allclose(leaves[1], [1.0, -1.0])
 
 
-def test_fd_from_field_path_aware():
-    mu = mixture((0.5, 0.5),
-                 [mixture((1.0,), [dirac(E2, [0.0, 0.0])]),
-                  mixture((1.0,), [dirac(E2, [0.0, 0.0])])])
-    g = fd_from_field(mu, lambda x, path: np.array([float(path[0]), 0.0]),
-                      with_path=True)
-    assert g.fibers[0][0].plan.fibers[0][0].plan.tangent[0] == 0.0
-    assert g.fibers[1][0].plan.fibers[0][0].plan.tangent[0] == 1.0
-
-
 def test_fd_vector_space_axioms():
     rng = rng_from_seed(14)
     mu = random_measure(rng, E2, 2, 3)

@@ -167,6 +167,8 @@ def test_parsable_deep_document_stopped_by_its_level():
     ({"fibers": [[{"weight": 2.0, "plan": {"tangent": [1.0]}},
                   {"weight": -1.0, "plan": {"tangent": [5.0]}}]]},
      "must be positive"),
+    ({"fibers": [[{"weight": 0.5, "plan": {"tangent": [1.0]}}]]},
+     "fiber weights at atom 0 sum to 0.5, expected 1.0"),
 ])
 def test_load_plan_malformed_fibers_and_tangents(tmp_path, plan, message):
     doc = {"manifold": {"kind": "euclidean", "ambient_dim": 1}, "level": 1,
