@@ -26,6 +26,14 @@ from .errors import InvalidInput, NumericalFailure, TooLarge, UnbalancedMarginal
 
 WEIGHT_DROP = 1e-14
 MASS_TOL = 1e-9
+ORACLE_MAX_ATOMS = 7  # the permutation oracle enumerates n! matchings
+
+# the dual certificate of _certified and verify_optimality; scale = 1 + max |c|
+FLOW_TOL = 1e-12     # flows >= -FLOW_TOL, and the support is the flows above it
+SUM_TOL = 1e-10      # every row and column sum within this of its marginal
+REDUCED_TOL = 1e-9   # reduced costs >= -REDUCED_TOL * scale
+GAP_TOL = 1e-8       # |primal - dual| <= GAP_TOL * (1 + |primal|)
+SLACK_TOL = 1e-8     # |reduced cost| <= SLACK_TOL * scale on the support
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,8 +104,13 @@ def _solve_lists(c, a, b):
         return _forced(c, a, b, sa, sb)
 
     # w / 1.0 is w: marginals that sum to 1.0 exactly need no division
-    x, phi, psi, _, basis = _simplex(cc, ar if sa == 1.0 else [w / sa for w in ar],
-                                     bc if sb == 1.0 else [w / sb for w in bc])
+    an = ar if sa == 1.0 else [w / sa for w in ar]
+    bn = bc if sb == 1.0 else [w / sb for w in bc]
+    if len(an) == 1 or len(bn) == 1:  # forced after dropping: polished below
+        x, phi, psi, _ = _forced(cc, an, bn, 1.0, 1.0)
+        basis = [(i, j) for i in range(len(an)) for j in range(len(bn))]
+    else:
+        x, phi, psi, _, basis = _simplex(cc, an, bn)
     if dropped:
         x, phi, psi = _restore_dropped(c, keep_r, keep_c, x, phi, psi)
         basis = [(keep_r[i], keep_c[j]) for i, j in basis]
@@ -108,9 +121,10 @@ def _solve_lists(c, a, b):
 
 def _forced(c, a, b, sa, sb):
     """The solve of a 1xk or mx1 problem with no weight below
-    ``WEIGHT_DROP``, whose coupling is forced: what normalizing, the closed
-    form of :func:`_simplex`, :func:`_polish` and the value sum return, bit
-    for bit, without them.  ``sa`` and ``sb`` are the marginals' sums.
+    ``WEIGHT_DROP``, whose coupling is forced: what normalizing, the forced
+    coupling of the normalized marginals, :func:`_polish` and the value sum
+    return, bit for bit, without them.  ``sa`` and ``sb`` are the marginals'
+    sums; with both 1.0, ``a`` and ``b`` are coupled as they stand.
 
     An mx1 plan is ``a`` itself: the polish's row pass writes each row's
     only entry as its weight, and it runs last.  A 1xk plan is ``b``: when
@@ -466,24 +480,9 @@ def _bland_entering(c, u, v, basis_set, neg_tol):
 
 
 def _simplex(c, a, b):
-    """Transportation simplex on a list of cost rows and marginal lists;
-    returns the plan as a list of rows, the potentials as lists, the pivot
-    count and the basis cells in row-major order.
-
-    1xk and mx1 problems take closed forms.
-    """
-    m, k = len(c), len(c[0])
-    if m == 1:
-        return ([[w * a[0] for w in b]], [0.0], list(c[0]), 0,
-                [(0, j) for j in range(k)])
-    if k == 1:
-        return ([[w * b[0]] for w in a], [row[0] for row in c], [0.0], 0,
-                [(i, 0) for i in range(m)])
-    return _bland_simplex(c, a, b)
-
-
-def _bland_simplex(c, a, b):
-    """The pivot loop of :func:`_simplex`, from the north-west start."""
+    """Transportation simplex from the north-west start on a list of cost
+    rows and marginal lists; returns the plan rows, the potentials as lists,
+    the pivot count and the basis cells in row-major order."""
     m, k = len(c), len(c[0])
     # Bland's entering threshold, -1e-12 * (1 + max |c_ij|)
     neg_tol = -1e-12 * (1.0 + max(map(abs, itertools.chain.from_iterable(c))))
@@ -520,14 +519,14 @@ def _bland_simplex(c, a, b):
     raise NumericalFailure("transportation simplex exceeded its pivot budget")
 
 
-def permutation_oracle(c, n_max: int = 7) -> float:
+def permutation_oracle(c) -> float:
     """Exact optimum for uniform square problems by brute force (test oracle)."""
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     if c.shape != (n, n):
         raise UnbalancedMarginals("oracle needs a square cost matrix")
-    if n > n_max:
-        raise TooLarge(f"{n} > {n_max} atoms for the permutation oracle")
+    if n > ORACLE_MAX_ATOMS:
+        raise TooLarge(f"{n} > {ORACLE_MAX_ATOMS} atoms for the permutation oracle")
     rows = np.arange(n)
     best = np.inf
     for perm in itertools.permutations(range(n)):
@@ -539,8 +538,8 @@ def permutation_oracle(c, n_max: int = 7) -> float:
 
 def _certified(c, a, b, x, phi, psi) -> bool:
     """:func:`verify_optimality` on lists: the plan ``x`` and potentials
-    ``phi``, ``psi`` of a solve on the cost rows ``c`` and marginal lists
-    ``a``, ``b``, by the same five conditions at the same tolerances.
+    ``phi``, ``psi`` of a solve on the cost rows ``c`` and marginals ``a``,
+    ``b`` (lists or tuples), by the same five conditions at the same tolerances.
 
     Sums are taken in order rather than in numpy's order, which moves them
     by ulps, far below the tolerances.  A NaN flow fails the sign test, and
@@ -557,31 +556,30 @@ def _certified(c, a, b, x, phi, psi) -> bool:
     for row, cost, ai, ui in zip(x, c, a, phi):
         total = 0.0
         for j, (flow, cij, vj) in enumerate(zip(row, cost, psi)):
-            if not flow >= -1e-12:
+            if not flow >= -FLOW_TOL:
                 return False
             slack = cij - ui - vj
             if slack < low:
                 low = slack
-            if flow > 1e-12 and abs(slack) > loose:
+            if flow > FLOW_TOL and abs(slack) > loose:
                 loose = abs(slack)
             total += flow
             cols[j] += flow
             value += flow * cij
-        if not abs(total - ai) <= 1e-10:
+        if not abs(total - ai) <= SUM_TOL:
             return False
     for total, bj in zip(cols, b):
-        if not abs(total - bj) <= 1e-10:
+        if not abs(total - bj) <= SUM_TOL:
             return False
     dual = 0.0
-    for w, p in zip(a + b, phi + psi):
+    for w, p in zip(itertools.chain(a, b), itertools.chain(phi, psi)):
         dual += w * p
-    return (low >= -1e-9 * scale
-            and abs(value - dual) <= 1e-8 * (1.0 + abs(value))
-            and loose <= 1e-8 * scale)
+    return (low >= -REDUCED_TOL * scale
+            and abs(value - dual) <= GAP_TOL * (1.0 + abs(value))
+            and loose <= SLACK_TOL * scale)
 
 
-def verify_optimality(plan: TransportPlan, duals: DualPotentials, c,
-                      gap_tol: float = 1e-8) -> bool:
+def verify_optimality(plan: TransportPlan, duals: DualPotentials, c) -> bool:
     """Feasibility + dual feasibility + duality gap + complementary slackness."""
     c = np.asarray(c, dtype=float)
     x = plan.matrix
@@ -589,20 +587,20 @@ def verify_optimality(plan: TransportPlan, duals: DualPotentials, c,
     if x.shape != (m, k):
         return False
     scale = 1.0 + float(np.abs(c).max()) if c.size else 1.0
-    if np.any(x < -1e-12):
+    if np.any(x < -FLOW_TOL):
         return False
-    if np.abs(x.sum(axis=1) - plan.row_marginal).max() > 1e-10:
+    if np.abs(x.sum(axis=1) - plan.row_marginal).max() > SUM_TOL:
         return False
-    if np.abs(x.sum(axis=0) - plan.col_marginal).max() > 1e-10:
+    if np.abs(x.sum(axis=0) - plan.col_marginal).max() > SUM_TOL:
         return False
     slack = c - duals.phi[:, None] - duals.psi[None, :]
-    if float(slack.min()) < -1e-9 * scale:
+    if float(slack.min()) < -REDUCED_TOL * scale:
         return False
     value = float((x * c).sum())
     dual_value = float(plan.row_marginal @ duals.phi + plan.col_marginal @ duals.psi)
-    if abs(value - dual_value) > gap_tol * (1.0 + abs(value)):
+    if abs(value - dual_value) > GAP_TOL * (1.0 + abs(value)):
         return False
-    support = x > 1e-12
-    if support.any() and float(np.abs(slack[support]).max()) > 1e-8 * scale:
+    support = x > FLOW_TOL
+    if support.any() and float(np.abs(slack[support]).max()) > SLACK_TOL * scale:
         return False
     return True

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import InvalidInput, LevelMismatch
+from .errors import InvalidInput, LevelMismatch, SchemaError
 from .geodesics import interpolate, optimal_velocity_plan
 from .manifolds import Manifold
 from .measures import HierMeasure, n_expectancy
@@ -24,6 +24,11 @@ from .plans import (Coupling, VelocityPlan, _combine, coupling_inner,
                     plan_norm, plan_norm_sq, push_coupling_leaves, scale)
 from .serialization import _finite_numbers
 from .wasserstein import w2_sq
+
+FD_STEP = 1e-5      # the gradient oracle's central-difference step
+FD_REL_TOL = 1e-5   # and the relative error it tolerates
+TAYLOR_TOL = 1e-9   # slack of the Taylor bound
+CHECK_TOL = 1e-8    # slack of the supergradient and convexity checks
 
 
 @dataclass(frozen=True)
@@ -83,17 +88,18 @@ POTENTIALS = {
 }
 
 
-def make_potential(name: str, manifold: Manifold, params: dict) -> Potential:
-    """The potential ``name`` built from a spec's JSON ``params``."""
-    try:
-        make, key = POTENTIALS[name]
-    except KeyError:
-        raise InvalidInput(f"unknown potential {name!r}") from None
+def make_potential(name: str, manifold: Manifold, params) -> Potential:
+    """The potential ``name`` built from a spec's JSON ``params`` (or None)."""
+    if name not in POTENTIALS:
+        raise InvalidInput(f"unknown potential {name!r}")
+    make, key = POTENTIALS[name]
+    if not isinstance(params, dict) or key not in params:
+        raise SchemaError(
+            f"potential {name!r} needs params with the key {key!r}, got {params!r}")
     return make(manifold, _finite_numbers(params[key], f"potential parameter {key!r}"))
 
 
-def check_potential_gradient(pot: Potential, manifold: Manifold, points,
-                             step: float = 1e-5, rel_tol: float = 1e-5) -> float:
+def check_potential_gradient(pot: Potential, manifold: Manifold, points) -> float:
     """Finite-difference consistency of the gradient oracle; returns the
     worst relative error over the sampled points and tangent directions."""
     worst = 0.0
@@ -103,11 +109,11 @@ def check_potential_gradient(pot: Potential, manifold: Manifold, points,
         if gn < 1e-12:
             continue
         d = g / gn
-        up = pot.value(manifold.exp(x, step * d))
-        dn = pot.value(manifold.exp(x, -step * d))
-        fd = (up - dn) / (2 * step)
+        up = pot.value(manifold.exp(x, FD_STEP * d))
+        dn = pot.value(manifold.exp(x, -FD_STEP * d))
+        fd = (up - dn) / (2 * FD_STEP)
         worst = max(worst, abs(fd - gn) / (1.0 + gn))
-    if worst > rel_tol:
+    if worst > FD_REL_TOL:
         raise InvalidInput(f"gradient oracle off by relative {worst}")
     return worst
 
@@ -156,17 +162,17 @@ def grad_potential(pot: Potential, mu: HierMeasure) -> VelocityPlan:
     return fd_from_field(mu, pot.grad)
 
 
-def taylor_remainder_check(pot: Potential, mu: HierMeasure, gamma: VelocityPlan,
-                           tol: float = 1e-9):
+def taylor_remainder_check(pot: Potential, mu: HierMeasure, gamma: VelocityPlan):
     """Second-order Taylor control of the lifted potential along a plan.
 
     Returns ``(lhs, bound, passed)`` with
     ``lhs = |V(nu) - V(mu) - E_alpha[<v1, v2>]|`` for the unique coupling of
-    ``gamma`` with the gradient plan, and ``bound = L/2 |gamma|^2``.
+    ``gamma`` with the gradient plan, ``bound = L/2 |gamma|^2``, and
+    ``passed`` when ``lhs`` is within ``TAYLOR_TOL`` of the bound.
     """
     lhs = directional_residual(pot, mu, gamma)
     bound = 0.5 * pot.hessian_bound * plan_norm_sq(gamma)
-    return lhs, bound, lhs <= bound + tol
+    return lhs, bound, lhs <= bound + TAYLOR_TOL
 
 
 def w2_supergradient(mu: HierMeasure, mubar: HierMeasure) -> VelocityPlan:
@@ -177,14 +183,14 @@ def w2_supergradient(mu: HierMeasure, mubar: HierMeasure) -> VelocityPlan:
 
 def supergradient_inequality_check(mu: HierMeasure, nu: HierMeasure,
                                    mubar: HierMeasure,
-                                   coupling: Optional[Coupling] = None,
-                                   tol: float = 1e-8):
+                                   coupling: Optional[Coupling] = None):
     """Upper bound of the halved squared distance after one exponential step.
 
     Checks ``F(nu) <= F(mu) - E_alpha[<v1, v2>] + 0.5 |gamma|^2`` where
     ``gamma`` is an optimal plan to ``nu``, the second marginal is an
     optimal plan to ``mubar``, and ``alpha`` is any coupling of the two
-    (the default is the independent one).  Returns ``(lhs, rhs, passed)``.
+    (the default is the independent one).  Returns ``(lhs, rhs, passed)``,
+    passed within ``CHECK_TOL``.
     """
     gamma = optimal_velocity_plan(mu, nu)
     gbar = w2_supergradient(mu, mubar)
@@ -192,7 +198,7 @@ def supergradient_inequality_check(mu: HierMeasure, nu: HierMeasure,
     lhs = 0.5 * w2_sq(nu, mubar)
     rhs = (0.5 * w2_sq(mu, mubar) - coupling_inner(alpha)
            + 0.5 * plan_norm_sq(gamma))
-    return lhs, rhs, lhs <= rhs + tol
+    return lhs, rhs, lhs <= rhs + CHECK_TOL
 
 
 def generalized_geodesic(mubar: HierMeasure, mu0: HierMeasure, mu1: HierMeasure,
@@ -244,14 +250,13 @@ class ConvexityReport:
 
 def convexity_check(spec: FunctionalSpec,
                     curve: Union[GeodesicCurve, GeneralizedGeodesicCurve],
-                    lam: float, ts=None, tol: float = 1e-8) -> ConvexityReport:
-    """Pointwise ``lambda``-convexity along a curve with generating data.
+                    lam: float, ts) -> ConvexityReport:
+    """Pointwise ``lambda``-convexity along a curve with generating data, at
+    the times ``ts``, within ``CHECK_TOL``.
 
     For plain geodesics the penalty uses the squared endpoint distance; for
     generalized geodesics it uses the coupling's squared-difference energy.
     """
-    if ts is None:
-        ts = [i / 10.0 for i in range(11)]
     deficit = curve.deficit()
     f0 = eval_functional(spec, curve.at(0.0))
     f1 = eval_functional(spec, curve.at(1.0))
@@ -264,7 +269,7 @@ def convexity_check(spec: FunctionalSpec,
         worst = max(worst, margin)
         rows.append((float(t), val, bound, margin))
     return ConvexityReport(rows=tuple(rows), worst_margin=float(worst),
-                           tolerance=tol)
+                           tolerance=CHECK_TOL)
 
 
 # ---------------------------------------------------------------------------

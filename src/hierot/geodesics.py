@@ -15,6 +15,8 @@ from .plans import (FiberEntry, VelocityPlan, _push_leaves, exp_push,
                     plan_norm, plan_norm_sq, scale)
 from .wasserstein import transport, w2
 
+SPEED_TOL = 1e-8  # verify_constant_speed's bound on every deviation
+
 
 def optimal_velocity_plan(mu: HierMeasure, nu: HierMeasure) -> VelocityPlan:
     """A certified optimal velocity plan from ``mu`` to ``nu``.
@@ -95,16 +97,14 @@ class SpeedReport:
                 and self.speed_mismatch <= self.tolerance)
 
 
-def verify_constant_speed(gamma: VelocityPlan, grid=None,
-                          tol: float = 1e-8) -> SpeedReport:
-    """Check ``w2(mu_t, mu_s) = |t - s| w2(mu_0, mu_1)`` on a time grid.
+def verify_constant_speed(gamma: VelocityPlan, grid) -> SpeedReport:
+    """Check ``w2(mu_t, mu_s) = |t - s| w2(mu_0, mu_1)`` on a time grid,
+    within ``SPEED_TOL``.
 
     A plan whose energy differs from the endpoint distance (a non-optimal
     plan) is flagged through ``speed_mismatch`` even if the sampled curve
     happens to look metrically straight.
     """
-    if grid is None:
-        grid = [i / 10.0 for i in range(11)]
     grid = sorted(float(t) for t in grid)
     samples = {t: interpolate(gamma, t) for t in grid}
     mu0 = samples[0.0] if 0.0 in samples else interpolate(gamma, 0.0)
@@ -120,4 +120,4 @@ def verify_constant_speed(gamma: VelocityPlan, grid=None,
     norm = plan_norm(gamma)
     return SpeedReport(distance=dist, norm=norm,
                        speed_mismatch=abs(norm - dist),
-                       max_deviation=worst, pairs=pairs, tolerance=tol)
+                       max_deviation=worst, pairs=pairs, tolerance=SPEED_TOL)

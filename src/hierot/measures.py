@@ -21,20 +21,22 @@ import numpy as np
 from .errors import InvalidInput, InvalidPoint, LevelMismatch, NonUnitMass
 from .manifolds import Manifold
 
-MASS_TOL = 1e-12
+# a node's weights must sum to one within this (their exact sum, by fsum)
+MASS_TOL = 1e-9
 DEDUP_TOL = 1e-10
 
 
-def kahan_sum(values) -> float:
-    """Compensated sum in list order."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+def check_weights(weights) -> None:
+    """The node-weight rule of ``mixture``, ``validate`` and the document
+    reader: every weight finite (``InvalidInput`` otherwise) and positive,
+    and their exact sum within ``MASS_TOL`` of one (``NonUnitMass``)."""
+    if not all(map(math.isfinite, weights)):
+        raise InvalidInput(f"weights must be finite, got {weights}")
+    if not all(w > 0.0 for w in weights):
+        raise NonUnitMass(f"weights must be strictly positive, got {weights}")
+    total = math.fsum(weights)
+    if abs(total - 1.0) > MASS_TOL:
+        raise NonUnitMass(f"weights sum to {total}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,13 +125,7 @@ def mixture(weights, atoms) -> HierMeasure:
     for a in atoms:
         if a.level != lvl or a.manifold != man:
             raise LevelMismatch("atoms must share manifold and level")
-    if not all(math.isfinite(w) for w in weights):
-        raise InvalidInput(f"weights must be finite, got {weights}")
-    if any(w <= 0 for w in weights):
-        raise NonUnitMass("weights must be strictly positive")
-    total = kahan_sum(weights)
-    if abs(total - 1.0) > 1e-9:
-        raise NonUnitMass(f"weights sum to {total}")
+    check_weights(weights)
     return HierMeasure(man, lvl + 1, weights=weights, atoms=atoms)
 
 
@@ -148,12 +144,12 @@ class ValidationIssue:
     message: str
 
 
-def validate(mu: HierMeasure, mass_tol: float = MASS_TOL) -> Optional[ValidationIssue]:
+def validate(mu: HierMeasure) -> Optional[ValidationIssue]:
     """Recursively check invariants; return the first violation or ``None``."""
-    return _validate(mu, mu.level, "root", mass_tol)
+    return _validate(mu, mu.level, "root")
 
 
-def _validate(mu, expected_level, path, mass_tol):
+def _validate(mu, expected_level, path):
     if mu.level != expected_level:
         return ValidationIssue(
             "LevelMismatch", path,
@@ -164,20 +160,15 @@ def _validate(mu, expected_level, path, mass_tol):
         except (InvalidPoint, InvalidInput) as exc:
             return ValidationIssue("InvalidPoint", path, str(exc))
         return None
-    if not all(math.isfinite(w) for w in mu.weights):
-        return ValidationIssue("InvalidInput", path,
-                               f"weights must be finite, got {mu.weights}")
-    if any(w <= 0 for w in mu.weights):
-        return ValidationIssue("NonUnitMass", path,
-                               f"weights must be strictly positive, got {mu.weights}")
-    total = kahan_sum(mu.weights)
-    if abs(total - 1.0) > mass_tol:
-        return ValidationIssue("NonUnitMass", path, f"weights sum to {total}")
+    try:
+        check_weights(mu.weights)
+    except (InvalidInput, NonUnitMass) as exc:
+        return ValidationIssue(type(exc).__name__, path, str(exc))
     for i, atom in enumerate(mu.atoms):
         if atom.manifold != mu.manifold:
             return ValidationIssue("LevelMismatch", f"{path}.atom[{i}]",
                                    "atom on a different manifold")
-        issue = _validate(atom, mu.level - 1, f"{path}.atom[{i}]", mass_tol)
+        issue = _validate(atom, mu.level - 1, f"{path}.atom[{i}]")
         if issue is not None:
             return issue
     return None
@@ -235,11 +226,12 @@ class BaseSupport:
     points: tuple  # of ndarray
 
 
-def base_support(mu: HierMeasure, tol: float = DEDUP_TOL) -> BaseSupport:
-    """Deduplicated set of manifold points ultimately charged by ``mu``."""
+def base_support(mu: HierMeasure) -> BaseSupport:
+    """Deduplicated set of manifold points ultimately charged by ``mu``:
+    points within ``DEDUP_TOL`` of each other count once."""
     pts = []
     for _, p in _leaf_rows(mu, 1.0):
-        if not any(mu.manifold.dist(p, q) <= tol for q in pts):
+        if not any(mu.manifold.dist(p, q) <= DEDUP_TOL for q in pts):
             pts.append(p)
     return BaseSupport(points=tuple(pts))
 

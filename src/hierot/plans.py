@@ -177,22 +177,29 @@ def fd_from_field(mu: HierMeasure, f: Callable) -> VelocityPlan:
     return build(mu)
 
 
+def check_fiber(weights, mass: float, i: int) -> None:
+    """The fiber rule of ``validate_plan`` and the plan reader: the entry
+    ``weights`` at base atom ``i`` are non-empty and positive, and their
+    exact sum is within ``FIBER_SUM_TOL`` of the atom's weight ``mass``."""
+    if not weights:
+        raise InvalidInput(f"empty fiber at atom {i}")
+    if not all(w > 0.0 for w in weights):
+        raise InvalidInput(f"fiber weights at atom {i} must be positive")
+    total = math.fsum(weights)
+    if abs(total - mass) > FIBER_SUM_TOL:
+        raise InvalidInput(
+            f"fiber weights at atom {i} sum to {total}, expected {mass}")
+
+
 def validate_plan(gamma: VelocityPlan) -> None:
     """Check fiber alignment, weight bookkeeping, and leaf tangency."""
     base = gamma.base
     if base.level == 0:
         base.manifold.check_tangent(base.point, gamma.tangent)
         return
-    for i, (w, atom) in enumerate(zip(base.weights, base.atoms)):
-        fiber = gamma.fibers[i]
-        if not fiber:
-            raise InvalidInput(f"empty fiber at atom {i}")
-        if not all(e.weight > 0.0 for e in fiber):
-            raise InvalidInput(f"fiber weights at atom {i} must be positive")
-        total = sum(e.weight for e in fiber)
-        if abs(total - w) > FIBER_SUM_TOL:
-            raise InvalidInput(
-                f"fiber weights at atom {i} sum to {total}, expected {w}")
+    for i, (w, atom, fiber) in enumerate(zip(base.weights, base.atoms,
+                                             gamma.fibers)):
+        check_fiber([e.weight for e in fiber], w, i)
         for e in fiber:
             if e.plan.base.structural_key() != atom.structural_key():
                 raise BaseMismatch(f"fiber plan at atom {i} has a foreign base")

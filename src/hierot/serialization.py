@@ -20,13 +20,11 @@ import json
 import math
 from pathlib import Path
 
-from .errors import InvalidInput, SchemaError
+from .errors import InvalidInput, NonUnitMass, SchemaError
 from .manifolds import Manifold, euclidean, sphere
-from .measures import HierMeasure, kahan_sum
-from .plans import FIBER_SUM_TOL, FiberEntry, VelocityPlan
+from .measures import HierMeasure, check_weights
+from .plans import FiberEntry, VelocityPlan, check_fiber
 from .wasserstein import MAX_LEVEL
-
-INGEST_MASS_TOL = 1e-9
 
 
 def _manifold_to_obj(man: Manifold) -> dict:
@@ -105,11 +103,10 @@ def _node_from_obj(obj, man: Manifold, level: int) -> HierMeasure:
         raise SchemaError(f"node atoms must be a list, got {type(atoms).__name__}")
     if len(weights) != len(atoms) or not atoms:
         raise SchemaError("weights and atoms must be non-empty and aligned")
-    if not all(w > 0.0 for w in weights):
-        raise SchemaError(f"node weights must be strictly positive, got {weights}")
-    total = kahan_sum(weights)
-    if abs(total - 1.0) > INGEST_MASS_TOL:
-        raise SchemaError(f"node weights sum to {total}")
+    try:
+        check_weights(weights)
+    except (InvalidInput, NonUnitMass) as exc:
+        raise SchemaError(f"node {exc}") from exc
     return HierMeasure(man, level, weights=tuple(weights),
                        atoms=tuple(_node_from_obj(a, man, level - 1) for a in atoms))
 
@@ -214,15 +211,11 @@ def _plan_node_from_obj(obj, base: HierMeasure) -> VelocityPlan:
             if not isinstance(e, dict) or "plan" not in e:
                 raise SchemaError("a fiber entry must be an object with a plan")
             w, = _finite_numbers([e.get("weight")], "fiber weights")
-            if not w > 0.0:
-                raise SchemaError(f"fiber weights at atom {i} must be positive, got {w}")
             entries.append(FiberEntry(w, _plan_node_from_obj(e["plan"], atom)))
-        if not entries:
-            raise SchemaError("empty fiber")
-        total = sum(e.weight for e in entries)
-        if abs(total - mass) > FIBER_SUM_TOL:
-            raise SchemaError(
-                f"fiber weights at atom {i} sum to {total}, expected {mass}")
+        try:
+            check_fiber([e.weight for e in entries], mass, i)
+        except InvalidInput as exc:
+            raise SchemaError(str(exc)) from exc
         fibers.append(tuple(entries))
     return VelocityPlan(base=base, fibers=tuple(fibers))
 
@@ -269,10 +262,10 @@ def functional_spec_from_obj(obj, manifold: Manifold, level: int):
         kind = t.get("type")
         weight, = _finite_numbers([t.get("weight", 1.0)], "term weights")
         if kind == "potential":
-            try:
-                pot = make_potential(t["name"], manifold, t.get("params", {}))
-            except (KeyError, Exception) as exc:
-                raise SchemaError(f"bad potential term: {exc}") from exc
+            name = t.get("name")
+            if not isinstance(name, str):
+                raise SchemaError(f"potential term must carry a name, got {name!r}")
+            pot = make_potential(name, manifold, t.get("params"))
             terms.append(PotentialTerm(pot, weight))
         elif kind == "half_w2_sq":
             target = t.get("target")

@@ -23,6 +23,7 @@ from .plans import FiberEntry, VelocityPlan
 
 MAX_LEVEL = 4
 DEFAULT_MAX_ATOMS = 32
+CLOSE_TOL = 1e-8  # measures_close: two measures within this w2 are equal
 
 # Comparing two independently built representations of the same measure hits
 # a sqrt(ulp) floor: one ulp of stray weight crossing an O(1) distance costs
@@ -184,7 +185,7 @@ def _velocity(mu: HierMeasure, nu: HierMeasure, solve) -> VelocityPlan:
     if mu.level == 0:
         return VelocityPlan(base=mu, tangent=mu.manifold.log(mu.point, nu.point))
     _, c, x, phi, psi, kids = solve or _solve(mu, nu, keep=True)
-    if not _certified(c, list(mu.weights), list(nu.weights), x, phi, psi):
+    if not _certified(c, mu.weights, nu.weights, x, phi, psi):
         raise NumericalFailure("solver returned an uncertified plan")
     fibers = []
     for i, (w_i, row) in enumerate(zip(mu.weights, x)):
@@ -205,9 +206,9 @@ def _velocity(mu: HierMeasure, nu: HierMeasure, solve) -> VelocityPlan:
     return VelocityPlan(base=mu, fibers=tuple(fibers))
 
 
-def measures_close(mu: HierMeasure, nu: HierMeasure, tol: float = 1e-8) -> bool:
-    """Semantic equality of measures: ``w2`` within ``tol``."""
-    return w2(mu, nu) <= tol
+def measures_close(mu: HierMeasure, nu: HierMeasure) -> bool:
+    """Semantic equality of measures: ``w2`` within ``CLOSE_TOL``."""
+    return w2(mu, nu) <= CLOSE_TOL
 
 
 def plan_summary(result: Transport) -> dict:

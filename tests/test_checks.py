@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hierot import checks
+from hierot import checks, wasserstein
 from hierot.checks import SUITES, run_suite
 from hierot.cli import EXIT_CHECK, main
 from hierot.errors import InvalidInput
@@ -97,3 +97,26 @@ def test_sample_count_below_one_rejected(samples):
 def test_negative_seed_rejected(seed):
     with pytest.raises(InvalidInput, match="--seed"):
         run_suite("metric", seed, 1)
+
+
+def test_w2_symmetry_term_solves_each_pair_both_ways(monkeypatch):
+    # the memo key is the unordered pair: w2(b, a) must not be read from it
+    drawn, solved = [], []
+    measure, solve = checks._measure, wasserstein._solve
+
+    def draw(*args):
+        drawn.append(measure(*args))
+        return drawn[-1]
+
+    def record(mu, nu, *args):
+        solved.append((mu, nu))
+        return solve(mu, nu, *args)
+
+    monkeypatch.setattr(checks, "_measure", draw)
+    monkeypatch.setattr(wasserstein, "_solve", record)
+    wasserstein.clear_cache()
+    assert checks.check_w2_metric(0, 1).passed
+    assert len(drawn) == 18  # two manifolds, three levels, three measures
+    for a, b in zip(drawn[0::3], drawn[1::3]):
+        assert any(mu is a and nu is b for mu, nu in solved)
+        assert any(mu is b and nu is a for mu, nu in solved)

@@ -301,6 +301,29 @@ def test_flow_potential_parameter_exit_code(tmp_path, capsys, name, key, value):
     assert err.startswith("error: ") and f"potential parameter '{key}'" in err
 
 
+@pytest.mark.parametrize("term,message", [
+    ({"params": {"center": [1.0]}},
+     "potential term must carry a name, got None"),
+    ({"name": "quadratic"},
+     "potential 'quadratic' needs params with the key 'center', got None"),
+    ({"name": "quadratic", "params": [1.0]},
+     "potential 'quadratic' needs params with the key 'center', got [1.0]"),
+    ({"name": "quadratic", "params": {"centre": [1.0]}},
+     "potential 'quadratic' needs params with the key 'center', "
+     "got {'centre': [1.0]}"),
+])
+def test_flow_potential_term_message_names_its_fault(tmp_path, capsys, term,
+                                                     message):
+    init = tmp_path / "init.json"
+    save_measure(mixture((1.0,), [dirac(E1, [0.0])]), init)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"terms": [dict(type="potential", **term)]}))
+    code = main(["flow", "--spec", str(spec), "--init", str(init),
+                 "--iters", "1", "--trace", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("tau", ["nan", "inf", "-inf", "-0.5"])
 def test_flow_bad_tau_exit_code(tmp_path, capsys, tau):
     # a NaN or infinite step is refused up front, naming the option

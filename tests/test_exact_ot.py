@@ -6,8 +6,8 @@ import pytest
 
 from hierot.errors import InvalidInput, TooLarge, UnbalancedMarginals
 from hierot.exact_ot import (WEIGHT_DROP, DualPotentials, TransportPlan,
-                             _bland_simplex, _column_sums, _forced, _line_sum,
-                             _plan_value, _polish, _simplex,
+                             _column_sums, _forced, _line_sum, _plan_value,
+                             _polish, _simplex,
                              permutation_oracle, solve_ot, verify_optimality)
 from hierot.sampling import rng_from_seed
 from test_solver_golden import pivot_counts
@@ -368,7 +368,7 @@ def test_two_by_two_pivot_loop_is_optimal_in_one_pivot():
         if kind == 1 and trial % 8 == 1:
             a, b = np.full(2, 0.5), np.full(2, 0.5)
         a, b = a / a.sum(), b / b.sum()
-        x, u, v, it, _ = _bland_simplex(c.tolist(), a.tolist(), b.tolist())
+        x, u, v, it, _ = _simplex(c.tolist(), a.tolist(), b.tolist())
         assert it <= 1, (c, a, b)
         plan = TransportPlan(matrix=np.array(x), row_marginal=a, col_marginal=b)
         duals = DualPotentials(phi=np.array(u), psi=np.array(v))
@@ -380,9 +380,9 @@ def test_two_by_two_pivot_loop_is_optimal_in_one_pivot():
 @pytest.mark.parametrize("m,k", [(1, 1), (1, 2), (1, 7), (1, 8), (1, 13),
                                  (2, 1), (7, 1), (8, 1), (13, 1)])
 def test_forced_coupling_is_the_general_path(m, k):
-    # normalize, the simplex's closed form, the polish and the value sum,
-    # bit for bit: marginals whose sums are 1.0 exactly, and a few ulps or
-    # up to the 1e-9 tolerance off
+    # normalize, the product coupling of the normalized marginals, the
+    # polish and the value sum, bit for bit: marginals whose sums are 1.0
+    # exactly, and a few ulps or up to the 1e-9 tolerance off
     rng = rng_from_seed(61 + 16 * m + k)
     for trial in range(300):
         c = (rng.standard_normal((m, k)) * 10.0 ** rng.integers(-2, 3)).tolist()
@@ -392,8 +392,13 @@ def test_forced_coupling_is_the_general_path(m, k):
         off = [0.0, 2e-16, -3e-16, 1e-12, -5e-10][trial % 5]
         a = [w * (1.0 + off) for w in a]
         sa, sb = _line_sum(a), _line_sum(b)
-        x, phi, psi, _, basis = _simplex(c, [w / sa for w in a],
-                                         [w / sb for w in b])
+        an, bn = [w / sa for w in a], [w / sb for w in b]
+        if m == 1:
+            x, phi, psi = [[w * an[0] for w in bn]], [0.0], list(c[0])
+            basis = [(0, j) for j in range(k)]
+        else:
+            x, phi, psi = [[w * bn[0]] for w in an], [row[0] for row in c], [0.0]
+            basis = [(i, 0) for i in range(m)]
         _polish(x, a, b, basis)
         value = _line_sum([xv * cv for xr, cr in zip(x, c)
                            for xv, cv in zip(xr, cr)])

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from hierot import euclidean, sphere
-from hierot.errors import InvalidInput, LevelMismatch
+from hierot.errors import InvalidInput, LevelMismatch, NonUnitMass, SchemaError
 from hierot.measures import (HierMeasure, base_support, canonicalize, collapse,
                              dirac, dirac_lift, eval_unrolled, mixture,
                              n_expectancy, push_leaf, unroll, validate,
                              w2_to_dirac)
 from hierot.sampling import random_measure, rng_from_seed
+from hierot.serialization import measure_from_obj
 
 E1 = euclidean(1)
 
@@ -39,6 +40,28 @@ def test_validate_non_positive_weight_is_a_positivity_fault(weights):
     bad = HierMeasure(E1, 1, weights=weights, atoms=(pt(0), pt(1)))
     issue = validate(bad)
     assert issue.code == "NonUnitMass" and "strictly positive" in issue.message
+
+
+@pytest.mark.parametrize("weights,ok", [([0.5, 0.5000000005], True),
+                                        ([0.5, 0.4999999995], True),
+                                        ([0.5, 0.500000002], False)])
+def test_one_weight_rule_for_mixture_validate_and_the_reader(weights, ok):
+    # a sum 5e-10 off one is inside the 1e-9 bound for all three; 2e-9 is not
+    doc = {"manifold": {"kind": "euclidean", "ambient_dim": 1}, "level": 1,
+           "measure": {"weights": weights,
+                       "atoms": [{"point": [0.0]}, {"point": [1.0]}]}}
+    direct = HierMeasure(E1, 1, weights=tuple(weights), atoms=(pt(0), pt(1)))
+    if ok:
+        mixture(weights, [pt(0), pt(1)])
+        assert validate(measure_from_obj(doc)) is None
+        assert validate(direct) is None
+        return
+    with pytest.raises(NonUnitMass, match="weights sum to"):
+        mixture(weights, [pt(0), pt(1)])
+    with pytest.raises(SchemaError, match="node weights sum to"):
+        measure_from_obj(doc)
+    issue = validate(direct)
+    assert issue.code == "NonUnitMass" and "weights sum to" in issue.message
 
 
 def test_validate_bad_sphere_point():

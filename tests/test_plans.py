@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from hierot import euclidean, sphere
-from hierot.errors import BaseMismatch, InvalidInput
+from hierot.errors import BaseMismatch, InvalidInput, SchemaError
 from hierot.measures import dirac, dirac_lift, mixture, n_expectancy
 from hierot.plans import (FiberEntry, VelocityPlan, add, coupling_inner,
                           coupling_marginal_plan, coupling_sq_diff,
@@ -14,6 +16,7 @@ from hierot.plans import (FiberEntry, VelocityPlan, add, coupling_inner,
                           w_mu, zero_plan)
 from hierot.sampling import (random_coupling, random_measure, random_plan,
                              rng_from_seed)
+from hierot.serialization import plan_from_obj, plan_to_obj
 from hierot.wasserstein import w2
 
 E2 = euclidean(2)
@@ -324,3 +327,27 @@ def test_leaf_allclose_matches_numpy():
     assert 0 < closes < len(cases)
     assert not _allclose(np.zeros(2), np.zeros(3), atol)
     assert not _allclose(np.zeros(3), np.zeros(2), atol)
+
+
+# twelve fiber weights whose exact sum is 1 + 1.00000008e-10, beyond the
+# 1e-10 fiber bound, while their sum in order is 1 + 0.99999786e-10
+EDGE_FIBER = [0.09148703129665424, 0.07240177700236046, 0.07547685625379698,
+              0.07188694628378375, 0.07584077826938679, 0.09169350541002755,
+              0.07102827813559126, 0.07640122389302417, 0.10405913887108846,
+              0.051884484350653105, 0.08984806014494076, 0.12799192018869243]
+
+
+def test_fiber_sum_is_exact_in_validation_and_the_reader():
+    in_order = 0.0
+    for w in EDGE_FIBER:
+        in_order += w
+    assert abs(in_order - 1.0) <= 1e-10 < abs(math.fsum(EDGE_FIBER) - 1.0)
+    base = mixture((1.0,), [dirac(E2, [0.0, 0.0])])
+    leaf = base.atoms[0]
+    gamma = VelocityPlan(base=base, fibers=(tuple(
+        FiberEntry(w, VelocityPlan(base=leaf, tangent=np.zeros(2)))
+        for w in EDGE_FIBER),))
+    with pytest.raises(InvalidInput, match="fiber weights at atom 0 sum to"):
+        validate_plan(gamma)
+    with pytest.raises(SchemaError, match="fiber weights at atom 0 sum to"):
+        plan_from_obj(plan_to_obj(gamma))
