@@ -85,8 +85,7 @@ def _solve_lists(c, a, b):
             map(math.isfinite, itertools.chain.from_iterable(c))):
         raise InvalidInput("cost matrix has a non-finite entry")
     sa, sb = _line_sum(a), _line_sum(b)
-    # written so that a NaN sum (a NaN or infinite weight) fails too
-    if not (abs(sa - 1.0) <= MASS_TOL and abs(sb - 1.0) <= MASS_TOL):
+    if not (_unit_sum(a, sa) and _unit_sum(b, sb)):
         raise UnbalancedMarginals(f"marginals sum to {sa} and {sb}, expected 1")
 
     a_min, b_min = min(a), min(b)
@@ -117,6 +116,13 @@ def _solve_lists(c, a, b):
 
     _polish(x, a, b, basis)
     return x, phi, psi, _plan_value(x, c)
+
+
+def _unit_sum(w, total):
+    """Whether ``w``, of in-order sum ``total``, sums to one within MASS_TOL
+    in order or exactly (as ``measures.check_weights``); NaN sums fail."""
+    return abs(total - 1.0) <= MASS_TOL or (
+        math.isfinite(total) and abs(math.fsum(w) - 1.0) <= MASS_TOL)
 
 
 def _forced(c, a, b, sa, sb):
@@ -221,27 +227,51 @@ def _northwest_corner(a, b, c):
 def _tree_duals(m, k, basis, c):
     """Solve ``u_i + v_j = c_ij`` on the basis spanning tree, ``u_0 = 0``.
 
-    ``c`` is a list of rows; returns the potentials as two lists.
-    """
-    adj = [[] for _ in range(m + k)]
-    for (i, j) in basis:
+    ``c`` is a list of rows.  Returns the potentials as two lists and the
+    tree of the walk from row 0: each node's parent node, the basis cell
+    joining them and its depth (rows are nodes ``0..m-1``, columns
+    ``m..m+k-1``)."""
+    n = m + k
+    adj = [[] for _ in range(n)]
+    for cell in basis:
+        i, j = cell
         cost = c[i][j]
-        adj[i].append((m + j, cost))
-        adj[m + j].append((i, cost))
-    u = [0.0] * (m + k)
-    seen = [False] * (m + k)
+        adj[i].append((m + j, cost, cell))
+        adj[m + j].append((i, cost, cell))
+    u = [0.0] * n
+    parent, via = [None] * n, [None] * n
+    depth = [0] + [-1] * (n - 1)  # -1: not reached yet
     stack = [0]
-    seen[0] = True
     while stack:
         node = stack.pop()
-        for nbr, cost in adj[node]:
-            if not seen[nbr]:
-                u[nbr] = cost - u[node]
-                seen[nbr] = True
+        un, below = u[node], depth[node] + 1
+        for nbr, cost, cell in adj[node]:
+            if depth[nbr] < 0:
+                u[nbr] = cost - un
+                parent[nbr] = node
+                via[nbr] = cell
+                depth[nbr] = below
                 stack.append(nbr)
-    if not all(seen):
+    if -1 in depth:
         raise NumericalFailure("basis graph is not a spanning tree")
-    return u[:m], u[m:]
+    return u[:m], u[m:], (parent, via, depth)
+
+
+def _cycle(m, tree, enter):
+    """The cycle that the entering cell ``(i0, j0)`` closes in the ``tree``
+    of :func:`_tree_duals`: that cell, the parent cells from row ``i0`` up to
+    where they meet those from column ``m + j0``, then the latter reversed."""
+    parent, via, depth = tree
+    p, q = enter[0], m + enter[1]
+    up, down = [enter], []
+    while p != q:
+        if depth[p] >= depth[q]:
+            up.append(via[p])
+            p = parent[p]
+        else:
+            down.append(via[q])
+            q = parent[q]
+    return up + down[::-1]
 
 
 def _tree_flows(m, k, basis, a, b):
@@ -437,44 +467,16 @@ def _column_sums(x):
     return totals
 
 
-def _find_cycle(m, basis, enter):
-    """Alternating cycle closed by the entering cell, as an ordered cell list."""
-    i0, j0 = enter
-    adj = {}
-    for (i, j) in basis:
-        adj.setdefault(i, []).append((m + j, (i, j)))
-        adj.setdefault(m + j, []).append((i, (i, j)))
-    # path in the tree from row node i0 to col node m + j0
-    target = m + j0
-    parent = {i0: (None, None)}
-    stack = [i0]
-    while stack:
-        node = stack.pop()
-        if node == target:
-            break
-        for nbr, cell in adj.get(node, ()):
-            if nbr not in parent:
-                parent[nbr] = (node, cell)
-                stack.append(nbr)
-    path_cells = []
-    node = target
-    while parent[node][0] is not None:
-        node, cell = parent[node][0], parent[node][1]
-        path_cells.append(cell)
-    path_cells.reverse()
-    return [enter] + path_cells
-
-
-def _bland_entering(c, u, v, basis_set, neg_tol):
-    """Bland's rule: the first non-basis cell in row-major order whose
-    reduced cost ``c_ij - u_i - v_j`` is below ``neg_tol``, or None.
+def _bland_entering(c, u, v, basis, neg_tol):
+    """Bland's rule: the first cell in row-major order outside ``basis``
+    whose reduced cost ``c_ij - u_i - v_j`` is below ``neg_tol``, or None.
 
     Reduced costs are evaluated only up to that cell.
     """
     for i, row in enumerate(c):
         ui = u[i]
         for j, vj in enumerate(v):
-            if row[j] - ui - vj < neg_tol and (i, j) not in basis_set:
+            if row[j] - ui - vj < neg_tol and (i, j) not in basis:
                 return i, j
     return None
 
@@ -487,34 +489,27 @@ def _simplex(c, a, b):
     # Bland's entering threshold, -1e-12 * (1 + max |c_ij|)
     neg_tol = -1e-12 * (1.0 + max(map(abs, itertools.chain.from_iterable(c))))
     basis, flows, u, v = _northwest_corner(a, b, c)
-    basis_set = set(basis)
-    flow = None  # cell -> flow, built at the first pivot
+    flow = dict(zip(basis, flows))  # the basis: cell -> flow
 
     for it in range(200 * (m + k) * max(m, k) + 2000):
-        enter = _bland_entering(c, u, v, basis_set, neg_tol)
+        enter = _bland_entering(c, u, v, flow, neg_tol)
         if enter is None:
-            basis.sort()
+            basis = sorted(flow)
             return _tree_flows(m, k, basis, a, b), u, v, it, basis
 
-        if flow is None:
-            flow = dict(zip(basis, flows))
-        cycle = _find_cycle(m, basis, enter)
+        if it == 0:  # the start's tree; its potentials are u and v already
+            tree = _tree_duals(m, k, basis, c)[2]
+        cycle = _cycle(m, tree, enter)
         minus = cycle[1::2]
         theta = min(flow[cell] for cell in minus)
         leaving = min(cell for cell in minus if flow[cell] == theta)
-        for idx, cell in enumerate(cycle):
-            if idx == 0:
-                flow[cell] = flow.get(cell, 0.0) + theta
-            elif idx % 2 == 1:
-                flow[cell] -= theta
-            else:
-                flow[cell] += theta
-        basis_set.remove(leaving)
-        basis_set.add(enter)
-        basis.remove(leaving)
-        basis.append(enter)
+        flow[enter] = theta
+        for cell in minus:
+            flow[cell] -= theta
+        for cell in cycle[2::2]:
+            flow[cell] += theta
         del flow[leaving]
-        u, v = _tree_duals(m, k, basis, c)
+        u, v, tree = _tree_duals(m, k, flow, c)
 
     raise NumericalFailure("transportation simplex exceeded its pivot budget")
 
@@ -549,6 +544,8 @@ def _certified(c, a, b, x, phi, psi) -> bool:
     if len(x) != m or not all(len(row) == k for row in x):
         return False
     scale = 1.0 + max(max(map(max, c)), -min(map(min, c)))
+    # SUM_TOL, plus the mass gap of a and b that no plan closes on both sides
+    sum_tol = SUM_TOL + abs(sum(a) - sum(b))
     cols = [0.0] * k
     value = 0.0
     low = 0.0        # the least reduced cost
@@ -566,10 +563,10 @@ def _certified(c, a, b, x, phi, psi) -> bool:
             total += flow
             cols[j] += flow
             value += flow * cij
-        if not abs(total - ai) <= SUM_TOL:
+        if not abs(total - ai) <= sum_tol:
             return False
     for total, bj in zip(cols, b):
-        if not abs(total - bj) <= SUM_TOL:
+        if not abs(total - bj) <= sum_tol:
             return False
     dual = 0.0
     for w, p in zip(itertools.chain(a, b), itertools.chain(phi, psi)):
@@ -589,9 +586,11 @@ def verify_optimality(plan: TransportPlan, duals: DualPotentials, c) -> bool:
     scale = 1.0 + float(np.abs(c).max()) if c.size else 1.0
     if np.any(x < -FLOW_TOL):
         return False
-    if np.abs(x.sum(axis=1) - plan.row_marginal).max() > SUM_TOL:
+    sum_tol = SUM_TOL + abs(float(np.sum(plan.row_marginal))
+                            - float(np.sum(plan.col_marginal)))
+    if np.abs(x.sum(axis=1) - plan.row_marginal).max() > sum_tol:
         return False
-    if np.abs(x.sum(axis=0) - plan.col_marginal).max() > SUM_TOL:
+    if np.abs(x.sum(axis=0) - plan.col_marginal).max() > sum_tol:
         return False
     slack = c - duals.phi[:, None] - duals.psi[None, :]
     if float(slack.min()) < -REDUCED_TOL * scale:

@@ -13,6 +13,7 @@ from hierot.sampling import random_measure, rng_from_seed
 from hierot.serialization import (load_measure, load_plan, measure_to_obj,
                                   save_measure)
 from hierot.wasserstein import _w2_cache
+from test_wasserstein import EDGE_WEIGHTS
 
 E1 = euclidean(1)
 S3 = sphere(3)
@@ -102,6 +103,18 @@ def test_distance_non_finite_weight_exit_code(tmp_path, capsys, w):
     save_measure(mixture((1.0,), [dirac(E1, [0.0])]), good)
     assert main(["distance", str(bad), str(good)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_distance_accepts_the_mass_the_node_rule_accepts(tmp_path, capsys):
+    # weights whose exact sum is within 1e-9 of one, but not their sum in
+    # numpy's order: the reader accepts them, so the solve must too
+    edge, one = tmp_path / "edge.json", tmp_path / "one.json"
+    save_measure(mixture(EDGE_WEIGHTS, [dirac(E1, [float(i)])
+                                        for i in range(12)]), edge)
+    save_measure(mixture((1.0,), [dirac(E1, [2.5])]), one)
+    assert main(["distance", str(edge), str(one)]) == 0
+    assert main(["distance", str(one), str(edge)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_malformed_max_atoms_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 
@@ -6,8 +7,8 @@ import pytest
 
 from hierot.errors import InvalidInput, TooLarge, UnbalancedMarginals
 from hierot.exact_ot import (WEIGHT_DROP, DualPotentials, TransportPlan,
-                             _column_sums, _forced, _line_sum, _plan_value,
-                             _polish, _simplex,
+                             _column_sums, _cycle, _forced, _line_sum,
+                             _plan_value, _polish, _simplex, _tree_duals,
                              permutation_oracle, solve_ot, verify_optimality)
 from hierot.sampling import rng_from_seed
 from test_solver_golden import pivot_counts
@@ -449,6 +450,79 @@ def test_polish_on_support_cells_matches_all_cells(m, k):
         exact = x.tolist()
         _polish(exact, x.sum(axis=1).tolist(), x.sum(axis=0).tolist(), support)
         assert _hexes(exact) == _hexes(x.tolist())
+
+
+def _random_tree(rng, m, k):
+    """A random spanning tree of the complete bipartite graph on rows
+    ``0..m-1`` and columns ``m..m+k-1``, as basis cells: the first-entry
+    edges of a random walk (Aldous-Broder)."""
+    node = int(rng.integers(m + k))
+    seen, cells = {node}, []
+    while len(seen) < m + k:
+        nxt = m + int(rng.integers(k)) if node < m else int(rng.integers(m))
+        if nxt not in seen:
+            seen.add(nxt)
+            cells.append((node, nxt - m) if node < m else (nxt, node - m))
+        node = nxt
+    return cells
+
+
+def _bfs_parents(m, cells, start):
+    """Each node's predecessor on a breadth-first search from ``start``."""
+    adj = collections.defaultdict(list)
+    for i, j in cells:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    came, queue = {start: None}, collections.deque([start])
+    while queue:
+        node = queue.popleft()
+        for nbr in adj[node]:
+            if nbr not in came:
+                came[nbr] = node
+                queue.append(nbr)
+    return came
+
+
+def _chain(came, node):
+    """``node`` and its predecessors up to the start of the search."""
+    nodes = [node]
+    while came[nodes[-1]] is not None:
+        nodes.append(came[nodes[-1]])
+    return nodes
+
+
+def test_cycle_is_the_tree_path_closed_by_the_entering_cell():
+    # every cell outside a random spanning tree enters; its cycle must be
+    # the cell, then the tree path from its row to its column, each step's
+    # cell in order, as a breadth-first search from the row finds it
+    rng = rng_from_seed(83)
+    seen = collections.Counter()
+    for m, k in itertools.product(range(2, 17), repeat=2):
+        for _ in range(2):
+            cells = _random_tree(rng, m, k)
+            c = rng.random((m, k)).tolist()
+            tree = _tree_duals(m, k, cells, c)[2]
+            from_root = _bfs_parents(m, cells, 0)
+            for i0 in range(m):
+                came = _bfs_parents(m, cells, i0)
+                for j0 in range(k):
+                    if (i0, j0) in cells:
+                        continue
+                    nodes = _chain(came, m + j0)[::-1]
+                    want = [(i0, j0)] + [
+                        (p, q - m) if p < m else (q, p - m)
+                        for p, q in zip(nodes, nodes[1:])]
+                    assert _cycle(m, tree, (i0, j0)) == want, (m, k, i0, j0)
+                    # where the chains from the root meet
+                    row_up = _chain(from_root, i0)
+                    col_up = _chain(from_root, m + j0)
+                    meet = next(n for n in row_up if n in col_up)
+                    seen["row 0"] += i0 == 0
+                    seen["meet at the root"] += meet == 0 != i0
+                    seen["row above column"] += meet == i0
+                    seen["column above row"] += meet == m + j0
+                    seen["cells"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_plan_and_duals_are_frozen_slotted_dataclasses():

@@ -18,6 +18,7 @@ from hierot.exact_ot import (DualPotentials, TransportPlan, _certified,
 from hierot.sampling import random_measure, rng_from_seed
 from hierot.wasserstein import _cost_rows, clear_cache, cost_matrix, w2_sq
 from test_solver_golden import CASES, GOLDEN, _hex, _key, problem
+from test_wasserstein import EDGE_WEIGHTS
 
 IDS = [_key(*c) for c in CASES]
 
@@ -103,6 +104,20 @@ def test_list_certificate_decides_as_verify_optimality(m, k, kind, rep):
     if min(m, k) > 1 and value > sum(xi * ci for xr, cr in zip(x, c)
                                      for xi, ci in zip(xr, cr)) + 1e-6:
         assert not _both(c, a, b, product, phi, psi)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_certificates_allow_the_mass_gap_and_no_more(k):
+    # marginals whose exact masses differ by 1e-9, which the node rule
+    # accepts: no plan meets both sides, so a line may be off by that gap
+    a, b = list(EDGE_WEIGHTS), [1.0 / k] * k
+    c = [[(i - 2.5 * j) ** 2 for j in range(k)] for i in range(12)]
+    x, phi, psi, _ = _solve_lists(c, a, b)
+    assert _both(c, a, b, x, phi, psi)
+    # row 0 off by more than SUM_TOL plus the gap; column 0 by less
+    off = [list(row) for row in x]
+    off[0][0] -= 1.3e-9
+    assert not _both(c, a, b, off, phi, psi)
 
 
 def test_list_certificate_refuses_nan_potentials_and_bad_shapes():

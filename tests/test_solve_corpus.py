@@ -54,9 +54,9 @@ def solve(c, a, b):
     return digest(x, phi, psi, value, pivots)
 
 
-def record():
-    """Every distinct ``(c, a, b)`` the core solves during ``ARGV``, in the
-    order first solved."""
+def record(argv=ARGV):
+    """Every distinct ``(c, a, b)`` the core solves during the command
+    ``argv``, in the order first solved."""
     from hierot import cli, plans, wasserstein
     seen, problems = set(), []
     core = exact_ot._solve_lists
@@ -72,7 +72,7 @@ def record():
     wasserstein._solve_lists = plans._solve_lists = recorded
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            cli.main(ARGV)
+            cli.main(argv)
     finally:
         wasserstein._solve_lists, plans._solve_lists = saved
     return problems
@@ -100,8 +100,8 @@ def _floats(values):
     return [float.fromhex(v) for v in values]
 
 
-def load():
-    entries = json.loads(CORPUS.read_text())
+def load(path=CORPUS):
+    entries = json.loads(path.read_text())
     return [(([_floats(row) for row in e["c"]], _floats(e["a"]),
               _floats(e["b"])), e["sha256"]) for e in entries]
 
@@ -126,15 +126,16 @@ def test_recorded_solve_is_pinned(case):
     assert solve(c, a, b) == want
 
 
-def regenerate():
+def write(problems, path=CORPUS):
+    """Write ``problems`` to ``path`` as ``float.hex`` with their digests."""
     entries = []
-    for c, a, b in select(record()):
+    for c, a, b in problems:
         entries.append({"c": [[v.hex() for v in row] for row in c],
                         "a": [v.hex() for v in a], "b": [v.hex() for v in b],
                         "sha256": solve(c, a, b)})
-    CORPUS.write_text("[\n" + ",\n".join(json.dumps(e, separators=(",", ":"))
+    path.write_text("[\n" + ",\n".join(json.dumps(e, separators=(",", ":"))
                                          for e in entries) + "\n]\n")
 
 
 if __name__ == "__main__":
-    regenerate()
+    write(select(record()))

@@ -149,7 +149,7 @@ def test_northwest_potentials_are_tree_duals(m, k, kind, rep):
     c, a, b = problem(m, k, kind, rep)
     c = c.tolist()
     basis, _, u, v = _northwest_corner(a.tolist(), b.tolist(), c)
-    tu, tv = _tree_duals(m, k, basis, c)
+    tu, tv, _ = _tree_duals(m, k, basis, c)
     assert [x.hex() for x in u + v] == [x.hex() for x in tu + tv]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from hierot import euclidean, sphere
 from hierot.cli import main
 from hierot.errors import DeskScaleError, LevelMismatch
+from hierot.exact_ot import MASS_TOL, _line_sum
 from hierot.manifolds import Manifold
 from hierot.measures import canonicalize, collapse, dirac, dirac_lift, mixture
 from hierot.geodesics import optimal_velocity_plan
@@ -225,3 +227,21 @@ def test_velocity_sliver_complement_adds_in_order():
     fiber, = _velocity(mu, nu, solve).fibers
     assert [e.weight for e in fiber] == [0.1, 0.2, 0.3, 1.0 - ((0.1 + 0.2) + 0.3)]
     assert [e.plan.tangent[0] for e in fiber] == [0.0, 1.0, 2.0, 3.0]
+
+
+# twelve weights that the node rule accepts, exact sum 1 + 0.99999986e-9,
+# whose sum in numpy's order, 1 + 1.00000008e-9, is just past MASS_TOL
+EDGE_WEIGHTS = (0.11190485225201423, 0.05219954231770593, 0.09561495543600212,
+                0.11560571712137083, 0.08781299133380266, 0.07600569163980186,
+                0.10318221875676957, 0.09733929795181631, 0.06569215529384695,
+                0.07906639548874628, 0.10115099133018884, 0.014425192077934348)
+
+
+def test_core_accepts_the_mass_the_node_rule_accepts():
+    assert _line_sum(list(EDGE_WEIGHTS)) - 1.0 > MASS_TOL
+    mu = mixture(EDGE_WEIGHTS, [pt(i) for i in range(12)])
+    nu = mixture((1.0,), [pt(2.5)])
+    want = math.fsum(w * (i - 2.5) ** 2 for i, w in enumerate(EDGE_WEIGHTS))
+    for a, b in ((mu, nu), (nu, mu)):
+        clear_cache()
+        assert w2_sq(a, b) == pytest.approx(want, rel=MASS_TOL)
