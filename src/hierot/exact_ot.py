@@ -57,8 +57,7 @@ def solve_ot(c, a, b):
     c = np.asarray(c, dtype=float)
     if c.ndim != 2:
         raise InvalidInput(f"cost matrix must be 2-D, got {c.ndim} dimension(s)")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     m, k = c.shape
     if a.shape != (m,) or b.shape != (k,):
         raise UnbalancedMarginals("marginal shapes do not match the cost matrix")
@@ -84,13 +83,13 @@ def _solve_lists(c, a, b):
     if not math.isfinite(sum(map(sum, c))) and not all(
             map(math.isfinite, itertools.chain.from_iterable(c))):
         raise InvalidInput("cost matrix has a non-finite entry")
+    # signs first: fsum cannot overflow on nonnegative weights of finite sum
+    a_min, b_min = min(a, default=0.0), min(b, default=0.0)
+    if a_min < 0 or b_min < 0:
+        raise UnbalancedMarginals("marginals must be nonnegative")
     sa, sb = _line_sum(a), _line_sum(b)
     if not (_unit_sum(a, sa) and _unit_sum(b, sb)):
         raise UnbalancedMarginals(f"marginals sum to {sa} and {sb}, expected 1")
-
-    a_min, b_min = min(a), min(b)
-    if a_min < 0 or b_min < 0:
-        raise UnbalancedMarginals("marginals must be nonnegative")
     dropped = a_min < WEIGHT_DROP or b_min < WEIGHT_DROP
     cc, ar, bc = c, a, b
     if dropped:
@@ -171,8 +170,7 @@ def _restore_dropped(c, keep_r, keep_c, x, u, v):
         full = matrix[i]
         for j, flow in zip(keep_c, row):
             full[j] = flow
-    phi = [None] * m
-    psi = [None] * k
+    phi, psi = [None] * m, [None] * k
     for i, ui in zip(keep_r, u):
         phi[i] = ui
     for j, vj in zip(keep_c, v):
@@ -197,10 +195,8 @@ def _northwest_corner(a, b, c):
     rows.
     """
     m, k = len(a), len(b)
-    basis = []
-    flows = []
-    u = [0.0] * m
-    v = [0.0] * k
+    basis, flows = [], []
+    u, v = [0.0] * m, [0.0] * k
     v[0] = c[0][0] - u[0]
     i = j = 0
     last_i, last_j = m - 1, k - 1
@@ -228,9 +224,8 @@ def _tree_duals(m, k, basis, c):
     """Solve ``u_i + v_j = c_ij`` on the basis spanning tree, ``u_0 = 0``.
 
     ``c`` is a list of rows.  Returns the potentials as two lists and the
-    tree of the walk from row 0: each node's parent node, the basis cell
-    joining them and its depth (rows are nodes ``0..m-1``, columns
-    ``m..m+k-1``)."""
+    tree of the walk from row 0: each node's parent, the basis cell joining
+    them and its depth (rows are nodes ``0..m-1``, columns ``m..m+k-1``)."""
     n = m + k
     adj = [[] for _ in range(n)]
     for cell in basis:
@@ -345,8 +340,7 @@ def _polish(x, a, b, cells):
     if not low > 0:
         low = min((w for w in a + b if w > 0), default=0.0)
     clip = 1e-15 * low
-    rows = [0.0] * m
-    cols = [0.0] * k
+    rows, cols = [0.0] * m, [0.0] * k
     for i, j in cells:
         flow = x[i][j]
         if 0.0 < flow < clip:
@@ -420,8 +414,7 @@ def _line_sum(v):
     starts from ``0.0``.  Explicit loops, not the builtin ``sum``, which
     compensates float sums from Python 3.12 on.
     """
-    n = len(v)
-    if n < 8:
+    if len(v) < 8:
         total = 0.0
         for w in v:
             total += w
@@ -544,8 +537,7 @@ def _certified(c, a, b, x, phi, psi) -> bool:
     if len(x) != m or not all(len(row) == k for row in x):
         return False
     scale = 1.0 + max(max(map(max, c)), -min(map(min, c)))
-    # SUM_TOL, plus the mass gap of a and b that no plan closes on both sides
-    sum_tol = SUM_TOL + abs(sum(a) - sum(b))
+    sum_tol = _sum_tol(a, b)
     cols = [0.0] * k
     value = 0.0
     low = 0.0        # the least reduced cost
@@ -576,6 +568,16 @@ def _certified(c, a, b, x, phi, psi) -> bool:
             and loose <= SLACK_TOL * scale)
 
 
+def _sum_tol(a, b) -> float:
+    """SUM_TOL plus the gap between the exact masses of ``a`` and ``b``, which
+    no plan closes on both sides, up to the 2 * MASS_TOL that ``_solve_lists``
+    accepts; a NaN, infinite or overflowing gap takes that cap."""
+    try:
+        return SUM_TOL + min(2.0 * MASS_TOL, abs(math.fsum(a) - math.fsum(b)))
+    except (OverflowError, ValueError):
+        return SUM_TOL + 2.0 * MASS_TOL
+
+
 def verify_optimality(plan: TransportPlan, duals: DualPotentials, c) -> bool:
     """Feasibility + dual feasibility + duality gap + complementary slackness."""
     c = np.asarray(c, dtype=float)
@@ -586,11 +588,9 @@ def verify_optimality(plan: TransportPlan, duals: DualPotentials, c) -> bool:
     scale = 1.0 + float(np.abs(c).max()) if c.size else 1.0
     if np.any(x < -FLOW_TOL):
         return False
-    sum_tol = SUM_TOL + abs(float(np.sum(plan.row_marginal))
-                            - float(np.sum(plan.col_marginal)))
-    if np.abs(x.sum(axis=1) - plan.row_marginal).max() > sum_tol:
-        return False
-    if np.abs(x.sum(axis=0) - plan.col_marginal).max() > sum_tol:
+    sum_tol = _sum_tol(plan.row_marginal, plan.col_marginal)
+    if (np.abs(x.sum(axis=1) - plan.row_marginal).max() > sum_tol
+            or np.abs(x.sum(axis=0) - plan.col_marginal).max() > sum_tol):
         return False
     slack = c - duals.phi[:, None] - duals.psi[None, :]
     if float(slack.min()) < -REDUCED_TOL * scale:

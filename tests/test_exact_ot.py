@@ -291,6 +291,16 @@ def test_non_finite_or_negative_marginal_rejected(a):
         solve_ot(np.ones((2, 2)), np.array([0.5, 0.5]), np.array(a))
 
 
+def test_negative_marginal_rejected_before_its_sum():
+    # the signs are tested first: these weights' in-order sum is 0.0, but
+    # their exact sum overflows on the way
+    a = np.array([1e308, 1e308] + [0.0] * 6 + [-1e308, -1e308] + [0.0] * 6)
+    with pytest.raises(UnbalancedMarginals, match="nonnegative"):
+        solve_ot(np.ones((16, 2)), a, np.array([0.5, 0.5]))
+    with pytest.raises(UnbalancedMarginals, match="nonnegative"):
+        solve_ot(np.ones((2, 16)), np.array([0.5, 0.5]), a)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (2, 2), (3, 3)])
 def test_non_finite_cost_rejected(bad, shape):

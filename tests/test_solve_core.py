@@ -120,6 +120,17 @@ def test_certificates_allow_the_mass_gap_and_no_more(k):
     assert not _both(c, a, b, off, phi, psi)
 
 
+@pytest.mark.parametrize("a,b,certified", [
+    ([1.0], [0.5], False), ([0.5, 0.5], [0.5, 0.5 + 5e-9], False),
+    ([0.5, 0.5], [0.5, 0.5 + 1.5e-9], True)])
+def test_certificates_cap_the_mass_gap(a, b, certified):
+    # the allowance stops at 2 * MASS_TOL, the widest gap between marginals
+    # that _solve_lists accepts: [[0.5]] is no plan of [1.0] and [0.5]
+    x = [[0.5 if i == j else 0.0 for j in range(len(b))] for i in range(len(a))]
+    c = [[0.0] * len(b) for _ in a]
+    assert _both(c, a, b, x, [0.0] * len(a), [0.0] * len(b)) == certified
+
+
 def test_list_certificate_refuses_nan_potentials_and_bad_shapes():
     c, a, b = _lists(3, 4, "random", 0)
     x, phi, psi, _ = _solve_lists(c, a, b)

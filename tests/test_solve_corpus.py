@@ -9,8 +9,10 @@ the 18x14 one that takes 252 pivots), with marginals that sum to exactly
 1.0 and marginals that do not.  Each problem carries the SHA-256 of its
 plan, potentials, value and pivot count (``digest``), so a change to any
 bit of a result, or to the pivot sequence, shows here.  The synthetic
-problems of ``solver_golden.json`` do not have these shapes.  Regenerate
-only when a result is meant to change::
+problems of ``solver_golden.json`` do not have these shapes.  The pinning
+test also runs the problems of ``tests/solve_shapes.json``, recorded from
+``hierot flow`` and ``hierot distance`` by ``test_solve_shapes.py``.
+Regenerate only when a result is meant to change::
 
     PYTHONPATH=src python tests/test_solve_corpus.py
 """
@@ -27,6 +29,7 @@ from hierot import exact_ot
 from test_solver_golden import pivot_counts
 
 CORPUS = Path(__file__).with_name("solve_corpus.json")
+SHAPES = Path(__file__).with_name("solve_shapes.json")
 ARGV = ["check", "--suite", "all", "--seed", "1000", "--samples", "1"]
 # problems kept per size class; every problem larger than 64 cells is kept
 QUOTAS = {"1xk": 50, "2x2": 40, "<=16": 110, "17-64": 55}
@@ -107,6 +110,8 @@ def load(path=CORPUS):
 
 
 CASES = load() if CORPUS.exists() else []
+# the corpus, then the shapes file; each file's count is checked by its test
+PINNED = CASES + (load(SHAPES) if SHAPES.exists() else [])
 
 
 def test_corpus_covers_every_size_class():
@@ -120,9 +125,9 @@ def test_corpus_covers_every_size_class():
     assert CORPUS.stat().st_size < 200_000
 
 
-@pytest.mark.parametrize("case", range(300))
+@pytest.mark.parametrize("case", range(len(PINNED)))
 def test_recorded_solve_is_pinned(case):
-    (c, a, b), want = CASES[case]
+    (c, a, b), want = PINNED[case]
     assert solve(c, a, b) == want
 
 

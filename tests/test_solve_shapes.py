@@ -1,5 +1,5 @@
-"""``exact_ot._solve_lists`` on the problem shapes of ``hierot flow`` and
-level-1 ``hierot distance``, pinned by digest.
+"""The problem shapes of ``hierot flow`` and level-1 ``hierot distance``,
+recorded for ``test_solve_corpus.py`` to pin by digest.
 
 The problems of ``tests/solve_corpus.json`` come from ``hierot check`` and
 are mostly tiny.  ``tests/solve_shapes.json`` holds, in the same format
@@ -8,8 +8,9 @@ count), the shapes where the pivot loop takes most of a command's time:
 9x5 and 10x5 problems from level-2 ``hierot flow`` runs, whose measure grows
 from 5 atoms as it steps, and the 16x16 problems of level-1 ``hierot
 distance`` between measures of 16 uniform atoms, on ``euclidean(3)`` and
-``sphere(3)``.  The inputs are drawn here from fixed seeds.  Regenerate only
-when a result is meant to change::
+``sphere(3)``.  The inputs are drawn here from fixed seeds.  The corpus's
+``test_recorded_solve_is_pinned`` solves them; this file checks that every
+shape is there.  Regenerate only when a result is meant to change::
 
     PYTHONPATH=src python tests/test_solve_shapes.py
 """
@@ -18,15 +19,12 @@ import json
 import tempfile
 from pathlib import Path
 
-import pytest
-
 from hierot import euclidean, sphere
 from hierot.measures import dirac, mixture
 from hierot.sampling import rng_from_seed, stick_weights
 from hierot.serialization import measure_to_obj, save_measure
-from test_solve_corpus import load, record, solve, write
+from test_solve_corpus import SHAPES, load, record, write
 
-SHAPES = Path(__file__).with_name("solve_shapes.json")
 MANIFOLDS = (euclidean(3), sphere(3))
 FLOW_SEEDS = (501, 502, 503, 504)
 DISTANCE_SEEDS = (601, 602, 603, 604, 605, 606)
@@ -93,12 +91,6 @@ CASES = load(SHAPES) if SHAPES.exists() else []
 def test_every_shape_is_there():
     shapes = [(len(a), len(b)) for (c, a, b), _ in CASES]
     assert {s: shapes.count(s) for s in QUOTAS} == QUOTAS
-
-
-@pytest.mark.parametrize("case", range(sum(QUOTAS.values())))
-def test_recorded_solve_is_pinned(case):
-    (c, a, b), want = CASES[case]
-    assert solve(c, a, b) == want
 
 
 if __name__ == "__main__":
