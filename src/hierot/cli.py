@@ -2,7 +2,8 @@
 
 Commands: ``distance``, ``geodesic``, ``flow``, ``check``.  Exit codes:
 0 success, 2 schema/validation error or an output file that cannot be
-written, 3 level mismatch, 4 check failure.
+written, 3 level mismatch, 4 check or tolerance failure (an uncertified
+solver plan among them).
 Outputs are byte-deterministic for fixed inputs and seed.
 """
 
@@ -15,13 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import HierotError, InvalidInput, LevelMismatch
+from .errors import HierotError, InvalidInput, LevelMismatch, NumericalFailure
 from .functionals import gradient_descent
-from .geodesics import interpolate, optimal_velocity_plan
+from .geodesics import interpolate
 from .serialization import (dumps, format_float, functional_spec_from_obj,
                             load_json, load_measure, plan_to_obj, save_measure)
-from .wasserstein import (TOL_NEAR_ZERO, clear_cache, plan_summary,
-                          transport, w2)
+from .wasserstein import TOL_NEAR_ZERO, plan_summary, transport, w2
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -52,8 +52,9 @@ def cmd_geodesic(args) -> int:
     b = load_measure(args.b)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    gamma = optimal_velocity_plan(a, b)
-    dist = w2(a, b)
+    result = transport(a, b)
+    gamma = result.velocity
+    dist = float(np.sqrt(result.value_sq))
     steps = args.steps
     rows = ["t,w2_to_start,w2_to_end,speed_deviation"]
     worst = 0.0
@@ -150,15 +151,15 @@ def main(argv=None) -> int:
     except LevelMismatch as exc:
         sys.stderr.write(f"level mismatch: {exc}\n")
         return EXIT_LEVEL
+    except NumericalFailure as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CHECK
     except HierotError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SCHEMA
     except OSError as exc:  # inputs are read by load_json: this is an output
         sys.stderr.write(f"error: cannot write output: {exc}\n")
         return EXIT_SCHEMA
-    finally:
-        # a command leaves no memo behind, in-process as in its own process
-        clear_cache()
 
 
 if __name__ == "__main__":

@@ -34,7 +34,8 @@ class UnbalancedMarginals(HierotError):
 
 
 class NumericalFailure(HierotError):
-    """The exact solver exceeded its anti-cycling guard."""
+    """The exact solver failed: it ran out of pivots, its basis stopped being a
+    spanning tree, or it returned a plan that fails its optimality certificate."""
 
 
 class TooLarge(HierotError):

@@ -586,20 +586,21 @@ def verify_optimality(plan: TransportPlan, duals: DualPotentials, c) -> bool:
     if x.shape != (m, k):
         return False
     scale = 1.0 + float(np.abs(c).max()) if c.size else 1.0
-    if np.any(x < -FLOW_TOL):
+    # each test is written so that a NaN fails it, as in _certified
+    if not np.all(x >= -FLOW_TOL):
         return False
     sum_tol = _sum_tol(plan.row_marginal, plan.col_marginal)
-    if (np.abs(x.sum(axis=1) - plan.row_marginal).max() > sum_tol
-            or np.abs(x.sum(axis=0) - plan.col_marginal).max() > sum_tol):
+    if not (np.abs(x.sum(axis=1) - plan.row_marginal).max() <= sum_tol
+            and np.abs(x.sum(axis=0) - plan.col_marginal).max() <= sum_tol):
         return False
     slack = c - duals.phi[:, None] - duals.psi[None, :]
-    if float(slack.min()) < -REDUCED_TOL * scale:
+    if not float(slack.min()) >= -REDUCED_TOL * scale:
         return False
     value = float((x * c).sum())
     dual_value = float(plan.row_marginal @ duals.phi + plan.col_marginal @ duals.psi)
-    if abs(value - dual_value) > GAP_TOL * (1.0 + abs(value)):
+    if not abs(value - dual_value) <= GAP_TOL * (1.0 + abs(value)):
         return False
     support = x > FLOW_TOL
-    if support.any() and float(np.abs(slack[support]).max()) > SLACK_TOL * scale:
+    if support.any() and not float(np.abs(slack[support]).max()) <= SLACK_TOL * scale:
         return False
     return True

@@ -23,7 +23,7 @@ from .plans import (Coupling, VelocityPlan, _combine, coupling_inner,
                     coupling_sq_diff, exp_push, fd_from_field, generic_coupling,
                     plan_norm, plan_norm_sq, push_coupling_leaves, scale)
 from .serialization import _finite_numbers
-from .wasserstein import w2_sq
+from .wasserstein import transport, w2_sq
 
 FD_STEP = 1e-5      # the gradient oracle's central-difference step
 FD_REL_TOL = 1e-5   # and the relative error it tolerates
@@ -144,6 +144,12 @@ class FunctionalSpec:
 
 
 def eval_functional(spec: FunctionalSpec, mu: HierMeasure) -> float:
+    return _evaluate(spec, mu, lambda term: w2_sq(mu, term.target))
+
+
+def _evaluate(spec: FunctionalSpec, mu: HierMeasure, dist_sq) -> float:
+    """``F(mu)``, taking each distance term's squared distance from
+    ``dist_sq(term)``."""
     total = 0.0
     for term in spec.terms:
         if isinstance(term, PotentialTerm):
@@ -151,7 +157,7 @@ def eval_functional(spec: FunctionalSpec, mu: HierMeasure) -> float:
         elif isinstance(term, DistanceTerm):
             if term.target.level != mu.level:
                 raise LevelMismatch("distance term target has a different level")
-            total += term.weight * 0.5 * w2_sq(mu, term.target)
+            total += term.weight * 0.5 * dist_sq(term)
         else:
             raise InvalidInput(f"unknown term {term!r}")
     return total
@@ -193,10 +199,11 @@ def supergradient_inequality_check(mu: HierMeasure, nu: HierMeasure,
     passed within ``CHECK_TOL``.
     """
     gamma = optimal_velocity_plan(mu, nu)
-    gbar = w2_supergradient(mu, mubar)
-    alpha = coupling if coupling is not None else generic_coupling(gamma, gbar)
+    toward = transport(mu, mubar)  # the supergradient plan and its value
+    alpha = (coupling if coupling is not None
+             else generic_coupling(gamma, toward.velocity))
     lhs = 0.5 * w2_sq(nu, mubar)
-    rhs = (0.5 * w2_sq(mu, mubar) - coupling_inner(alpha)
+    rhs = (0.5 * toward.value_sq - coupling_inner(alpha)
            + 0.5 * plan_norm_sq(gamma))
     return lhs, rhs, lhs <= rhs + CHECK_TOL
 
@@ -258,12 +265,14 @@ def convexity_check(spec: FunctionalSpec,
     generalized geodesics it uses the coupling's squared-difference energy.
     """
     deficit = curve.deficit()
-    f0 = eval_functional(spec, curve.at(0.0))
-    f1 = eval_functional(spec, curve.at(1.0))
+    # each time is evaluated once, the ends too when ts holds them
+    values = {t: eval_functional(spec, curve.at(t))
+              for t in dict.fromkeys([0.0, 1.0, *map(float, ts)])}
+    f0, f1 = values[0.0], values[1.0]
     rows = []
     worst = -np.inf
     for t in ts:
-        val = eval_functional(spec, curve.at(float(t)))
+        val = values[float(t)]
         bound = (1 - t) * f0 + t * f1 - 0.5 * lam * t * (1 - t) * deficit
         margin = val - bound
         worst = max(worst, margin)
@@ -297,7 +306,8 @@ def gradient_step(spec: FunctionalSpec, mu: HierMeasure, tau: float):
     """One explicit step: potentials push down their gradient field, distance
     terms move toward their target along an optimal plan.
 
-    Returns ``(next_measure, step_plan)``.
+    Returns ``(next_measure, step_plan, value)``, where ``value`` is
+    ``F(mu)`` evaluated with the distances of the step's own solves.
     """
     if not 0 <= tau < math.inf:  # NaN fails too
         raise InvalidInput(f"tau must be a finite number >= 0, got {tau}")
@@ -313,15 +323,18 @@ def gradient_step(spec: FunctionalSpec, mu: HierMeasure, tau: float):
             return mu.manifold.project_tangent(x, v)
         step = fd_from_field(mu, field)
 
+    dist_sq = {}
     for term in dist_terms:
-        gbar = scale(tau * term.weight, optimal_velocity_plan(mu, term.target))
+        toward = transport(mu, term.target)
+        dist_sq[id(term)] = toward.value_sq
+        gbar = scale(tau * term.weight, toward.velocity)
         if step is None:
             step = gbar
         else:
             # addition along an already-validated construction coupling
             step = _combine(generic_coupling(step, gbar), 1.0)
     nxt = exp_push(step)
-    return nxt, step
+    return nxt, step, _evaluate(spec, mu, lambda term: dist_sq[id(term)])
 
 
 def gradient_descent(spec: FunctionalSpec, mu0: HierMeasure, tau: float,
@@ -330,10 +343,8 @@ def gradient_descent(spec: FunctionalSpec, mu0: HierMeasure, tau: float,
         raise InvalidInput("iters must be >= 1")
     mu, norm, steps = mu0, 0.0, []
     for i in range(iters):
-        # the step's plans memoize w2_sq toward each target, so evaluating
-        # after stepping takes every distance term's value from the same solve
-        nxt, plan = gradient_step(spec, mu, tau)
-        steps.append(DescentStep(i, mu, eval_functional(spec, mu), norm))
+        nxt, plan, value = gradient_step(spec, mu, tau)
+        steps.append(DescentStep(i, mu, value, norm))
         mu, norm = nxt, plan_norm(plan)
     steps.append(DescentStep(iters, mu, eval_functional(spec, mu), norm))
     return DescentTrace(steps=tuple(steps))

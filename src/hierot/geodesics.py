@@ -107,17 +107,18 @@ def verify_constant_speed(gamma: VelocityPlan, grid) -> SpeedReport:
     """
     grid = sorted(float(t) for t in grid)
     samples = {t: interpolate(gamma, t) for t in grid}
-    mu0 = samples[0.0] if 0.0 in samples else interpolate(gamma, 0.0)
-    mu1 = samples[1.0] if 1.0 in samples else interpolate(gamma, 1.0)
-    dist = w2(mu0, mu1)
+    pairs = [(t, s, w2(samples[t], samples[s]))
+             for i, t in enumerate(grid) for s in grid[i + 1:]]
+    # the endpoint distance is the grid's (0, 1) pair when it has one
+    dist = next((d for t, s, d in pairs if (t, s) == (0.0, 1.0)), None)
+    if dist is None:
+        ends = [samples[t] if t in samples else interpolate(gamma, t)
+                for t in (0.0, 1.0)]
+        dist = w2(*ends)
     worst = 0.0
-    pairs = 0
-    for i, t in enumerate(grid):
-        for s in grid[i + 1:]:
-            dev = abs(w2(samples[t], samples[s]) - (s - t) * dist)
-            worst = max(worst, dev)
-            pairs += 1
+    for t, s, d in pairs:
+        worst = max(worst, abs(d - (s - t) * dist))
     norm = plan_norm(gamma)
     return SpeedReport(distance=dist, norm=norm,
                        speed_mismatch=abs(norm - dist),
-                       max_deviation=worst, pairs=pairs, tolerance=SPEED_TOL)
+                       max_deviation=worst, pairs=len(pairs), tolerance=SPEED_TOL)

@@ -2,9 +2,10 @@
 
 The distance between level-``n`` measures is the exact OT value for the
 cost ``c_ij = w2(atom_i, atom_j)^2`` computed recursively down to the
-manifold distance at level 0.  Cost entries are memoized on canonical
-structural keys; cache writes are idempotent, so concurrent evaluation of
-independent entries is safe.
+manifold distance at level 0.  Each public call memoizes its cost entries
+on canonical structural keys in a dict of its own, so a pair that repeats
+within the call is solved once, no call's value depends on an earlier call,
+and nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -33,13 +34,6 @@ TOL_NEAR_ZERO = 5e-8
 # fiber entries below this fraction of their atom's weight are dropped from
 # velocity plans (degenerate simplex slivers)
 FIBER_DROP = 1e-14
-
-_w2_cache: dict = {}
-
-
-def clear_cache() -> None:
-    _w2_cache.clear()
-
 
 def max_atoms_budget() -> int:
     raw = os.environ.get("HIEROT_MAX_ATOMS", "")
@@ -82,7 +76,7 @@ def w2_sq(mu: HierMeasure, nu: HierMeasure) -> float:
     if mu.level == 0:
         d = mu.manifold.dist(mu.point, nu.point)
         return d * d
-    return _memo_sq(mu, nu)
+    return _solve(mu, nu, {}, False)[0]
 
 
 def w2(mu: HierMeasure, nu: HierMeasure) -> float:
@@ -90,32 +84,33 @@ def w2(mu: HierMeasure, nu: HierMeasure) -> float:
     return float(np.sqrt(w2_sq(mu, nu)))
 
 
-def _solve(mu: HierMeasure, nu: HierMeasure, keep: bool, c=None):
+def _solve(mu: HierMeasure, nu: HierMeasure, memo: dict, keep: bool, c=None):
     """``(value_sq, c, x, phi, psi, kids)`` of one exact solve on the cost
-    rows ``c`` (``None``: build them), with the plan ``x`` as a list of rows
-    and the potentials as lists; with ``keep``, ``kids`` maps each support
-    cell to the solve made for its entry here (a cell whose entry came from
-    the memo has none)."""
+    rows ``c`` (``None``: build them, with the call's ``memo``), with the
+    plan ``x`` as a list of rows and the potentials as lists; with ``keep``,
+    ``kids`` maps each support cell to the solve made for its entry here (a
+    cell whose entry came from the memo has none)."""
     kids = {} if keep else None
     if c is None:
-        c = _cost_rows(mu, nu, kids)
+        c = _cost_rows(mu, nu, memo, kids)
     x, phi, psi, value = _solve_lists(c, list(mu.weights), list(nu.weights))
     if kids:  # only support cells become children; what one call keeps stays small
         kids = {ij: kid for ij, kid in kids.items() if x[ij[0]][ij[1]] > 0.0}
     return max(value, 0.0), c, x, phi, psi, kids
 
 
-def _memo_sq(mu: HierMeasure, nu: HierMeasure, kids=None, cell=None,
-             band=None, span=None) -> float:
-    """Squared distance of a level >= 1 pair, memoized; a solve made here
-    takes its cost from the leaf-table rows ``band``, columns ``span``, when
-    given and is kept as ``kids[cell]`` when ``kids`` is a dict."""
+def _memo_sq(mu: HierMeasure, nu: HierMeasure, memo: dict, kids=None,
+             cell=None, band=None, span=None) -> float:
+    """Squared distance of a level >= 1 pair, memoized in ``memo``; a solve
+    made here takes its cost from the leaf-table rows ``band``, columns
+    ``span``, when given and is kept as ``kids[cell]`` when ``kids`` is a
+    dict."""
     key = _pair_key(mu, nu)
-    value = _w2_cache.get(key)
+    value = memo.get(key)
     if value is None:
         c = None if band is None else [row[span] for row in band]
-        solve = _solve(mu, nu, kids is not None, c)
-        value = _w2_cache[key] = solve[0]
+        solve = _solve(mu, nu, memo, kids is not None, c)
+        value = memo[key] = solve[0]
         if kids is not None:
             kids[cell] = solve
     return value
@@ -125,11 +120,12 @@ def cost_matrix(mu: HierMeasure, nu: HierMeasure) -> np.ndarray:
     """Pairwise squared distances between the atom lists of ``mu`` and ``nu``."""
     if mu.level != nu.level or mu.level < 1:
         raise LevelMismatch("cost_matrix needs two measures of equal level >= 1")
-    return np.array(_cost_rows(mu, nu))
+    return np.array(_cost_rows(mu, nu, {}))
 
 
-def _cost_rows(mu: HierMeasure, nu: HierMeasure, kids=None) -> list:
-    """:func:`cost_matrix` as a list of rows (``kids``: see ``_solve``).
+def _cost_rows(mu: HierMeasure, nu: HierMeasure, memo: dict, kids=None) -> list:
+    """:func:`cost_matrix` as a list of rows, its entries memoized in
+    ``memo`` (``kids``: see ``_solve``).
 
     At level 2 the leaf distances of the whole pair come from one table, and
     an entry solved here takes its block of it.  The table becomes lists one
@@ -139,7 +135,8 @@ def _cost_rows(mu: HierMeasure, nu: HierMeasure, kids=None) -> list:
         return mu.manifold.pairwise_sq_dist(mu.point_stack(),
                                             nu.point_stack()).tolist()
     if mu.level > 2:
-        return [[_memo_sq(ai, bj, kids, (i, j)) for j, bj in enumerate(nu.atoms)]
+        return [[_memo_sq(ai, bj, memo, kids, (i, j))
+                 for j, bj in enumerate(nu.atoms)]
                 for i, ai in enumerate(mu.atoms)]
     xs, rows = mu.leaf_stack()
     ys, cols = nu.leaf_stack()
@@ -148,7 +145,7 @@ def _cost_rows(mu: HierMeasure, nu: HierMeasure, kids=None) -> list:
     c = []
     for i, ai in enumerate(mu.atoms):
         band = table[rows[i]:rows[i + 1]].tolist()
-        c.append([_memo_sq(ai, bj, kids, (i, j), band, span)
+        c.append([_memo_sq(ai, bj, memo, kids, (i, j), band, span)
                   for j, (bj, span) in enumerate(zip(nu.atoms, spans))])
     return c
 
@@ -167,24 +164,24 @@ class Transport:
 def transport(mu: HierMeasure, nu: HierMeasure) -> Transport:
     """Solve ``mu -> nu`` once per level and certify every plan used.
 
-    The top value is memoized as by ``w2_sq``.  A child reuses the solve made
-    for its cost entry, kept for this call only; one whose entry came from
-    the memo is solved again.
+    ``value_sq`` is the value ``w2_sq`` returns.  A child reuses the solve
+    made for its cost entry, kept for this call only; one whose entry repeats
+    an earlier entry of the call, and so came from the memo, is solved again.
     """
     _check_pair(mu, nu)
     if mu.level == 0:
-        return Transport(w2_sq(mu, nu), None, _velocity(mu, nu, None))
-    solve = _solve(mu, nu, keep=True)
-    value_sq = _w2_cache.setdefault(_pair_key(mu, nu), solve[0])
-    return Transport(value_sq, solve[2], _velocity(mu, nu, solve))
+        return Transport(w2_sq(mu, nu), None, _velocity(mu, nu, None, None))
+    memo = {}
+    solve = _solve(mu, nu, memo, True)
+    return Transport(solve[0], solve[2], _velocity(mu, nu, solve, memo))
 
 
-def _velocity(mu: HierMeasure, nu: HierMeasure, solve) -> VelocityPlan:
+def _velocity(mu: HierMeasure, nu: HierMeasure, solve, memo) -> VelocityPlan:
     """The optimal velocity plan of a pair from its solve (``None``: solve
-    it now), with the minimizing log at the leaves."""
+    it now with the call's ``memo``), with the minimizing log at the leaves."""
     if mu.level == 0:
         return VelocityPlan(base=mu, tangent=mu.manifold.log(mu.point, nu.point))
-    _, c, x, phi, psi, kids = solve or _solve(mu, nu, keep=True)
+    _, c, x, phi, psi, kids = solve or _solve(mu, nu, memo, True)
     if not _certified(c, mu.weights, nu.weights, x, phi, psi):
         raise NumericalFailure("solver returned an uncertified plan")
     fibers = []
@@ -201,7 +198,8 @@ def _velocity(mu: HierMeasure, nu: HierMeasure, solve) -> VelocityPlan:
                     others += w
             kept[top] = (w_i - others, kept[top][1])
         fibers.append(tuple(
-            FiberEntry(w, _velocity(mu.atoms[i], nu.atoms[j], kids.get((i, j))))
+            FiberEntry(w, _velocity(mu.atoms[i], nu.atoms[j], kids.get((i, j)),
+                                    memo))
             for w, j in kept))
     return VelocityPlan(base=mu, fibers=tuple(fibers))
 

@@ -100,7 +100,7 @@ def test_negative_seed_rejected(seed):
 
 
 def test_w2_symmetry_term_solves_each_pair_both_ways(monkeypatch):
-    # the memo key is the unordered pair: w2(b, a) must not be read from it
+    # memo keys are unordered pairs, but w2(b, a) must be solved, not read from w2(a, b)
     drawn, solved = [], []
     measure, solve = checks._measure, wasserstein._solve
 
@@ -114,7 +114,6 @@ def test_w2_symmetry_term_solves_each_pair_both_ways(monkeypatch):
 
     monkeypatch.setattr(checks, "_measure", draw)
     monkeypatch.setattr(wasserstein, "_solve", record)
-    wasserstein.clear_cache()
     assert checks.check_w2_metric(0, 1).passed
     assert len(drawn) == 18  # two manifolds, three levels, three measures
     for a, b in zip(drawn[0::3], drawn[1::3]):

@@ -12,7 +12,6 @@ from hierot.measures import dirac, dirac_lift, mixture
 from hierot.sampling import random_measure, rng_from_seed
 from hierot.serialization import (load_measure, load_plan, measure_to_obj,
                                   save_measure)
-from hierot.wasserstein import _w2_cache
 from test_wasserstein import EDGE_WEIGHTS
 
 E1 = euclidean(1)
@@ -135,16 +134,13 @@ def test_non_positive_max_atoms_exit_code(tmp_path, capsys, monkeypatch, raw):
     assert "HIEROT_MAX_ATOMS" in err and "positive" in err
 
 
-def test_memo_freed_after_each_command(tmp_path, capsys):
+def test_uncertified_plan_exit_code(tmp_path, capsys, monkeypatch):
+    # a solver failure is a check failure (exit 4), not a validation error
+    import hierot.wasserstein as wasserstein
+    monkeypatch.setattr(wasserstein, "_certified", lambda *args: False)
     pa, qa = write_level2_pair(tmp_path)
-    assert main(["distance", str(pa), str(qa)]) == 0
-    assert len(_w2_cache) == 0
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    _w2_cache[("left", "over")] = 1.0
-    assert main(["distance", str(pa), str(bad)]) == 2
-    assert len(_w2_cache) == 0
-    capsys.readouterr()
+    assert main(["distance", str(pa), str(qa)]) == 4
+    assert "solver returned an uncertified plan" in capsys.readouterr().err
 
 
 def test_check_suites_imported_only_by_check():

@@ -7,7 +7,7 @@ import pytest
 
 from hierot.errors import InvalidInput, TooLarge, UnbalancedMarginals
 from hierot.exact_ot import (WEIGHT_DROP, DualPotentials, TransportPlan,
-                             _column_sums, _cycle, _forced, _line_sum,
+                             _certified, _column_sums, _cycle, _forced, _line_sum,
                              _plan_value, _polish, _simplex, _tree_duals,
                              permutation_oracle, solve_ot, verify_optimality)
 from hierot.sampling import rng_from_seed
@@ -133,6 +133,27 @@ def test_verify_optimality_zero_cost_any_plan():
                          row_marginal=a, col_marginal=a)
     duals = DualPotentials(phi=np.zeros(2), psi=np.zeros(2))
     assert verify_optimality(plan, duals, c)
+
+
+@pytest.mark.parametrize("where", ["row_marginal", "plan_entry", "potential"])
+def test_verify_optimality_refuses_nan(where):
+    # one NaN put into a certified solve: a comparison with NaN is false, so
+    # each test must be written to pass only on a number within tolerance
+    c = np.array([[0.0, 1.0], [1.0, 0.0]])
+    a = np.array([0.5, 0.5])
+    plan, duals, _ = solve_ot(c, a, a)
+    assert verify_optimality(plan, duals, c)
+    x, row, phi = plan.matrix.copy(), a.copy(), duals.phi.copy()
+    if where == "row_marginal":
+        row[0] = np.nan
+    elif where == "plan_entry":
+        x[1, 1] = np.nan
+    else:
+        phi[1] = np.nan
+    assert not verify_optimality(TransportPlan(x, row, a),
+                                 DualPotentials(phi, duals.psi), c)
+    assert not _certified(c.tolist(), row.tolist(), a.tolist(), x.tolist(),
+                          phi.tolist(), duals.psi.tolist())
 
 
 def test_tiny_weights_are_dropped():

@@ -213,7 +213,7 @@ def test_gradient_step_exact_minimizer():
     mu = random_measure(rng, E2, 2, 3)
     center = np.array([0.3, -1.2])
     spec = FunctionalSpec((PotentialTerm(make_quadratic(E2, center), 1.0),))
-    nxt, step = gradient_step(spec, mu, 1.0)
+    nxt, step, _ = gradient_step(spec, mu, 1.0)
     assert w2(nxt, dirac_lift(E2, center, 2)) <= 1e-12
 
 
@@ -221,7 +221,7 @@ def test_gradient_step_zero_tau():
     rng = rng_from_seed(11)
     mu = random_measure(rng, E2, 2, 3)
     spec = FunctionalSpec((PotentialTerm(make_quadratic(E2, [0.0, 0.0]), 1.0),))
-    nxt, step = gradient_step(spec, mu, 0.0)
+    nxt, step, _ = gradient_step(spec, mu, 0.0)
     assert plan_norm(step) == 0.0
     assert w2(nxt, mu) == 0.0
 
@@ -240,8 +240,10 @@ def test_gradient_step_pure_distance_reaches_target():
     mu = random_measure(rng, E2, 2, 3)
     target = random_measure(rng, E2, 2, 3)
     spec = FunctionalSpec((DistanceTerm(target, 1.0),))
-    nxt, _ = gradient_step(spec, mu, 1.0)
+    nxt, _, value = gradient_step(spec, mu, 1.0)
     assert w2(nxt, target) <= 5e-8
+    # F(mu) from the step's own solve is the value eval_functional solves for
+    assert value == eval_functional(spec, mu)
 
 
 def test_gradient_descent_quadratic_rate():

@@ -49,7 +49,6 @@ def test_uncertified_plan_is_refused(monkeypatch):
         return x.tolist(), phi, psi, float(np.sum(x * np.array(c)))
 
     monkeypatch.setattr(wasserstein, "_solve_lists", product_plan)
-    monkeypatch.setattr(wasserstein, "_w2_cache", {})  # keep its values here
     p = mixture((0.5, 0.5), [pt(0), pt(2)])
     q = mixture((0.5, 0.5), [pt(0), pt(2)])
     with pytest.raises(NumericalFailure):

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hierot import exact_ot, plans, wasserstein
 from hierot.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -133,6 +134,27 @@ def test_output_bytes_match_golden(name, tmp_path):
     assert stdout.decode() == want["stdout"]
     for f, data in zip(files, written):
         assert data.decode() == want["files"][f.name], f.name
+
+
+# core solves of each golden flow command: a step solves each distance term
+# once, for its plan and its value together
+FLOW_SOLVES = {"flow_euclidean": 169, "flow_sphere": 164}
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_SOLVES))
+def test_flow_core_solve_count_is_pinned(name, tmp_path, monkeypatch):
+    solve, calls = exact_ot._solve_lists, []
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    for module in (exact_ot, plans, wasserstein):  # each binds the name itself
+        monkeypatch.setattr(module, "_solve_lists", counted)
+    _, argv, files = next(c for c in commands(GOLDEN / "inputs", tmp_path)
+                          if c[0] == name)
+    assert run_command(argv, files)[0] == 0
+    assert len(calls) == FLOW_SOLVES[name]
 
 
 def regenerate():

@@ -16,7 +16,7 @@ from hierot import euclidean, sphere
 from hierot.exact_ot import (DualPotentials, TransportPlan, _certified,
                              _solve_lists, solve_ot, verify_optimality)
 from hierot.sampling import random_measure, rng_from_seed
-from hierot.wasserstein import _cost_rows, clear_cache, cost_matrix, w2_sq
+from hierot.wasserstein import _cost_rows, cost_matrix, w2_sq
 from test_solver_golden import CASES, GOLDEN, _hex, _key, problem
 from test_wasserstein import EDGE_WEIGHTS
 
@@ -58,11 +58,8 @@ def test_core_leaves_its_inputs_alone():
 def test_cost_matrix_is_the_cost_rows(man, level):
     rng = rng_from_seed(40 + level)
     mu, nu = random_measure(rng, man, level, 3), random_measure(rng, man, level, 3)
-    clear_cache()
-    rows = _cost_rows(mu, nu)
-    clear_cache()
+    rows = _cost_rows(mu, nu, {})
     c = cost_matrix(mu, nu)
-    clear_cache()
     assert all(type(v) is float for row in rows for v in row)
     assert c.dtype == float and c.shape == (len(mu.atoms), len(nu.atoms))
     assert np.array(rows).tobytes() == c.tobytes()
@@ -71,7 +68,6 @@ def test_cost_matrix_is_the_cost_rows(man, level):
         ref = man.pairwise_sq_dist(mu.point_stack(), nu.point_stack())
     else:
         ref = np.array([[w2_sq(ai, bj) for bj in nu.atoms] for ai in mu.atoms])
-        clear_cache()
     assert ref.tobytes() == c.tobytes()
 
 

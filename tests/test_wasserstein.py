@@ -14,8 +14,8 @@ from hierot.measures import canonicalize, collapse, dirac, dirac_lift, mixture
 from hierot.geodesics import optimal_velocity_plan
 from hierot.sampling import random_measure, random_point, rng_from_seed
 from hierot.serialization import save_measure
-from hierot.wasserstein import (FIBER_DROP, _velocity, clear_cache, cost_matrix,
-                                measures_close, w2, w2_sq)
+from hierot.wasserstein import (FIBER_DROP, _velocity, cost_matrix,
+                                measures_close, transport, w2, w2_sq)
 
 E1 = euclidean(1)
 
@@ -207,11 +207,23 @@ def test_level2_distance_makes_one_pairwise_call(monkeypatch, man):
     rng = rng_from_seed(29)
     a = random_measure(rng, man, 2, 5)
     b = random_measure(rng, man, 2, 5)
-    clear_cache()
     w2_sq(a, b)
     n_a = sum(len(x.atoms) for x in a.atoms)
     n_b = sum(len(y.atoms) for y in b.atoms)
     assert calls == [(n_a, n_b)]
+
+
+def test_distance_does_not_depend_on_call_history():
+    # a pair whose two orientations differ in the last bit: each call solves
+    # its own orientation, whatever was asked before it
+    rng = rng_from_seed(0)
+    a = random_measure(rng, euclidean(2), 2, 4)
+    b = random_measure(rng, euclidean(2), 2, 4)
+    ab = w2(a, b)
+    ba = w2(b, a)
+    assert ab != ba and ab == pytest.approx(ba, rel=1e-15)
+    assert w2(a, b) == ab and w2(b, a) == ba
+    assert transport(a, b).value_sq == w2_sq(a, b)
 
 
 def test_velocity_sliver_complement_adds_in_order():
@@ -224,7 +236,7 @@ def test_velocity_sliver_complement_adds_in_order():
     mu = mixture((1.0,), [pt(0)])
     nu = mixture(tuple(row[0]), [pt(j) for j in range(5)])
     solve = (0.0, [[0.0] * 5], row.tolist(), [0.0], [0.0] * 5, {})
-    fiber, = _velocity(mu, nu, solve).fibers
+    fiber, = _velocity(mu, nu, solve, {}).fibers
     assert [e.weight for e in fiber] == [0.1, 0.2, 0.3, 1.0 - ((0.1 + 0.2) + 0.3)]
     assert [e.plan.tangent[0] for e in fiber] == [0.0, 1.0, 2.0, 3.0]
 
@@ -243,5 +255,4 @@ def test_core_accepts_the_mass_the_node_rule_accepts():
     nu = mixture((1.0,), [pt(2.5)])
     want = math.fsum(w * (i - 2.5) ** 2 for i, w in enumerate(EDGE_WEIGHTS))
     for a, b in ((mu, nu), (nu, mu)):
-        clear_cache()
         assert w2_sq(a, b) == pytest.approx(want, rel=MASS_TOL)
