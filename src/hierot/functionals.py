@@ -38,7 +38,6 @@ class Potential:
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     hessian_bound: float
-    name: str = ""
 
 
 def make_quadratic(manifold: Manifold, center) -> Potential:
@@ -54,13 +53,11 @@ def make_quadratic(manifold: Manifold, center) -> Potential:
         return Potential(
             value=lambda x: 0.5 * float(np.dot(x - a, x - a)),
             grad=lambda x: x - a,
-            hessian_bound=1.0,
-            name="quadratic")
+            hessian_bound=1.0)
     return Potential(
         value=lambda x: 0.5 * float(np.dot(x - a, x - a)),
         grad=lambda x: -(a - np.dot(a, x) * x),
-        hessian_bound=float(np.linalg.norm(a)),
-        name="quadratic")
+        hessian_bound=float(np.linalg.norm(a)))
 
 
 def make_linear_ambient(manifold: Manifold, direction) -> Potential:
@@ -72,13 +69,11 @@ def make_linear_ambient(manifold: Manifold, direction) -> Potential:
         return Potential(
             value=lambda x: float(np.dot(x, a)),
             grad=lambda x: a.copy(),
-            hessian_bound=0.0,
-            name="linear_ambient")
+            hessian_bound=0.0)
     return Potential(
         value=lambda x: float(np.dot(x, a)),
         grad=lambda x: a - np.dot(a, x) * x,
-        hessian_bound=float(np.linalg.norm(a)),
-        name="linear_ambient")
+        hessian_bound=float(np.linalg.norm(a)))
 
 
 # name -> (constructor, the key of its vector parameter in a spec's params)

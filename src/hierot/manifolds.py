@@ -228,11 +228,6 @@ class Manifold:
         w_t = b * (c * u - sign * s * x) + w_perp
         return y, self.project_tangent(y, w_t)
 
-    def sasaki_dist_to_zero(self, o, x, v) -> float:
-        """Distance in ``TM`` from ``(o, 0)`` to ``(x, v)``."""
-        d = self.dist(o, x)
-        return float(np.sqrt(d * d + float(np.dot(v, v))))
-
 
 def euclidean(dim: int) -> Manifold:
     return Manifold(EUCLIDEAN, dim)

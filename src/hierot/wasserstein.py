@@ -2,10 +2,9 @@
 
 The distance between level-``n`` measures is the exact OT value for the
 cost ``c_ij = w2(atom_i, atom_j)^2`` computed recursively down to the
-manifold distance at level 0.  Each public call memoizes its cost entries
-on canonical structural keys in a dict of its own, so a pair that repeats
-within the call is solved once, no call's value depends on an earlier call,
-and nothing outlives the call.
+manifold distance at level 0.  Each cost entry is solved where it is
+needed, in its own orientation, so no value depends on another call and
+nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -66,17 +65,12 @@ def _check_pair(mu: HierMeasure, nu: HierMeasure) -> None:
     _check_budget(nu)
 
 
-def _pair_key(mu: HierMeasure, nu: HierMeasure):
-    ka, kb = mu.structural_key(), nu.structural_key()
-    return (ka, kb) if ka <= kb else (kb, ka)
-
-
 def w2_sq(mu: HierMeasure, nu: HierMeasure) -> float:
     _check_pair(mu, nu)
     if mu.level == 0:
         d = mu.manifold.dist(mu.point, nu.point)
         return d * d
-    return _solve(mu, nu, {}, False)[0]
+    return _solve(mu, nu, False)[0]
 
 
 def w2(mu: HierMeasure, nu: HierMeasure) -> float:
@@ -84,59 +78,50 @@ def w2(mu: HierMeasure, nu: HierMeasure) -> float:
     return float(np.sqrt(w2_sq(mu, nu)))
 
 
-def _solve(mu: HierMeasure, nu: HierMeasure, memo: dict, keep: bool, c=None):
+def _solve(mu: HierMeasure, nu: HierMeasure, keep: bool, c=None):
     """``(value_sq, c, x, phi, psi, kids)`` of one exact solve on the cost
-    rows ``c`` (``None``: build them, with the call's ``memo``), with the
-    plan ``x`` as a list of rows and the potentials as lists; with ``keep``,
-    ``kids`` maps each support cell to the solve made for its entry here (a
-    cell whose entry came from the memo has none)."""
+    rows ``c`` (``None``: build them), with the plan ``x`` as a list of rows
+    and the potentials as lists; with ``keep``, ``kids`` maps each support
+    cell of a level >= 2 pair to the solve of its cost entry (``None``
+    without ``keep``)."""
     kids = {} if keep else None
     if c is None:
-        c = _cost_rows(mu, nu, memo, kids)
+        c = _cost_rows(mu, nu, kids)
     x, phi, psi, value = _solve_lists(c, list(mu.weights), list(nu.weights))
     if kids:  # only support cells become children; what one call keeps stays small
         kids = {ij: kid for ij, kid in kids.items() if x[ij[0]][ij[1]] > 0.0}
     return max(value, 0.0), c, x, phi, psi, kids
 
 
-def _memo_sq(mu: HierMeasure, nu: HierMeasure, memo: dict, kids=None,
-             cell=None, band=None, span=None) -> float:
-    """Squared distance of a level >= 1 pair, memoized in ``memo``; a solve
-    made here takes its cost from the leaf-table rows ``band``, columns
-    ``span``, when given and is kept as ``kids[cell]`` when ``kids`` is a
-    dict."""
-    key = _pair_key(mu, nu)
-    value = memo.get(key)
-    if value is None:
-        c = None if band is None else [row[span] for row in band]
-        solve = _solve(mu, nu, memo, kids is not None, c)
-        value = memo[key] = solve[0]
-        if kids is not None:
-            kids[cell] = solve
-    return value
+def _entry(mu: HierMeasure, nu: HierMeasure, kids, cell, c=None) -> float:
+    """The squared distance of a level >= 1 pair, solved on the cost rows
+    ``c`` when given and kept as ``kids[cell]`` when ``kids`` is a dict."""
+    solve = _solve(mu, nu, kids is not None, c)
+    if kids is not None:
+        kids[cell] = solve
+    return solve[0]
 
 
 def cost_matrix(mu: HierMeasure, nu: HierMeasure) -> np.ndarray:
     """Pairwise squared distances between the atom lists of ``mu`` and ``nu``."""
     if mu.level != nu.level or mu.level < 1:
         raise LevelMismatch("cost_matrix needs two measures of equal level >= 1")
-    return np.array(_cost_rows(mu, nu, {}))
+    return np.array(_cost_rows(mu, nu))
 
 
-def _cost_rows(mu: HierMeasure, nu: HierMeasure, memo: dict, kids=None) -> list:
-    """:func:`cost_matrix` as a list of rows, its entries memoized in
-    ``memo`` (``kids``: see ``_solve``).
+def _cost_rows(mu: HierMeasure, nu: HierMeasure, kids=None) -> list:
+    """:func:`cost_matrix` as a list of rows, each entry solved in its own
+    orientation (``kids``: see ``_solve``).
 
     At level 2 the leaf distances of the whole pair come from one table, and
-    an entry solved here takes its block of it.  The table becomes lists one
+    each entry is solved on its block of it.  The table becomes lists one
     atom's band of rows at a time, never whole.
     """
     if mu.level == 1:
         return mu.manifold.pairwise_sq_dist(mu.point_stack(),
                                             nu.point_stack()).tolist()
     if mu.level > 2:
-        return [[_memo_sq(ai, bj, memo, kids, (i, j))
-                 for j, bj in enumerate(nu.atoms)]
+        return [[_entry(ai, bj, kids, (i, j)) for j, bj in enumerate(nu.atoms)]
                 for i, ai in enumerate(mu.atoms)]
     xs, rows = mu.leaf_stack()
     ys, cols = nu.leaf_stack()
@@ -145,7 +130,7 @@ def _cost_rows(mu: HierMeasure, nu: HierMeasure, memo: dict, kids=None) -> list:
     c = []
     for i, ai in enumerate(mu.atoms):
         band = table[rows[i]:rows[i + 1]].tolist()
-        c.append([_memo_sq(ai, bj, memo, kids, (i, j), band, span)
+        c.append([_entry(ai, bj, kids, (i, j), [row[span] for row in band])
                   for j, (bj, span) in enumerate(zip(nu.atoms, spans))])
     return c
 
@@ -164,29 +149,34 @@ class Transport:
 def transport(mu: HierMeasure, nu: HierMeasure) -> Transport:
     """Solve ``mu -> nu`` once per level and certify every plan used.
 
-    ``value_sq`` is the value ``w2_sq`` returns.  A child reuses the solve
-    made for its cost entry, kept for this call only; one whose entry repeats
-    an earlier entry of the call, and so came from the memo, is solved again.
+    ``value_sq`` is the value ``w2_sq`` returns.  Each child plan reuses the
+    solve made for its cost entry, kept for this call only.
     """
     _check_pair(mu, nu)
     if mu.level == 0:
-        return Transport(w2_sq(mu, nu), None, _velocity(mu, nu, None, None))
-    memo = {}
-    solve = _solve(mu, nu, memo, True)
-    return Transport(solve[0], solve[2], _velocity(mu, nu, solve, memo))
+        return Transport(w2_sq(mu, nu), None, _velocity(mu, nu, None))
+    solve = _solve(mu, nu, True)
+    return Transport(solve[0], solve[2], _velocity(mu, nu, solve))
 
 
-def _velocity(mu: HierMeasure, nu: HierMeasure, solve, memo) -> VelocityPlan:
-    """The optimal velocity plan of a pair from its solve (``None``: solve
-    it now with the call's ``memo``), with the minimizing log at the leaves."""
+def _velocity(mu: HierMeasure, nu: HierMeasure, solve) -> VelocityPlan:
+    """The optimal velocity plan of a pair from its solve, made with
+    ``keep`` (``None`` at level 0), with the minimizing log at the leaves."""
     if mu.level == 0:
         return VelocityPlan(base=mu, tangent=mu.manifold.log(mu.point, nu.point))
-    _, c, x, phi, psi, kids = solve or _solve(mu, nu, memo, True)
+    _, c, x, phi, psi, kids = solve
     if not _certified(c, mu.weights, nu.weights, x, phi, psi):
         raise NumericalFailure("solver returned an uncertified plan")
     fibers = []
     for i, (w_i, row) in enumerate(zip(mu.weights, x)):
         entries = [(w, j) for j, w in enumerate(row) if w > 0.0]
+        if not entries:
+            # the core drops a row below WEIGHT_DROP: its weight goes to the
+            # column where the potential restored for it is tight
+            j = min(range(len(row)), key=lambda t: c[i][t] - psi[t])
+            entries = [(w_i, j)]
+            if mu.level > 1:
+                kids[i, j] = _solve(mu.atoms[i], nu.atoms[j], True)
         kept = [(w, j) for w, j in entries if w >= FIBER_DROP * w_i]
         if len(kept) < len(entries):
             # complement the largest entry so the fiber still carries w_i
@@ -198,8 +188,8 @@ def _velocity(mu: HierMeasure, nu: HierMeasure, solve, memo) -> VelocityPlan:
                     others += w
             kept[top] = (w_i - others, kept[top][1])
         fibers.append(tuple(
-            FiberEntry(w, _velocity(mu.atoms[i], nu.atoms[j], kids.get((i, j)),
-                                    memo))
+            FiberEntry(w, _velocity(mu.atoms[i], nu.atoms[j],
+                                    kids[i, j] if mu.level > 1 else None))
             for w, j in kept))
     return VelocityPlan(base=mu, fibers=tuple(fibers))
 

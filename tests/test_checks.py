@@ -100,7 +100,7 @@ def test_negative_seed_rejected(seed):
 
 
 def test_w2_symmetry_term_solves_each_pair_both_ways(monkeypatch):
-    # memo keys are unordered pairs, but w2(b, a) must be solved, not read from w2(a, b)
+    # the symmetry term solves both orientations: w2(b, a) is not w2(a, b) read back
     drawn, solved = [], []
     measure, solve = checks._measure, wasserstein._solve
 

@@ -42,6 +42,23 @@ def test_distance_level2(tmp_path, capsys):
     assert g.level == 2
 
 
+def test_distance_plan_round_trip_with_weight_below_weight_drop(tmp_path, capsys):
+    # the solver drops the 1e-15 atom's row; its fiber must still reach the
+    # plan file, which the reader then accepts
+    E2 = euclidean(2)
+    a = mixture((0.999999999999999, 1e-15),
+                [dirac(E2, [0.0, 0.0]), dirac(E2, [1.0, 0.0])])
+    b = mixture((0.5, 0.5), [dirac(E2, [0.0, 1.0]), dirac(E2, [2.0, 2.0])])
+    pa, pb, plan_file = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "p.json"
+    save_measure(a, pa)
+    save_measure(b, pb)
+    assert main(["distance", str(pa), str(pb), "--plan", str(plan_file)]) == 0
+    capsys.readouterr()
+    gamma = load_plan(plan_file)
+    assert [len(fiber) for fiber in gamma.fibers] == [2, 1]
+    assert gamma.fibers[1][0].weight == 1e-15
+
+
 @pytest.mark.parametrize("stem,solves", [("wide", 1), ("nested", 64 + 1)])
 def test_distance_solves_each_problem_once(tmp_path, capsys, monkeypatch,
                                            stem, solves):

@@ -9,12 +9,11 @@ Modules imported inside functions count too.
 import ast
 import re
 import sys
+import tomllib
 from importlib.metadata import packages_distributions
 from pathlib import Path
 
 import pytest
-
-tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -176,17 +176,6 @@ def test_parallel_transport_isometry_and_group_law():
     assert np.allclose(y, x) and np.allclose(wt, v)
 
 
-def test_sasaki_dist_to_zero():
-    m = euclidean(2)
-    o = np.zeros(2)
-    assert m.sasaki_dist_to_zero(o, np.array([3.0, 0.0]),
-                                 np.array([0.0, 4.0])) == pytest.approx(5.0)
-    assert m.sasaki_dist_to_zero(o, o, np.zeros(2)) == 0.0
-    s = sphere(3)
-    v = np.array([np.pi, 0.0, 0.0])
-    assert s.sasaki_dist_to_zero(N, S, v) == pytest.approx(np.sqrt(2) * np.pi)
-
-
 def test_triangle_inequality_random():
     rng = rng_from_seed(5)
     for m in (euclidean(3), sphere(3)):

@@ -58,7 +58,7 @@ def test_core_leaves_its_inputs_alone():
 def test_cost_matrix_is_the_cost_rows(man, level):
     rng = rng_from_seed(40 + level)
     mu, nu = random_measure(rng, man, level, 3), random_measure(rng, man, level, 3)
-    rows = _cost_rows(mu, nu, {})
+    rows = _cost_rows(mu, nu)
     c = cost_matrix(mu, nu)
     assert all(type(v) is float for row in rows for v in row)
     assert c.dtype == float and c.shape == (len(mu.atoms), len(nu.atoms))

@@ -8,10 +8,11 @@ import pytest
 from hierot import euclidean, sphere
 from hierot.cli import main
 from hierot.errors import DeskScaleError, LevelMismatch
-from hierot.exact_ot import MASS_TOL, _line_sum
+from hierot.exact_ot import MASS_TOL, WEIGHT_DROP, _line_sum, solve_ot
 from hierot.manifolds import Manifold
 from hierot.measures import canonicalize, collapse, dirac, dirac_lift, mixture
 from hierot.geodesics import optimal_velocity_plan
+from hierot.plans import plans_structurally_equal, validate_plan
 from hierot.sampling import random_measure, random_point, rng_from_seed
 from hierot.serialization import save_measure
 from hierot.wasserstein import (FIBER_DROP, _velocity, cost_matrix,
@@ -226,6 +227,55 @@ def test_distance_does_not_depend_on_call_history():
     assert transport(a, b).value_sq == w2_sq(a, b)
 
 
+def test_cost_entries_come_from_their_own_orientation():
+    # the (1, 1) entry pairs Y with X, and the (0, 0) entry X with Y, whose
+    # value differs from it in the last bit
+    rng = rng_from_seed(1)
+    X = random_measure(rng, euclidean(2), 1, 3)
+    Y = random_measure(rng, euclidean(2), 1, 3)
+    a = mixture((0.5, 0.5), [X, Y])
+    b = mixture((0.5, 0.5), [Y, X])
+    assert w2_sq(X, Y) != w2_sq(Y, X)
+    assert cost_matrix(a, b)[1][1] == w2_sq(Y, X)
+
+
+E2 = euclidean(2)
+TINY = (0.999999999999999, 1e-15)  # the second weight is below WEIGHT_DROP
+
+
+def test_weight_below_weight_drop_keeps_its_fiber():
+    # the core drops the row of the tiny atom: its fiber is one entry with
+    # its weight, on the column where its restored potential is tight, here
+    # (2, 2): its costs [2, 5] less psi = [1, 8] give [1, -3]
+    assert TINY[1] < WEIGHT_DROP
+    a = mixture(TINY, [dirac(E2, [0.0, 0.0]), dirac(E2, [1.0, 0.0])])
+    b = mixture((0.5, 0.5), [dirac(E2, [0.0, 1.0]), dirac(E2, [2.0, 2.0])])
+    result = transport(a, b)
+    assert result.top[1] == [0.0, 0.0]
+    gamma = result.velocity
+    validate_plan(gamma)
+    entry, = gamma.fibers[1]
+    assert entry.weight == TINY[1]
+    assert entry.plan.tangent.tolist() == [1.0, 2.0]
+
+
+def test_weight_below_weight_drop_solves_its_child():
+    # at level 2 the tiny atom's child is the level-1 plan of its own pair
+    rng = rng_from_seed(3)
+    atoms = [random_measure(rng, E2, 1, 3) for _ in range(4)]
+    a = mixture(TINY, atoms[:2])
+    b = mixture((0.5, 0.5), atoms[2:])
+    c = cost_matrix(a, b)
+    _, duals, _ = solve_ot(c, a.weights, b.weights)
+    j = int(np.argmin(c[1] - duals.psi))
+    gamma = transport(a, b).velocity
+    validate_plan(gamma)
+    entry, = gamma.fibers[1]
+    assert entry.weight == TINY[1]
+    assert plans_structurally_equal(
+        entry.plan, transport(atoms[1], b.atoms[j]).velocity, 0.0)
+
+
 def test_velocity_sliver_complement_adds_in_order():
     # a certified solve by hand: zero costs and duals, and a sliver below
     # FIBER_DROP that is dropped; the largest kept entry becomes the atom's
@@ -236,7 +286,7 @@ def test_velocity_sliver_complement_adds_in_order():
     mu = mixture((1.0,), [pt(0)])
     nu = mixture(tuple(row[0]), [pt(j) for j in range(5)])
     solve = (0.0, [[0.0] * 5], row.tolist(), [0.0], [0.0] * 5, {})
-    fiber, = _velocity(mu, nu, solve, {}).fibers
+    fiber, = _velocity(mu, nu, solve).fibers
     assert [e.weight for e in fiber] == [0.1, 0.2, 0.3, 1.0 - ((0.1 + 0.2) + 0.3)]
     assert [e.plan.tangent[0] for e in fiber] == [0.0, 1.0, 2.0, 3.0]
 
