@@ -16,12 +16,14 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import InvalidInput, LevelMismatch, SchemaError
+from .exact_ot import WEIGHT_DROP
 from .geodesics import interpolate, optimal_velocity_plan
 from .manifolds import Manifold
 from .measures import HierMeasure, n_expectancy
-from .plans import (Coupling, VelocityPlan, _combine, coupling_inner,
-                    coupling_sq_diff, exp_push, fd_from_field, generic_coupling,
-                    plan_norm, plan_norm_sq, push_coupling_leaves, scale)
+from .plans import (Coupling, FiberEntry, VelocityPlan, _combine,
+                    coupling_inner, coupling_sq_diff, exp_push, fd_from_field,
+                    generic_coupling, plan_norm, plan_norm_sq,
+                    push_coupling_leaves, scale)
 from .serialization import _finite_numbers
 from .wasserstein import transport, w2_sq
 
@@ -302,7 +304,8 @@ def gradient_step(spec: FunctionalSpec, mu: HierMeasure, tau: float):
     terms move toward their target along an optimal plan.
 
     Returns ``(next_measure, step_plan, value)``, where ``value`` is
-    ``F(mu)`` evaluated with the distances of the step's own solves.
+    ``F(mu)`` evaluated with the distances of the step's own solves.  The
+    step plan leaves out the atoms of ``mu`` below ``WEIGHT_DROP``.
     """
     if not 0 <= tau < math.inf:  # NaN fails too
         raise InvalidInput(f"tau must be a finite number >= 0, got {tau}")
@@ -328,8 +331,21 @@ def gradient_step(spec: FunctionalSpec, mu: HierMeasure, tau: float):
         else:
             # addition along an already-validated construction coupling
             step = _combine(generic_coupling(step, gbar), 1.0)
-    nxt = exp_push(step)
-    return nxt, step, _evaluate(spec, mu, lambda term: dist_sq[id(term)])
+    step = _drop_light(step)
+    return exp_push(step), step, _evaluate(spec, mu, lambda term: dist_sq[id(term)])
+
+
+def _drop_light(gamma: VelocityPlan) -> VelocityPlan:
+    """``gamma`` without the base atoms below ``WEIGHT_DROP``, at every node:
+    the solve core drops them from every transport, and a flow that pushed
+    them would carry them, and solve for them, to its end."""
+    if gamma.level == 0:
+        return gamma
+    kept = [(w, tuple(FiberEntry(e.weight, _drop_light(e.plan)) for e in fiber))
+            for w, fiber in zip(gamma.base.weights, gamma.fibers) if w >= WEIGHT_DROP]
+    base = HierMeasure(gamma.manifold, gamma.level, weights=tuple(w for w, _ in kept),
+                       atoms=tuple(fiber[0].plan.base for _, fiber in kept))
+    return VelocityPlan(base=base, fibers=tuple(fiber for _, fiber in kept))
 
 
 def gradient_descent(spec: FunctionalSpec, mu0: HierMeasure, tau: float,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DeskScaleError, InvalidInput, LevelMismatch,
                      NumericalFailure)
-from .exact_ot import _certified, _solve_lists
+from .exact_ot import WEIGHT_DROP, _certified, _solve_lists
 from .measures import HierMeasure
 from .plans import FiberEntry, VelocityPlan
 
@@ -82,14 +82,15 @@ def _solve(mu: HierMeasure, nu: HierMeasure, keep: bool, c=None):
     """``(value_sq, c, x, phi, psi, kids)`` of one exact solve on the cost
     rows ``c`` (``None``: build them), with the plan ``x`` as a list of rows
     and the potentials as lists; with ``keep``, ``kids`` maps each support
-    cell of a level >= 2 pair to the solve of its cost entry (``None``
-    without ``keep``)."""
+    cell of a level >= 2 pair, and each cell of a row below ``WEIGHT_DROP``,
+    to the solve of its cost entry (``None`` without ``keep``)."""
     kids = {} if keep else None
     if c is None:
         c = _cost_rows(mu, nu, kids)
     x, phi, psi, value = _solve_lists(c, list(mu.weights), list(nu.weights))
-    if kids:  # only support cells become children; what one call keeps stays small
-        kids = {ij: kid for ij, kid in kids.items() if x[ij[0]][ij[1]] > 0.0}
+    if kids:  # support cells, and the rows the core drops (see _velocity), keep theirs
+        kids = {(i, j): kid for (i, j), kid in kids.items()
+                if x[i][j] > 0.0 or mu.weights[i] < WEIGHT_DROP}
     return max(value, 0.0), c, x, phi, psi, kids
 
 
@@ -169,14 +170,14 @@ def _velocity(mu: HierMeasure, nu: HierMeasure, solve) -> VelocityPlan:
         raise NumericalFailure("solver returned an uncertified plan")
     fibers = []
     for i, (w_i, row) in enumerate(zip(mu.weights, x)):
-        entries = [(w, j) for j, w in enumerate(row) if w > 0.0]
-        if not entries:
-            # the core drops a row below WEIGHT_DROP: its weight goes to the
-            # column where the potential restored for it is tight
-            j = min(range(len(row)), key=lambda t: c[i][t] - psi[t])
+        if w_i < WEIGHT_DROP:
+            # the core drops this row: its weight goes to the kept column
+            # where the potential restored for it is tight
+            j = min((t for t, w in enumerate(nu.weights) if w >= WEIGHT_DROP),
+                    key=lambda t: c[i][t] - psi[t])
             entries = [(w_i, j)]
-            if mu.level > 1:
-                kids[i, j] = _solve(mu.atoms[i], nu.atoms[j], True)
+        else:
+            entries = [(w, j) for j, w in enumerate(row) if w > 0.0]
         kept = [(w, j) for w, j in entries if w >= FIBER_DROP * w_i]
         if len(kept) < len(entries):
             # complement the largest entry so the fiber still carries w_i

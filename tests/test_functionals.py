@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,13 +14,16 @@ from hierot.functionals import (DistanceTerm, FunctionalSpec,
                                 make_quadratic, supergradient_inequality_check,
                                 taylor_remainder_check, w2_supergradient)
 from hierot.errors import InvalidInput
+from hierot.exact_ot import WEIGHT_DROP
 from hierot.geodesics import interpolate, optimal_velocity_plan
 from hierot.measures import collapse, dirac, dirac_lift, mixture, n_expectancy
 from hierot.plans import (exp_push, fd_add, fd_from_field, fd_scale,
                           generic_coupling, plan_norm, plans_structurally_equal,
-                          scale, zero_plan)
+                          scale, validate_plan, zero_plan)
 from hierot.sampling import (random_coupling, random_measure, random_plan,
                              random_point, rng_from_seed)
+from hierot.serialization import (functional_spec_from_obj, load_json,
+                                  load_measure)
 from hierot.wasserstein import w2
 
 E1 = euclidean(1)
@@ -244,6 +249,49 @@ def test_gradient_step_pure_distance_reaches_target():
     assert w2(nxt, target) <= 5e-8
     # F(mu) from the step's own solve is the value eval_functional solves for
     assert value == eval_functional(spec, mu)
+
+
+def _light_atoms(mu):
+    """The number of atoms below WEIGHT_DROP at every node of ``mu``."""
+    if mu.level == 0:
+        return 0
+    return (sum(w < WEIGHT_DROP for w in mu.weights)
+            + sum(_light_atoms(a) for a in mu.atoms))
+
+
+def test_gradient_step_drops_atoms_below_weight_drop():
+    # the transport plan gives the 1e-15 atom a fiber; the step leaves it
+    # out, with the 1e-15 sub-atom of the other atom
+    rng = rng_from_seed(13)
+    atoms = [random_measure(rng, E2, 1, 3) for _ in range(2)]
+    atoms[0] = mixture((0.999999999999999, 1e-15), atoms[0].atoms[:2])
+    mu = mixture((0.999999999999999, 1e-15), atoms)
+    spec = FunctionalSpec((PotentialTerm(make_quadratic(E2, [0.0, 0.0]), 1.0),
+                           DistanceTerm(random_measure(rng, E2, 2, 3), 1.0)))
+    nxt, step, _ = gradient_step(spec, mu, 0.5)
+    validate_plan(step)
+    assert _light_atoms(mu) == 2 and _light_atoms(step.base) == 0
+    assert step.base.structural_key() == mixture(
+        (0.999999999999999,), [mixture((0.999999999999999,),
+                                       atoms[0].atoms[:1])]).structural_key()
+    assert len(nxt.atoms) == len(step.fibers[0])
+
+
+def test_flow_carries_no_atom_below_weight_drop_to_its_end():
+    # the golden flow_euclidean input's second step splits a fiber into an
+    # atom of weight 2.8e-17; the third step drops it, so the flow does not
+    # carry every sliver it makes to its end
+    inputs = Path(__file__).with_name("golden") / "inputs"
+    mu = load_measure(inputs / "flow_euclidean_init.json")
+    spec = functional_spec_from_obj(
+        load_json(inputs / "flow_euclidean_spec.json"), mu.manifold, mu.level)
+    light = []
+    for _ in range(8):
+        nxt, step, _ = gradient_step(spec, mu, 0.1)
+        assert _light_atoms(step.base) == 0
+        light.append(_light_atoms(nxt))
+        mu = nxt
+    assert light == [0, 1, 0, 0, 0, 0, 0, 0]
 
 
 def test_gradient_descent_quadratic_rate():

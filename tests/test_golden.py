@@ -138,7 +138,7 @@ def test_output_bytes_match_golden(name, tmp_path):
 
 # core solves of each golden flow command: a step solves each distance term
 # once, for its plan and its value together
-FLOW_SOLVES = {"flow_euclidean": 175, "flow_sphere": 164}
+FLOW_SOLVES = {"flow_euclidean": 169, "flow_sphere": 164}
 
 
 @pytest.mark.parametrize("name", sorted(FLOW_SOLVES))

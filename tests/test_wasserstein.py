@@ -276,6 +276,19 @@ def test_weight_below_weight_drop_solves_its_child():
         entry.plan, transport(atoms[1], b.atoms[j]).velocity, 0.0)
 
 
+def test_weight_below_weight_drop_goes_to_a_kept_column():
+    # nu's first atom is dropped too; its restored potential -14 comes from
+    # the tiny row, whose costs less psi = [-14, 1] then tie at 15: the
+    # fiber takes the kept column, the one the row's potential came from
+    a = mixture(TINY, [dirac(E2, [0.0, 0.0]), dirac(E2, [5.0, 0.0])])
+    b = mixture(TINY[::-1], [dirac(E2, [5.0, 1.0]), dirac(E2, [1.0, 0.0])])
+    gamma = transport(a, b).velocity
+    validate_plan(gamma)
+    entry, = gamma.fibers[1]
+    assert entry.weight == TINY[1]
+    assert entry.plan.tangent.tolist() == [-4.0, 0.0]
+
+
 def test_velocity_sliver_complement_adds_in_order():
     # a certified solve by hand: zero costs and duals, and a sliver below
     # FIBER_DROP that is dropped; the largest kept entry becomes the atom's
