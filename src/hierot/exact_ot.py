@@ -327,13 +327,14 @@ def _polish(x, a, b, cells):
 
     Sums are taken in numpy's order, so a line that is exact here is exact
     under ``np.sum`` on the matrix built from ``x`` too.  numpy adds a row
-    of fewer than 8 entries in order, and the columns of a matrix with more
-    than one column row by row; such a sum starts from ``0.0`` and a zero
-    term changes none of its partial sums, so it takes only ``cells``.
-    Longer rows and a contiguous (m, 1) column go pairwise (``_line_sum``),
-    where every position counts.  The sweeps run only when a line is off,
-    and read and write only ``cells``: a zero entry is never a line's
-    positive peak.
+    of fewer than 8 entries in order, and columns row by row; such a sum
+    starts from ``0.0`` and a zero term changes none of its partial sums, so
+    it takes only ``cells``.  Longer rows go pairwise (``_line_sum``), where
+    every position counts.  An (m, 1) column is added in order too: such a
+    plan comes here only with a dropped row, and the row pass sets each kept
+    entry to its row's weight.  The sweeps run only when a line is off, and
+    read and write only ``cells``: a zero entry is never a line's positive
+    peak.
     """
     m, k = len(a), len(b)
     low = min(a + b, default=0.0)
@@ -348,11 +349,8 @@ def _polish(x, a, b, cells):
         rows[i] += flow
         cols[j] += flow
     pairwise_rows = k >= 8
-    pairwise_col = k == 1 and m >= 8
     if pairwise_rows:
         rows = [_line_sum(row) for row in x]
-    if pairwise_col:
-        cols = _column_sums(x)
     if cols == b and rows == a:
         return
     in_row = [[] for _ in range(m)]
@@ -371,8 +369,6 @@ def _polish(x, a, b, cells):
                 if flow > peaks[j]:
                     peaks[j] = flow
                     tops[j] = i
-        if pairwise_col:
-            cols = _column_sums(x)
         if sweep and cols == b and rows == a:
             return
         before = [row[:] for row in x]
@@ -444,20 +440,6 @@ def _pairwise_sum(v):
     for w in v[stop:]:
         total += w
     return total
-
-
-def _column_sums(x):
-    """``np.sum(axis=0)`` of a C-ordered matrix given as a list of rows.
-
-    numpy adds whole rows in order; only an (m, 1) matrix, whose column is
-    contiguous, is summed as one line.
-    """
-    if len(x[0]) == 1:
-        return [_line_sum([row[0] for row in x])]
-    totals = [0.0] * len(x[0])
-    for row in x:
-        totals = [t + w for t, w in zip(totals, row)]
-    return totals
 
 
 def _bland_entering(c, u, v, basis, neg_tol):

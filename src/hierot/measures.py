@@ -19,10 +19,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInput, InvalidPoint, LevelMismatch, NonUnitMass
+from .exact_ot import MASS_TOL
 from .manifolds import Manifold
 
-# a node's weights must sum to one within this (their exact sum, by fsum)
-MASS_TOL = 1e-9
 DEDUP_TOL = 1e-10
 
 

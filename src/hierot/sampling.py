@@ -15,6 +15,8 @@ from .measures import HierMeasure, dirac, mixture
 from .plans import (Coupling, FiberEntry, VelocityPlan, _check_same_base,
                     _couple)
 
+MAX_FIBER = 3  # random_plan draws 1 to MAX_FIBER entries per fiber
+
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
@@ -54,7 +56,7 @@ def random_measure(rng, man: Manifold, level: int, max_atoms: int = 4) -> HierMe
 
 
 def random_plan(rng, base: HierMeasure, scale: float = 1.0,
-                max_fiber: int = 3, deterministic: bool = False) -> VelocityPlan:
+                deterministic: bool = False) -> VelocityPlan:
     """Random velocity plan over ``base``; singleton fibers if ``deterministic``."""
     man = base.manifold
     if base.level == 0:
@@ -62,10 +64,10 @@ def random_plan(rng, base: HierMeasure, scale: float = 1.0,
                             tangent=random_tangent(rng, man, base.point, scale))
     fibers = []
     for w, atom in zip(base.weights, base.atoms):
-        n = 1 if deterministic else int(rng.integers(1, max_fiber + 1))
+        n = 1 if deterministic else int(rng.integers(1, MAX_FIBER + 1))
         parts = stick_weights(rng, n)
         fibers.append(tuple(
-            FiberEntry(w * p, random_plan(rng, atom, scale, max_fiber, deterministic))
+            FiberEntry(w * p, random_plan(rng, atom, scale, deterministic))
             for p in parts))
     return VelocityPlan(base=base, fibers=tuple(fibers))
 

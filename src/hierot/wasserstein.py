@@ -30,9 +30,6 @@ CLOSE_TOL = 1e-8  # measures_close: two measures within this w2 are equal
 # about 1.5e-8 in w2.  Same-plan interpolant comparisons do not suffer this.
 TOL_NEAR_ZERO = 5e-8
 
-# fiber entries below this fraction of their atom's weight are dropped from
-# velocity plans (degenerate simplex slivers)
-FIBER_DROP = 1e-14
 
 def max_atoms_budget() -> int:
     raw = os.environ.get("HIEROT_MAX_ATOMS", "")
@@ -178,16 +175,16 @@ def _velocity(mu: HierMeasure, nu: HierMeasure, solve) -> VelocityPlan:
             entries = [(w_i, j)]
         else:
             entries = [(w, j) for j, w in enumerate(row) if w > 0.0]
-        kept = [(w, j) for w, j in entries if w >= FIBER_DROP * w_i]
+        # drop the slivers below WEIGHT_DROP, never the first largest entry,
+        # and complement that one so the fiber still carries w_i exactly
+        top = max(entries, key=lambda e: e[0])[1]
+        kept = [(w, j) for w, j in entries if w >= WEIGHT_DROP or j == top]
         if len(kept) < len(entries):
-            # complement the largest entry so the fiber still carries w_i
-            # exactly after dropping degenerate slivers
-            top = max(range(len(kept)), key=lambda t: kept[t][0])
             others = 0.0  # in order: the builtin sum compensates from 3.12
-            for t, (w, _) in enumerate(kept):
-                if t != top:
+            for w, j in kept:
+                if j != top:
                     others += w
-            kept[top] = (w_i - others, kept[top][1])
+            kept = [(w_i - others if j == top else w, j) for w, j in kept]
         fibers.append(tuple(
             FiberEntry(w, _velocity(mu.atoms[i], nu.atoms[j],
                                     kids[i, j] if mu.level > 1 else None))

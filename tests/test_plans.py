@@ -207,7 +207,7 @@ def test_wmu_zero_between_representation_variants():
     from hierot.measures import canonicalize
     rng = rng_from_seed(19)
     mu = random_measure(rng, E2, 1, 2)
-    g1 = random_plan(rng, mu, 1.0, max_fiber=1)
+    g1 = random_plan(rng, mu, 1.0, deterministic=True)
     e = g1.fibers[0][0]
     half = FiberEntry(e.weight / 2, e.plan)
     g2 = VelocityPlan(base=mu, fibers=((half, half),) + g1.fibers[1:])

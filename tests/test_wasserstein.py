@@ -15,8 +15,8 @@ from hierot.geodesics import optimal_velocity_plan
 from hierot.plans import plans_structurally_equal, validate_plan
 from hierot.sampling import random_measure, random_point, rng_from_seed
 from hierot.serialization import save_measure
-from hierot.wasserstein import (FIBER_DROP, _velocity, cost_matrix,
-                                measures_close, transport, w2, w2_sq)
+from hierot.wasserstein import (_velocity, cost_matrix, measures_close,
+                                transport, w2, w2_sq)
 
 E1 = euclidean(1)
 
@@ -291,11 +291,11 @@ def test_weight_below_weight_drop_goes_to_a_kept_column():
 
 def test_velocity_sliver_complement_adds_in_order():
     # a certified solve by hand: zero costs and duals, and a sliver below
-    # FIBER_DROP that is dropped; the largest kept entry becomes the atom's
+    # WEIGHT_DROP that is dropped; the largest kept entry becomes the atom's
     # weight minus the others added left to right (0.1 + 0.2 + 0.3 is
     # 0.6000000000000001 in order, 0.6 correctly rounded)
     row = np.array([[0.1, 0.2, 0.3, 0.4, 1e-18]])
-    assert row[0, -1] < FIBER_DROP
+    assert row[0, -1] < WEIGHT_DROP
     mu = mixture((1.0,), [pt(0)])
     nu = mixture(tuple(row[0]), [pt(j) for j in range(5)])
     solve = (0.0, [[0.0] * 5], row.tolist(), [0.0], [0.0] * 5, {})
