@@ -184,20 +184,12 @@ def _restore_dropped(c, keep_r, keep_c, x, u, v):
     return matrix, phi, psi
 
 
-def _northwest_corner(a, b, c):
+def _northwest_corner(a, b):
     """Basic feasible start: the basis cells of the staircase (a spanning
-    tree) in row-major order, their flows and the tree's potentials.
-
-    Each cell after ``(0, 0)`` joins one new row or column to the tree, whose
-    potential is the cell's cost minus that of the line it joins, from
-    ``u_0 = 0``: the recurrence of ``_tree_duals``, whose potentials these
-    equal bit for bit.  ``a`` and ``b`` are lists of floats, ``c`` a list of
-    rows.
-    """
+    tree) in row-major order and their flows.  ``a`` and ``b`` are lists of
+    floats."""
     m, k = len(a), len(b)
     basis, flows = [], []
-    u, v = [0.0] * m, [0.0] * k
-    v[0] = c[0][0] - u[0]
     i = j = 0
     last_i, last_j = m - 1, k - 1
     ra, rb = a[0], b[0]  # what row i and column j have left
@@ -212,12 +204,10 @@ def _northwest_corner(a, b, c):
                 break
             i += 1
             ra = a[i]
-            u[i] = c[i][j] - v[j]
         else:
             j += 1
             rb = b[j]
-            v[j] = c[i][j] - u[i]
-    return basis, flows, u, v
+    return basis, flows
 
 
 def _tree_duals(m, k, basis, c):
@@ -318,8 +308,8 @@ def _polish(x, a, b, cells):
     scale.  The adjustments are ~1e-16 and irrelevant to optimality, but
     they remove stray mass that would otherwise cross finite distances in
     downstream measure comparisons.  A plan whose sums are already exact is
-    left unchanged, and the sweeps stop once one leaves the plan as it was
-    (the next would repeat it).
+    left unchanged, and the sweeps stop once one writes no entry (the next
+    would repeat it).
 
     Works in place on a nonnegative plan ``x``, a list of rows whose entries
     outside ``cells`` (row-major ``(i, j)`` pairs, a solve's basis) are
@@ -371,12 +361,13 @@ def _polish(x, a, b, cells):
                     tops[j] = i
         if sweep and cols == b and rows == a:
             return
-        before = [row[:] for row in x]
+        wrote = False
         for j, i in enumerate(tops):
             if i is not None:
                 val = b[j] - (cols[j] - peaks[j])
                 if val >= 0 and val != peaks[j]:
                     x[i][j] = val
+                    wrote = True
         for i, js in enumerate(in_row):
             row = x[i]
             peak, top, total = 0.0, None, 0.0
@@ -390,15 +381,14 @@ def _polish(x, a, b, cells):
             val = a[i] - (total - peak)
             if top is not None and val >= 0 and val != peak:
                 row[top] = val
+                wrote = True
                 total = 0.0
                 for j in js:
                     total += row[j]
                 if pairwise_rows:
                     total = _line_sum(row)
             rows[i] = total
-        # a sweep that leaves the plan as it found it leaves every later
-        # sweep so too
-        if x == before:
+        if not wrote:
             return
 
 
@@ -463,8 +453,9 @@ def _simplex(c, a, b):
     m, k = len(c), len(c[0])
     # Bland's entering threshold, -1e-12 * (1 + max |c_ij|)
     neg_tol = -1e-12 * (1.0 + max(map(abs, itertools.chain.from_iterable(c))))
-    basis, flows, u, v = _northwest_corner(a, b, c)
+    basis, flows = _northwest_corner(a, b)
     flow = dict(zip(basis, flows))  # the basis: cell -> flow
+    u, v, tree = _tree_duals(m, k, basis, c)
 
     for it in range(200 * (m + k) * max(m, k) + 2000):
         enter = _bland_entering(c, u, v, flow, neg_tol)
@@ -472,8 +463,6 @@ def _simplex(c, a, b):
             basis = sorted(flow)
             return _tree_flows(m, k, basis, a, b), u, v, it, basis
 
-        if it == 0:  # the start's tree; its potentials are u and v already
-            tree = _tree_duals(m, k, basis, c)[2]
         cycle = _cycle(m, tree, enter)
         minus = cycle[1::2]
         theta = min(flow[cell] for cell in minus)

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import InvalidInput, LevelMismatch, SchemaError
+from .errors import InvalidInput, LevelMismatch
 from .geodesics import interpolate, optimal_velocity_plan
 from .manifolds import Manifold
 from .measures import HierMeasure, n_expectancy
@@ -23,7 +23,6 @@ from .plans import (Coupling, VelocityPlan, _combine, coupling_inner,
                     coupling_sq_diff, exp_push, fd_from_field,
                     generic_coupling, plan_norm, plan_norm_sq,
                     push_coupling_leaves, scale)
-from .serialization import _finite_numbers
 from .wasserstein import transport, w2_sq
 
 FD_STEP = 1e-5      # the gradient oracle's central-difference step
@@ -75,24 +74,6 @@ def make_linear_ambient(manifold: Manifold, direction) -> Potential:
         value=lambda x: float(np.dot(x, a)),
         grad=lambda x: a - np.dot(a, x) * x,
         hessian_bound=float(np.linalg.norm(a)))
-
-
-# name -> (constructor, the key of its vector parameter in a spec's params)
-POTENTIALS = {
-    "quadratic": (make_quadratic, "center"),
-    "linear_ambient": (make_linear_ambient, "direction"),
-}
-
-
-def make_potential(name: str, manifold: Manifold, params) -> Potential:
-    """The potential ``name`` built from a spec's JSON ``params`` (or None)."""
-    if name not in POTENTIALS:
-        raise InvalidInput(f"unknown potential {name!r}")
-    make, key = POTENTIALS[name]
-    if not isinstance(params, dict) or key not in params:
-        raise SchemaError(
-            f"potential {name!r} needs params with the key {key!r}, got {params!r}")
-    return make(manifold, _finite_numbers(params[key], f"potential parameter {key!r}"))
 
 
 def check_potential_gradient(pot: Potential, manifold: Manifold, points) -> float:

@@ -359,15 +359,18 @@ def _validate_coupling(alpha, g1, g2):
         for e in entries:
             if not (0 <= e.left < len(f1) and 0 <= e.right < len(f2)):
                 raise CouplingMismatch(f"fiber index out of range at atom {i}")
+            if not (e.weight > 0 and math.isfinite(e.weight)):
+                raise CouplingMismatch(
+                    f"coupling weight {e.weight} at atom {i} is not finite and positive")
             left_mass[e.left] += e.weight
             right_mass[e.right] += e.weight
             _validate_coupling(e.plan, f1[e.left].plan, f2[e.right].plan)
         for k, e1 in enumerate(f1):
-            if abs(left_mass[k] - e1.weight) > MARGINAL_TOL:
+            if not abs(left_mass[k] - e1.weight) <= MARGINAL_TOL:
                 raise CouplingMismatch(
                     f"left marginal off by {left_mass[k] - e1.weight} at atom {i}")
         for l, e2 in enumerate(f2):
-            if abs(right_mass[l] - e2.weight) > MARGINAL_TOL:
+            if not abs(right_mass[l] - e2.weight) <= MARGINAL_TOL:
                 raise CouplingMismatch(
                     f"right marginal off by {right_mass[l] - e2.weight} at atom {i}")
 

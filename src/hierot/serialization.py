@@ -21,6 +21,8 @@ import math
 from pathlib import Path
 
 from .errors import InvalidInput, NonUnitMass, SchemaError
+from .functionals import (DistanceTerm, FunctionalSpec, Potential,
+                          PotentialTerm, make_linear_ambient, make_quadratic)
 from .manifolds import Manifold, euclidean, sphere
 from .measures import HierMeasure, check_weights
 from .plans import FiberEntry, VelocityPlan, check_fiber
@@ -245,14 +247,30 @@ def load_plan(path) -> VelocityPlan:
 # functional specs
 
 
+# name -> (constructor, the key of its vector parameter in a spec's params)
+POTENTIALS = {
+    "quadratic": (make_quadratic, "center"),
+    "linear_ambient": (make_linear_ambient, "direction"),
+}
+
+
+def make_potential(name: str, manifold: Manifold, params) -> Potential:
+    """The potential ``name`` built from a spec's JSON ``params`` (or None)."""
+    if name not in POTENTIALS:
+        raise InvalidInput(f"unknown potential {name!r}")
+    make, key = POTENTIALS[name]
+    if not isinstance(params, dict) or key not in params:
+        raise SchemaError(
+            f"potential {name!r} needs params with the key {key!r}, got {params!r}")
+    return make(manifold, _finite_numbers(params[key], f"potential parameter {key!r}"))
+
+
 def functional_spec_from_obj(obj, manifold: Manifold, level: int):
     """Build a FunctionalSpec from its JSON form.
 
     Terms: ``{"type": "potential", "name": ..., "params": {...}, "weight": w}``
     or ``{"type": "half_w2_sq", "target": <measure doc or path>, "weight": w}``.
     """
-    from .functionals import (DistanceTerm, FunctionalSpec, PotentialTerm,
-                              make_potential)
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise SchemaError("functional spec must carry a terms list")
     terms = []

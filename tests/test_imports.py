@@ -1,9 +1,12 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and the
+modules of the package import each other without a cycle.
 
 Each module of ``src/hierot`` is parsed with ``ast``; a name bound by an
 ``import`` or ``from ... import`` (inside functions too) that the module
 never reads fails the test.  ``__init__.py`` is exempt: its imports are the
-public API.
+public API.  The package's own imports, ``from .x import ...`` and
+``from . import x`` at module level or inside functions, form a graph that
+must have no cycle.
 """
 
 import ast
@@ -38,3 +41,58 @@ def test_an_unused_import_is_caught():
               "import os.path\nimport numpy as np\nfrom math import inf, nan\n"
               "def f():\n    from json import dumps\n    return np.zeros(1), inf\n")
     assert unused_imports(source) == ["os", "nan", "dumps"]
+
+
+def sibling_imports(source: str) -> set:
+    """The package modules that ``source`` imports, inside functions too."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(a.name for a in node.names)
+    return found
+
+
+def import_cycle(graph: dict):
+    """One cycle of ``graph`` (module -> the modules it imports), as the
+    modules along it with the first repeated at the end, or None."""
+    path, done = [], set()
+
+    def visit(name):
+        if name in path:
+            return path[path.index(name):] + [name]
+        if name in done:
+            return None
+        path.append(name)
+        for nxt in sorted(graph.get(name, ())):
+            cycle = visit(nxt)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(name)
+        return None
+
+    for name in sorted(graph):
+        cycle = visit(name)
+        if cycle:
+            return cycle
+    return None
+
+
+def test_package_imports_have_no_cycle():
+    graph = {p.stem: sibling_imports(p.read_text()) for p in SRC.glob("*.py")}
+    assert "serialization" in graph["cli"] and "checks" in graph["cli"]
+    assert import_cycle(graph) is None
+
+
+def test_an_import_cycle_is_caught():
+    graph = {"a": sibling_imports("from .b import f\nimport json\n"),
+             "b": sibling_imports("def g():\n    from . import c, d\n"),
+             "c": sibling_imports("from .a import h\n"),
+             "d": sibling_imports("from .. import e\n")}
+    assert graph == {"a": {"b"}, "b": {"c", "d"}, "c": {"a"}, "d": set()}
+    assert import_cycle(graph) == ["a", "b", "c", "a"]
+    del graph["c"]
+    assert import_cycle(graph) is None

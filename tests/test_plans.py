@@ -201,6 +201,29 @@ def test_add_rejects_foreign_coupling():
         add(g1, g3, alpha)
 
 
+@pytest.mark.parametrize("diag,bad", [(0.6, -0.1), (0.5, 0.0), (0.5, math.nan)])
+def test_add_rejects_coupling_weight_not_finite_and_positive(diag, bad):
+    # both plans split one atom into two halves; the coupling's entries
+    # meet both marginals (NaN passes an `abs(...) > tol` test), yet an
+    # entry that is negative, zero or NaN is no coupling
+    from hierot.errors import CouplingMismatch
+    from hierot.plans import Coupling, CouplingEntry
+    mu = dirac_lift(E2, [0.0, 0.0], 1)
+    leaf = mu.atoms[0]
+    tangents = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    halves = tuple(FiberEntry(0.5, VelocityPlan(base=leaf, tangent=t))
+                   for t in tangents)
+    g = VelocityPlan(base=mu, fibers=(halves,))
+    validate_plan(g)
+    entries = tuple(
+        CouplingEntry(diag if k == l else bad, k, l,
+                      Coupling(base=leaf, v1=tangents[k], v2=tangents[l]))
+        for k in range(2) for l in range(2))
+    alpha = Coupling(base=mu, fibers=(entries,))
+    with pytest.raises(CouplingMismatch):
+        add(g, g, alpha)
+
+
 def test_wmu_zero_between_representation_variants():
     # splitting one fiber entry into two equal halves leaves the plan
     # unchanged as a measure: W_mu must vanish and the pushforwards agree

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from hierot import exact_ot
-from hierot.exact_ot import _northwest_corner, _tree_duals, solve_ot
+from hierot.exact_ot import SUM_TOL, _northwest_corner, _tree_duals, solve_ot
 from hierot.sampling import rng_from_seed
 
 GOLDEN = Path(__file__).with_name("solver_golden.json")
@@ -145,12 +145,23 @@ def test_golden_covers_every_case(golden):
 
 @pytest.mark.parametrize("m,k,kind,rep", CASES, ids=[_key(*c) for c in CASES])
 def test_northwest_potentials_are_tree_duals(m, k, kind, rep):
-    # the start's potentials stand in for the first _tree_duals solve
+    # the start is a spanning tree and its flows; one _tree_duals walk gives
+    # its potentials, each line's the cost of the cell that joins it less
+    # the potential of the line it joins, from u_0 = 0
     c, a, b = problem(m, k, kind, rep)
-    c = c.tolist()
-    basis, _, u, v = _northwest_corner(a.tolist(), b.tolist(), c)
-    tu, tv, _ = _tree_duals(m, k, basis, c)
-    assert [x.hex() for x in u + v] == [x.hex() for x in tu + tv]
+    c, a, b = c.tolist(), a.tolist(), b.tolist()
+    cells, flows = _northwest_corner(a, b)
+    assert len(cells) == m + k - 1
+    assert all(p < q for p, q in zip(cells, cells[1:]))  # distinct, row-major
+    u, v, _ = _tree_duals(m, k, cells, c)
+    rows, cols = [0.0] * m, [0.0] * k
+    for (i, j), flow in zip(cells, flows):
+        rows[i] += flow
+        cols[j] += flow
+    assert all(abs(s - w) <= SUM_TOL for s, w in zip(rows + cols, a + b))
+    assert u[0] == 0.0
+    for i, j in cells:
+        assert v[j] == c[i][j] - u[i] or u[i] == c[i][j] - v[j], (i, j)
 
 
 def regenerate():
