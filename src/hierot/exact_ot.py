@@ -28,11 +28,11 @@ WEIGHT_DROP = 1e-14
 MASS_TOL = 1e-9
 ORACLE_MAX_ATOMS = 7  # the permutation oracle enumerates n! matchings
 
-# the dual certificate of _certified and verify_optimality; scale = 1 + max |c|
+# the dual certificate of _certified and verify_optimality; scale = max |c|
 FLOW_TOL = 1e-12     # flows >= -FLOW_TOL, and the support is the flows above it
 SUM_TOL = 1e-10      # every row and column sum within this of its marginal
 REDUCED_TOL = 1e-9   # reduced costs >= -REDUCED_TOL * scale
-GAP_TOL = 1e-8       # |primal - dual| <= GAP_TOL * (1 + |primal|)
+GAP_TOL = 1e-8       # |primal - dual| <= GAP_TOL * scale
 SLACK_TOL = 1e-8     # |reduced cost| <= SLACK_TOL * scale on the support
 
 
@@ -75,8 +75,10 @@ def _solve_lists(c, a, b):
 
     Validates the costs and marginals (the shapes are the caller's), drops
     and restores the rows and columns below ``WEIGHT_DROP``, normalizes,
-    solves, polishes and sums the value, as ``solve_ot`` does.  The inputs
-    are not modified.
+    solves, scales the plan back by a row mass off one by more than
+    ``SUM_TOL``, polishes, certifies every plan it returns, forced ones too,
+    with :func:`_certified` (``NumericalFailure`` if that fails) and sums
+    the value.  The inputs are not modified.
     """
     # a NaN or infinite entry makes the sum non-finite; only an overflowing
     # sum of finite entries needs the entry-by-entry test
@@ -91,29 +93,33 @@ def _solve_lists(c, a, b):
     if not (_unit_sum(a, sa) and _unit_sum(b, sb)):
         raise UnbalancedMarginals(f"marginals sum to {sa} and {sb}, expected 1")
     dropped = a_min < WEIGHT_DROP or b_min < WEIGHT_DROP
-    cc, ar, bc = c, a, b
-    if dropped:
-        keep_r = [i for i, w in enumerate(a) if w >= WEIGHT_DROP]
-        keep_c = [j for j, w in enumerate(b) if w >= WEIGHT_DROP]
-        cc = [[c[i][j] for j in keep_c] for i in keep_r]
-        ar, bc = [a[i] for i in keep_r], [b[j] for j in keep_c]
-        sa, sb = _line_sum(ar), _line_sum(bc)
-    elif len(a) == 1 or len(b) == 1:
-        return _forced(c, a, b, sa, sb)
-
-    # w / 1.0 is w: marginals that sum to 1.0 exactly need no division
-    an = ar if sa == 1.0 else [w / sa for w in ar]
-    bn = bc if sb == 1.0 else [w / sb for w in bc]
-    if len(an) == 1 or len(bn) == 1:  # forced after dropping: polished below
-        x, phi, psi, _ = _forced(cc, an, bn, 1.0, 1.0)
-        basis = [(i, j) for i in range(len(an)) for j in range(len(bn))]
+    if not dropped and (len(a) == 1 or len(b) == 1):
+        x, phi, psi = _forced(c, a, b, sa, sb)
     else:
-        x, phi, psi, _, basis = _simplex(cc, an, bn)
-    if dropped:
-        x, phi, psi = _restore_dropped(c, keep_r, keep_c, x, phi, psi)
-        basis = [(keep_r[i], keep_c[j]) for i, j in basis]
-
-    _polish(x, a, b, basis)
+        cc, ar, bc = c, a, b
+        if dropped:
+            keep_r = [i for i, w in enumerate(a) if w >= WEIGHT_DROP]
+            keep_c = [j for j, w in enumerate(b) if w >= WEIGHT_DROP]
+            cc = [[c[i][j] for j in keep_c] for i in keep_r]
+            ar, bc = [a[i] for i in keep_r], [b[j] for j in keep_c]
+            sa, sb = _line_sum(ar), _line_sum(bc)
+        # w / 1.0 is w: marginals that sum to 1.0 exactly need no division
+        an = ar if sa == 1.0 else [w / sa for w in ar]
+        bn = bc if sb == 1.0 else [w / sb for w in bc]
+        if len(an) == 1 or len(bn) == 1:  # forced after dropping
+            x, phi, psi = _forced(cc, an, bn, 1.0, 1.0)
+            basis = [(i, j) for i in range(len(an)) for j in range(len(bn))]
+        else:
+            x, phi, psi, _, basis = _simplex(cc, an, bn)
+        if abs(sa - 1.0) > SUM_TOL:  # the polish cannot move that much mass
+            x = [[flow * sa for flow in row] for row in x]
+        if dropped:
+            x, phi, psi = _restore_dropped(c, a, b, keep_r, keep_c, x, phi,
+                                           psi, basis)
+        else:
+            _polish(x, a, b, basis)
+    if not _certified(c, a, b, x, phi, psi):
+        raise NumericalFailure("solver returned an uncertified plan")
     return x, phi, psi, _plan_value(x, c)
 
 
@@ -125,10 +131,10 @@ def _unit_sum(w, total):
 
 
 def _forced(c, a, b, sa, sb):
-    """The solve of a 1xk or mx1 problem with no weight below
+    """The plan and potentials of a 1xk or mx1 problem with no weight below
     ``WEIGHT_DROP``, whose coupling is forced: what normalizing, the forced
-    coupling of the normalized marginals, :func:`_polish` and the value sum
-    return, bit for bit, without them.  ``sa`` and ``sb`` are the marginals'
+    coupling of the normalized marginals and :func:`_polish` return, bit
+    for bit, without them.  ``sa`` and ``sb`` are the marginals'
     sums; with both 1.0, ``a`` and ``b`` are coupled as they stand.
 
     An mx1 plan is ``a`` itself: the polish's row pass writes each row's
@@ -145,9 +151,8 @@ def _forced(c, a, b, sa, sb):
             val = a[0] - (sb - peak)
             if val >= 0 and val != peak:
                 row[row.index(peak)] = val
-        return [row], [0.0], list(c[0]), _plan_value([row], c)
-    x = [[w] for w in a]
-    return x, [row[0] for row in c], [0.0], _plan_value(x, c)
+        return [row], [0.0], list(c[0])
+    return [[w] for w in a], [row[0] for row in c], [0.0]
 
 
 def _plan_value(x, c):
@@ -157,12 +162,14 @@ def _plan_value(x, c):
     return _line_sum(list(map(operator.mul, flat(x), flat(c))))
 
 
-def _restore_dropped(c, keep_r, keep_c, x, u, v):
-    """Scatter a solve on the kept rows and columns back to full size.
+def _restore_dropped(c, a, b, keep_r, keep_c, x, u, v, basis):
+    """Scatter a solve on the kept rows and columns, with its ``basis``
+    cells, back to full size and polish it there.
 
-    Dropped rows and columns carry no flow and get tight feasible
-    potentials; their mass is below ``WEIGHT_DROP``, so the dual value is
-    unaffected at tolerance scale.  ``c`` is the full cost as a list of rows.
+    Dropped rows and columns get tight feasible potentials.  Then each
+    dropped row ships its weight, after the polish so that kept cells keep
+    their bits, on the first kept column where its potential is tight;
+    dropped columns receive nothing.  ``c`` is the full cost as rows.
     """
     m, k = len(c), len(c[0])
     matrix = [[0.0] * k for _ in range(m)]
@@ -170,6 +177,7 @@ def _restore_dropped(c, keep_r, keep_c, x, u, v):
         full = matrix[i]
         for j, flow in zip(keep_c, row):
             full[j] = flow
+    _polish(matrix, a, b, [(keep_r[i], keep_c[j]) for i, j in basis])
     phi, psi = [None] * m, [None] * k
     for i, ui in zip(keep_r, u):
         phi[i] = ui
@@ -177,7 +185,9 @@ def _restore_dropped(c, keep_r, keep_c, x, u, v):
         psi[j] = vj
     for i in range(m):
         if phi[i] is None:
-            phi[i] = min(c[i][j] - v_j for j, v_j in zip(keep_c, v))
+            reduced = [c[i][j] - v_j for j, v_j in zip(keep_c, v)]
+            phi[i] = min(reduced)
+            matrix[i][keep_c[reduced.index(phi[i])]] += a[i]
     for j in range(k):
         if psi[j] is None:
             psi[j] = min(c[i][j] - phi[i] for i in range(m))
@@ -215,28 +225,27 @@ def _tree_duals(m, k, basis, c):
 
     ``c`` is a list of rows.  Returns the potentials as two lists and the
     tree of the walk from row 0: each node's parent, the basis cell joining
-    them and its depth (rows are nodes ``0..m-1``, columns ``m..m+k-1``)."""
+    them and its depth (rows are nodes ``0..m-1``, columns ``m..m+k-1``).
+    Passes over the unused cells reach a node from a reached one: its
+    potential is the cell's cost less theirs, as along its one path."""
     n = m + k
-    adj = [[] for _ in range(n)]
-    for cell in basis:
-        i, j = cell
-        cost = c[i][j]
-        adj[i].append((m + j, cost, cell))
-        adj[m + j].append((i, cost, cell))
     u = [0.0] * n
     parent, via = [None] * n, [None] * n
     depth = [0] + [-1] * (n - 1)  # -1: not reached yet
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        un, below = u[node], depth[node] + 1
-        for nbr, cost, cell in adj[node]:
-            if depth[nbr] < 0:
-                u[nbr] = cost - un
-                parent[nbr] = node
-                via[nbr] = cell
-                depth[nbr] = below
-                stack.append(nbr)
+    todo, left = None, list(basis)
+    while left != todo:  # until a pass reaches no node
+        todo, left = left, []
+        for cell in todo:
+            i, j = cell
+            q = m + j
+            if depth[q] < 0 <= depth[i]:
+                u[q] = c[i][j] - u[i]
+                parent[q], via[q], depth[q] = i, cell, depth[i] + 1
+            elif depth[i] < 0 <= depth[q]:
+                u[i] = c[i][j] - u[q]
+                parent[i], via[i], depth[i] = q, cell, depth[q] + 1
+            elif depth[i] < 0:
+                left.append(cell)
     if -1 in depth:
         raise NumericalFailure("basis graph is not a spanning tree")
     return u[:m], u[m:], (parent, via, depth)
@@ -451,8 +460,8 @@ def _simplex(c, a, b):
     rows and marginal lists; returns the plan rows, the potentials as lists,
     the pivot count and the basis cells in row-major order."""
     m, k = len(c), len(c[0])
-    # Bland's entering threshold, -1e-12 * (1 + max |c_ij|)
-    neg_tol = -1e-12 * (1.0 + max(map(abs, itertools.chain.from_iterable(c))))
+    # Bland's entering threshold, -1e-12 * max |c_ij|
+    neg_tol = -1e-12 * max(map(abs, itertools.chain.from_iterable(c)))
     basis, flows = _northwest_corner(a, b)
     flow = dict(zip(basis, flows))  # the basis: cell -> flow
     u, v, tree = _tree_duals(m, k, basis, c)
@@ -507,7 +516,7 @@ def _certified(c, a, b, x, phi, psi) -> bool:
     m, k = len(a), len(b)
     if len(x) != m or not all(len(row) == k for row in x):
         return False
-    scale = 1.0 + max(max(map(max, c)), -min(map(min, c)))
+    scale = max(max(map(max, c)), -min(map(min, c)))
     sum_tol = _sum_tol(a, b)
     cols = [0.0] * k
     value = 0.0
@@ -535,7 +544,7 @@ def _certified(c, a, b, x, phi, psi) -> bool:
     for w, p in zip(itertools.chain(a, b), itertools.chain(phi, psi)):
         dual += w * p
     return (low >= -REDUCED_TOL * scale
-            and abs(value - dual) <= GAP_TOL * (1.0 + abs(value))
+            and abs(value - dual) <= GAP_TOL * scale
             and loose <= SLACK_TOL * scale)
 
 
@@ -556,7 +565,7 @@ def verify_optimality(plan: TransportPlan, duals: DualPotentials, c) -> bool:
     m, k = c.shape
     if x.shape != (m, k):
         return False
-    scale = 1.0 + float(np.abs(c).max()) if c.size else 1.0
+    scale = float(np.abs(c).max()) if c.size else 0.0
     # each test is written so that a NaN fails it, as in _certified
     if not np.all(x >= -FLOW_TOL):
         return False
@@ -569,7 +578,7 @@ def verify_optimality(plan: TransportPlan, duals: DualPotentials, c) -> bool:
         return False
     value = float((x * c).sum())
     dual_value = float(plan.row_marginal @ duals.phi + plan.col_marginal @ duals.psi)
-    if not abs(value - dual_value) <= GAP_TOL * (1.0 + abs(value)):
+    if not abs(value - dual_value) <= GAP_TOL * scale:
         return False
     support = x > FLOW_TOL
     if support.any() and not float(np.abs(slack[support]).max()) <= SLACK_TOL * scale:

@@ -22,9 +22,9 @@ def optimal_velocity_plan(mu: HierMeasure, nu: HierMeasure) -> VelocityPlan:
     """A certified optimal velocity plan from ``mu`` to ``nu``.
 
     Built by solving the transport problem at every level and taking the
-    minimizing log at the leaves, so its energy equals the distance; every
-    transport plan it uses passes the conditions of ``verify_optimality``
-    (``NumericalFailure`` otherwise).
+    minimizing log at the leaves, so its energy equals the distance; the
+    solve core certifies every transport plan it uses by the conditions of
+    ``verify_optimality`` (``NumericalFailure`` otherwise).
     """
     return transport(mu, nu).velocity
 

@@ -15,9 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DeskScaleError, InvalidInput, LevelMismatch,
-                     NumericalFailure)
-from .exact_ot import WEIGHT_DROP, _certified, _solve_lists
+from .errors import DeskScaleError, InvalidInput, LevelMismatch
+from .exact_ot import WEIGHT_DROP, _solve_lists
 from .measures import HierMeasure
 from .plans import FiberEntry, VelocityPlan
 
@@ -76,19 +75,17 @@ def w2(mu: HierMeasure, nu: HierMeasure) -> float:
 
 
 def _solve(mu: HierMeasure, nu: HierMeasure, keep: bool, c=None):
-    """``(value_sq, c, x, phi, psi, kids)`` of one exact solve on the cost
-    rows ``c`` (``None``: build them), with the plan ``x`` as a list of rows
-    and the potentials as lists; with ``keep``, ``kids`` maps each support
-    cell of a level >= 2 pair, and each cell of a row below ``WEIGHT_DROP``,
-    to the solve of its cost entry (``None`` without ``keep``)."""
+    """``(value_sq, x, kids)`` of one certified exact solve on the cost rows
+    ``c`` (``None``: build them), with the plan ``x`` as a list of rows;
+    with ``keep``, ``kids`` maps each support cell of a level >= 2 pair to
+    the solve of its cost entry (``None`` without ``keep``)."""
     kids = {} if keep else None
     if c is None:
         c = _cost_rows(mu, nu, kids)
-    x, phi, psi, value = _solve_lists(c, list(mu.weights), list(nu.weights))
-    if kids:  # support cells, and the rows the core drops (see _velocity), keep theirs
-        kids = {(i, j): kid for (i, j), kid in kids.items()
-                if x[i][j] > 0.0 or mu.weights[i] < WEIGHT_DROP}
-    return max(value, 0.0), c, x, phi, psi, kids
+    x, _, _, value = _solve_lists(c, list(mu.weights), list(nu.weights))
+    if kids:
+        kids = {(i, j): kid for (i, j), kid in kids.items() if x[i][j] > 0.0}
+    return max(value, 0.0), x, kids
 
 
 def _entry(mu: HierMeasure, nu: HierMeasure, kids, cell, c=None) -> float:
@@ -145,7 +142,7 @@ class Transport:
 
 
 def transport(mu: HierMeasure, nu: HierMeasure) -> Transport:
-    """Solve ``mu -> nu`` once per level and certify every plan used.
+    """Solve ``mu -> nu`` once per level; the core certifies every plan.
 
     ``value_sq`` is the value ``w2_sq`` returns.  Each child plan reuses the
     solve made for its cost entry, kept for this call only.
@@ -154,7 +151,7 @@ def transport(mu: HierMeasure, nu: HierMeasure) -> Transport:
     if mu.level == 0:
         return Transport(w2_sq(mu, nu), None, _velocity(mu, nu, None))
     solve = _solve(mu, nu, True)
-    return Transport(solve[0], solve[2], _velocity(mu, nu, solve))
+    return Transport(solve[0], solve[1], _velocity(mu, nu, solve))
 
 
 def _velocity(mu: HierMeasure, nu: HierMeasure, solve) -> VelocityPlan:
@@ -162,19 +159,10 @@ def _velocity(mu: HierMeasure, nu: HierMeasure, solve) -> VelocityPlan:
     ``keep`` (``None`` at level 0), with the minimizing log at the leaves."""
     if mu.level == 0:
         return VelocityPlan(base=mu, tangent=mu.manifold.log(mu.point, nu.point))
-    _, c, x, phi, psi, kids = solve
-    if not _certified(c, mu.weights, nu.weights, x, phi, psi):
-        raise NumericalFailure("solver returned an uncertified plan")
+    _, x, kids = solve
     fibers = []
     for i, (w_i, row) in enumerate(zip(mu.weights, x)):
-        if w_i < WEIGHT_DROP:
-            # the core drops this row: its weight goes to the kept column
-            # where the potential restored for it is tight
-            j = min((t for t, w in enumerate(nu.weights) if w >= WEIGHT_DROP),
-                    key=lambda t: c[i][t] - psi[t])
-            entries = [(w_i, j)]
-        else:
-            entries = [(w, j) for j, w in enumerate(row) if w > 0.0]
+        entries = [(w, j) for j, w in enumerate(row) if w > 0.0]
         # drop the slivers below WEIGHT_DROP, never the first largest entry,
         # and complement that one so the fiber still carries w_i exactly
         top = max(entries, key=lambda e: e[0])[1]

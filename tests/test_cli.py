@@ -153,11 +153,22 @@ def test_non_positive_max_atoms_exit_code(tmp_path, capsys, monkeypatch, raw):
 
 def test_uncertified_plan_exit_code(tmp_path, capsys, monkeypatch):
     # a solver failure is a check failure (exit 4), not a validation error
-    import hierot.wasserstein as wasserstein
-    monkeypatch.setattr(wasserstein, "_certified", lambda *args: False)
+    import hierot.exact_ot as exact_ot
+    monkeypatch.setattr(exact_ot, "_certified", lambda *args: False)
     pa, qa = write_level2_pair(tmp_path)
     assert main(["distance", str(pa), str(qa)]) == 4
     assert "solver returned an uncertified plan" in capsys.readouterr().err
+
+
+def test_distance_of_a_measure_to_itself_at_small_scale(tmp_path, capsys):
+    # one measure with its atoms listed in both orders: the costs are 0 and
+    # 9e-14, below what an absolute tolerance floor would resolve
+    atoms = [dirac(euclidean(2), [0.0, 0.0]), dirac(euclidean(2), [3e-7, 0.0])]
+    paths = [tmp_path / "s1.json", tmp_path / "s2.json"]
+    save_measure(mixture((0.5, 0.5), atoms), paths[0])
+    save_measure(mixture((0.5, 0.5), atoms[::-1]), paths[1])
+    assert main(["distance", *map(str, paths)]) == 0
+    assert json.loads(capsys.readouterr().out)["w2"] == 0.0
 
 
 def test_check_suites_imported_only_by_check():

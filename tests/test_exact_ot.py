@@ -8,7 +8,8 @@ import pytest
 from hierot.errors import InvalidInput, TooLarge, UnbalancedMarginals
 from hierot.exact_ot import (WEIGHT_DROP, DualPotentials, TransportPlan,
                              _certified, _cycle, _forced, _line_sum,
-                             _plan_value, _polish, _simplex, _tree_duals,
+                             _plan_value, _polish, _simplex, _solve_lists,
+                             _tree_duals,
                              permutation_oracle, solve_ot, verify_optimality)
 from hierot.sampling import rng_from_seed
 from test_solver_golden import pivot_counts
@@ -156,13 +157,49 @@ def test_verify_optimality_refuses_nan(where):
                           phi.tolist(), duals.psi.tolist())
 
 
+def assert_dropped_rows_ship_their_weight(plan, duals, c):
+    """Each row below WEIGHT_DROP carries exactly its weight on one kept
+    column, the first where its potential is tight (``c_ij - psi_j`` least
+    over the kept columns), and a column below WEIGHT_DROP receives nothing."""
+    a, b = plan.row_marginal, plan.col_marginal
+    kept = np.flatnonzero(b >= WEIGHT_DROP)
+    for i in np.flatnonzero(a < WEIGHT_DROP):
+        reduced = c[i, kept] - duals.psi[kept]
+        j = kept[np.argmin(reduced)]
+        assert duals.phi[i] == reduced.min() == c[i, j] - duals.psi[j]
+        want = np.zeros(len(b))
+        want[j] = a[i]
+        assert plan.matrix[i].tolist() == want.tolist(), i
+    assert (plan.matrix[:, b < WEIGHT_DROP] == 0.0).all()
+
+
 def test_tiny_weights_are_dropped():
     c = np.array([[1.0, 2.0], [3.0, 0.5]])
     a = np.array([1.0 - 1e-16, 1e-16])
     b = np.array([0.5, 0.5])
     plan, duals, value = solve_ot(c, a, b)
-    assert (plan.matrix[1] == 0.0).all()
+    # row 1 is dropped from the solve; its weight ships on column 1, where
+    # its potential 0.5 - psi_1 is tight
+    assert plan.matrix[1].tolist() == [0.0, 1e-16]
+    assert_dropped_rows_ship_their_weight(plan, duals, c)
     assert verify_optimality(plan, duals, c)
+
+
+def test_tolerances_scale_with_the_costs():
+    # costs of 1e-13: the diagonal is the north-west start, and its
+    # reduced cost -2e-13 on the other cells is far below tolerance at this
+    # scale, so the solve pivots to the anti-diagonal, of value 0
+    c = 1e-13 * np.eye(2)
+    half = np.array([0.5, 0.5])
+    plan, duals, value = solve_ot(c, half, half)
+    assert value == 0.0
+    assert plan.matrix.tolist() == [[0.0, 0.5], [0.5, 0.0]]
+    assert verify_optimality(plan, duals, c)
+    # the diagonal with its tree potentials is feasible, not optimal
+    diagonal = TransportPlan(np.diag(half), half, half)
+    assert not verify_optimality(
+        diagonal, DualPotentials(np.array([0.0, -1e-13]),
+                                 np.array([1e-13, 2e-13])), c)
 
 
 def test_degenerate_marginals_do_not_cycle():
@@ -238,9 +275,9 @@ def test_solver_matches_highs():
             plan, duals, value = solve_ot(c, a, b)
         assert value == pytest.approx(highs_value(c, a, b), rel=1e-9, abs=1e-12), case
         assert verify_optimality(plan, duals, c), case
-        # rows and columns below the weight floor carry no flow
-        assert (plan.matrix[a < WEIGHT_DROP] == 0.0).all(), case
-        assert (plan.matrix[:, b < WEIGHT_DROP] == 0.0).all(), case
+        # rows below the weight floor ship their weight on a tight kept
+        # column, and columns below it carry no flow
+        assert_dropped_rows_ship_their_weight(plan, duals, c)
         gap = max(np.abs(plan.matrix.sum(axis=1) - a).max(),
                   np.abs(plan.matrix.sum(axis=0) - b).max())
         if case in HIGHS_INEXACT:
@@ -434,8 +471,8 @@ def test_forced_coupling_is_the_general_path(m, k):
                            for xv, cv in zip(xr, cr)])
         got = _forced(c, a, b, sa, sb)
         assert _hexes(got[0]) == _hexes(x)
-        assert _hexes(got[1:3]) == _hexes([phi, psi])
-        assert got[3].hex() == value.hex()
+        assert _hexes(got[1:]) == _hexes([phi, psi])
+        assert _solve_lists(c, a, b)[3].hex() == value.hex()
 
 
 @pytest.mark.parametrize("m,k", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 5),
@@ -518,6 +555,28 @@ def _chain(came, node):
     while came[nodes[-1]] is not None:
         nodes.append(came[nodes[-1]])
     return nodes
+
+
+def test_tree_duals_follow_each_nodes_path_from_row_zero():
+    # potentials, parents, cells and depths are those of each node's one
+    # path from row 0, as a breadth-first search finds it, bit for bit and
+    # whatever the order of the basis cells
+    rng = rng_from_seed(89)
+    for m, k in itertools.product(range(1, 10), repeat=2):
+        cells = _random_tree(rng, m, k)
+        c = rng.random((m, k)).tolist()
+        came = _bfs_parents(m, cells, 0)
+        n = m + k
+        u, parent, via, depth = [0.0] * n, [None] * n, [None] * n, [0] * n
+        for node in range(1, n):
+            path = _chain(came, node)[::-1]
+            for p, q in zip(path, path[1:]):
+                cell = (p, q - m) if p < m else (q, p - m)
+                u[node] = c[cell[0]][cell[1]] - u[node]
+            parent[node], via[node], depth[node] = path[-2], cell, len(path) - 1
+        for _ in range(3):
+            order = [cells[t] for t in rng.permutation(len(cells))]
+            assert _tree_duals(m, k, order, c) == (u[:m], u[m:], (parent, via, depth))
 
 
 def test_cycle_is_the_tree_path_closed_by_the_entering_cell():

@@ -38,17 +38,15 @@ def test_pole_plan_is_optimal():
 
 
 def test_uncertified_plan_is_refused(monkeypatch):
-    # negative control of the certificate: a solver that returns the
-    # independent coupling (feasible, not optimal) with the optimal duals
-    import hierot.wasserstein as wasserstein
-    solve = wasserstein._solve_lists
+    # negative control of the certificate: the core's plan is swapped for
+    # the independent coupling (feasible, not optimal) with the optimal duals
+    import hierot.exact_ot as exact_ot
+    certified = exact_ot._certified
 
-    def product_plan(c, a, b):
-        _, phi, psi, _ = solve(c, a, b)
-        x = np.outer(a, b)
-        return x.tolist(), phi, psi, float(np.sum(x * np.array(c)))
+    def product_plan(c, a, b, x, phi, psi):
+        return certified(c, a, b, np.outer(a, b).tolist(), phi, psi)
 
-    monkeypatch.setattr(wasserstein, "_solve_lists", product_plan)
+    monkeypatch.setattr(exact_ot, "_certified", product_plan)
     p = mixture((0.5, 0.5), [pt(0), pt(2)])
     q = mixture((0.5, 0.5), [pt(0), pt(2)])
     with pytest.raises(NumericalFailure):

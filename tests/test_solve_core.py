@@ -4,23 +4,32 @@
 couplings call; ``solve_ot`` wraps it in numpy.  Here the core must return
 the wrapper's pinned results bit for bit, ``cost_matrix`` must be the
 internal cost rows as an array, and ``exact_ot._certified`` must decide as
-``verify_optimality`` does.
+``verify_optimality`` does.  A core whose pivot loop returns a perturbed
+potential or a plan off its marginals must make every caller raise
+``NumericalFailure``.
 """
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from hierot import euclidean, sphere
+from hierot import euclidean, exact_ot, sphere
+from hierot.cli import main
+from hierot.errors import NumericalFailure
 from hierot.exact_ot import (DualPotentials, TransportPlan, _certified,
                              _solve_lists, solve_ot, verify_optimality)
-from hierot.sampling import random_measure, rng_from_seed
-from hierot.wasserstein import _cost_rows, cost_matrix, w2_sq
+from hierot.measures import dirac, mixture
+from hierot.plans import FiberEntry, VelocityPlan, inner_mu, optimal_coupling
+from hierot.sampling import (random_coupling, random_measure, random_plan,
+                             rng_from_seed)
+from hierot.wasserstein import _cost_rows, cost_matrix, w2, w2_sq
 from test_solver_golden import CASES, GOLDEN, _hex, _key, problem
 from test_wasserstein import EDGE_WEIGHTS
 
 IDS = [_key(*c) for c in CASES]
+E2 = euclidean(2)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +95,7 @@ def test_list_certificate_decides_as_verify_optimality(m, k, kind, rep):
     c, a, b = _lists(m, k, kind, rep)
     x, phi, psi, _ = _solve_lists(c, a, b)
     assert _both(c, a, b, x, phi, psi)
-    scale = 1.0 + max(abs(v) for row in c for v in row)
+    scale = max(abs(v) for row in c for v in row)
     # a perturbed potential: a tight cell of row 0 goes negative
     assert not _both(c, a, b, x, [phi[0] + 1e-6 * scale] + phi[1:], psi)
     # a plan off its marginals: row 0 and column 0 carry 1e-9 too much
@@ -135,3 +144,72 @@ def test_list_certificate_refuses_nan_potentials_and_bad_shapes():
     assert not _certified(c, a, b, x, phi, psi[:-1] + [float("inf")])
     assert not _certified(c, a, b, x[:-1], phi, psi)
     assert not _certified(c, a, b, [row[:-1] for row in x], phi, psi)
+
+
+# -- fault injection: the core refuses a plan that fails its certificate ------
+
+def _shift_a_potential(out, c):
+    x, u, v, pivots, basis = out
+    scale = max(abs(w) for row in c for w in row)
+    return x, [u[0] + 1e-6 * scale] + u[1:], v, pivots, basis
+
+
+def _off_a_marginal(out, c):
+    # a cell outside the basis, which the polish neither reads nor writes
+    x, u, v, pivots, basis = out
+    i, j = next(cell for cell in itertools.product(range(len(x)), range(len(v)))
+                if cell not in basis)
+    x[i][j] += 1e-9
+    return x, u, v, pivots, basis
+
+
+def _fault_inputs():
+    """Two level-1 measures, and two velocity plans over one level-2 base
+    whose fibers all have two entries, so each call below reaches the
+    pivot loop."""
+    rng = rng_from_seed(17)
+    mu = mixture((0.4, 0.6), [dirac(E2, p) for p in rng.standard_normal((2, 2))])
+    nu = mixture((0.3, 0.7), [dirac(E2, p) for p in rng.standard_normal((2, 2))])
+    base = mixture((0.5, 0.5), [mu, nu])
+
+    def plan():
+        return VelocityPlan(base=base, fibers=tuple(
+            tuple(FiberEntry(w * p, random_plan(rng, atom, 1.0, True))
+                  for p in (0.25, 0.75))
+            for w, atom in zip(base.weights, base.atoms)))
+    return mu, nu, plan(), plan()
+
+
+def _inject(monkeypatch, fault):
+    simplex = exact_ot._simplex
+    monkeypatch.setattr(exact_ot, "_simplex",
+                        lambda c, a, b: fault(simplex(c, a, b), c))
+
+
+FAULT_CALLS = {
+    "w2": lambda mu, nu, g1, g2: w2(mu, nu),
+    "w2_sq": lambda mu, nu, g1, g2: w2_sq(mu, nu),
+    "optimal_coupling": lambda mu, nu, g1, g2: optimal_coupling(g1, g2),
+    "inner_mu_direct": lambda mu, nu, g1, g2: inner_mu(g1, g2, method="direct"),
+    "random_coupling": lambda mu, nu, g1, g2: random_coupling(
+        rng_from_seed(5), g1, g2),
+}
+
+
+@pytest.mark.parametrize("fault", [_shift_a_potential, _off_a_marginal],
+                         ids=["potential", "marginal"])
+@pytest.mark.parametrize("call", list(FAULT_CALLS))
+def test_faulty_core_is_refused(monkeypatch, fault, call):
+    args = _fault_inputs()
+    FAULT_CALLS[call](*args)  # certified without the fault
+    _inject(monkeypatch, fault)
+    with pytest.raises(NumericalFailure, match="uncertified"):
+        FAULT_CALLS[call](*args)
+
+
+@pytest.mark.parametrize("fault", [_shift_a_potential, _off_a_marginal],
+                         ids=["potential", "marginal"])
+def test_faulty_core_fails_check(monkeypatch, capsys, fault):
+    _inject(monkeypatch, fault)
+    assert main(["check", "--suite", "coupling", "--samples", "1"]) == 4
+    assert "uncertified" in capsys.readouterr().err

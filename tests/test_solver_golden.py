@@ -35,7 +35,7 @@ KINDS = ("uniform", "random", "ties", "tiny")
 REPEATS = 2
 # (cost, a, b): the north-west start (0, 0), (1, 0), (1, 1) when a[0] <= b[0],
 # else (0, 0), (0, 1), (1, 1); the other cell enters if its reduced cost is
-# below -1e-12 * (1 + max |c|)
+# below -1e-12 * max |c|
 HAND_2X2 = {
     # north-west start optimal
     "equal_costs": ([[1.0, 1.0], [1.0, 1.0]], [0.5, 0.5], [0.5, 0.5]),

@@ -10,10 +10,12 @@ from hierot.cli import main
 from hierot.errors import DeskScaleError, LevelMismatch
 from hierot.exact_ot import MASS_TOL, WEIGHT_DROP, _line_sum, solve_ot
 from hierot.manifolds import Manifold
-from hierot.measures import canonicalize, collapse, dirac, dirac_lift, mixture
+from hierot.measures import (canonicalize, collapse, dirac, dirac_lift,
+                             mixture, push_leaf)
 from hierot.geodesics import optimal_velocity_plan
 from hierot.plans import plans_structurally_equal, validate_plan
-from hierot.sampling import random_measure, random_point, rng_from_seed
+from hierot.sampling import (random_measure, random_point, rng_from_seed,
+                             stick_weights)
 from hierot.serialization import save_measure
 from hierot.wasserstein import (_velocity, cost_matrix, measures_close,
                                 transport, w2, w2_sq)
@@ -244,14 +246,15 @@ TINY = (0.999999999999999, 1e-15)  # the second weight is below WEIGHT_DROP
 
 
 def test_weight_below_weight_drop_keeps_its_fiber():
-    # the core drops the row of the tiny atom: its fiber is one entry with
-    # its weight, on the column where its restored potential is tight, here
-    # (2, 2): its costs [2, 5] less psi = [1, 8] give [1, -3]
+    # the core drops the row of the tiny atom from its solve and ships its
+    # weight on the column where its restored potential is tight, here
+    # (2, 2): its costs [2, 5] less psi = [1, 8] give [1, -3]; its fiber is
+    # that one entry
     assert TINY[1] < WEIGHT_DROP
     a = mixture(TINY, [dirac(E2, [0.0, 0.0]), dirac(E2, [1.0, 0.0])])
     b = mixture((0.5, 0.5), [dirac(E2, [0.0, 1.0]), dirac(E2, [2.0, 2.0])])
     result = transport(a, b)
-    assert result.top[1] == [0.0, 0.0]
+    assert result.top[1] == [0.0, TINY[1]]
     gamma = result.velocity
     validate_plan(gamma)
     entry, = gamma.fibers[1]
@@ -290,18 +293,48 @@ def test_weight_below_weight_drop_goes_to_a_kept_column():
 
 
 def test_velocity_sliver_complement_adds_in_order():
-    # a certified solve by hand: zero costs and duals, and a sliver below
-    # WEIGHT_DROP that is dropped; the largest kept entry becomes the atom's
-    # weight minus the others added left to right (0.1 + 0.2 + 0.3 is
-    # 0.6000000000000001 in order, 0.6 correctly rounded)
+    # a solve by hand: the plan row has a sliver below WEIGHT_DROP that is
+    # dropped; the largest kept entry becomes the atom's weight minus the
+    # others added left to right (0.1 + 0.2 + 0.3 is 0.6000000000000001 in
+    # order, 0.6 correctly rounded)
     row = np.array([[0.1, 0.2, 0.3, 0.4, 1e-18]])
     assert row[0, -1] < WEIGHT_DROP
     mu = mixture((1.0,), [pt(0)])
     nu = mixture(tuple(row[0]), [pt(j) for j in range(5)])
-    solve = (0.0, [[0.0] * 5], row.tolist(), [0.0], [0.0] * 5, {})
+    solve = (0.0, row.tolist(), {})
     fiber, = _velocity(mu, nu, solve).fibers
     assert [e.weight for e in fiber] == [0.1, 0.2, 0.3, 1.0 - ((0.1 + 0.2) + 0.3)]
     assert [e.plan.tangent[0] for e in fiber] == [0.0, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e-7, 1e-12, 1e-100, 1e100])
+@pytest.mark.parametrize("level", [1, 2])
+def test_w2_scales_with_the_points(level, s):
+    # every tolerance of the solve scales with the largest cost, so a pair
+    # whose points are scaled by s solves as the pair itself does
+    for seed in range(5):
+        rng = rng_from_seed(300 + seed)
+        mu, nu = (random_measure(rng, E2, level, 5) for _ in range(2))
+        scaled = (push_leaf(m, lambda p: s * p) for m in (mu, nu))
+        assert w2(*scaled) / s == pytest.approx(w2(mu, nu), rel=1e-14)
+
+
+def test_transport_takes_the_mass_the_node_rule_accepts():
+    # both sides weigh 1 + 9e-10, which check_weights accepts: the core
+    # solves on normalized marginals and scales the plan back by the mass,
+    # which the polish alone cannot put back
+    rng = rng_from_seed(77)
+
+    def measure(n):
+        w = tuple(v * (1.0 + 9e-10) for v in stick_weights(rng, n))
+        return mixture(w, [dirac(E2, p) for p in rng.standard_normal((n, 2))])
+
+    for _ in range(200):
+        m, k = (int(n) for n in rng.integers(2, 9, size=2))
+        mu, nu = measure(m), measure(k)
+        result = transport(mu, nu)
+        validate_plan(result.velocity)
+        assert result.value_sq == w2_sq(mu, nu)
 
 
 # twelve weights that the node rule accepts, exact sum 1 + 0.99999986e-9,
