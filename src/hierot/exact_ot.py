@@ -73,12 +73,15 @@ def _solve_lists(c, a, b):
     marginal lists of ``m`` and ``k`` floats; returns the plan as a list of
     rows, the potentials as two lists and the value.
 
-    Validates the costs and marginals (the shapes are the caller's), drops
-    and restores the rows and columns below ``WEIGHT_DROP``, normalizes,
-    solves, scales the plan back by a row mass off one by more than
-    ``SUM_TOL``, polishes, certifies every plan it returns, forced ones too,
-    with :func:`_certified` (``NumericalFailure`` if that fails) and sums
-    the value.  The inputs are not modified.
+    Validates the costs and marginals (the shapes are the caller's).  A 1xk
+    or mx1 problem takes its forced coupling (:func:`_forced`); every other
+    problem is normalized, solved, scaled back by a row mass off one by more
+    than ``SUM_TOL`` and polished, on its full marginals, zero and tiny
+    weights included.  A row of positive weight that the tree flows'
+    rounding left without a positive flow then ships its weight on its
+    first basis cell, which is tight.  Every plan returned is certified
+    with :func:`_certified` (``NumericalFailure`` if that fails), and the
+    value is summed last.  The inputs are not modified.
     """
     # a NaN or infinite entry makes the sum non-finite; only an overflowing
     # sum of finite entries needs the entry-by-entry test
@@ -92,33 +95,22 @@ def _solve_lists(c, a, b):
     sa, sb = _line_sum(a), _line_sum(b)
     if not (_unit_sum(a, sa) and _unit_sum(b, sb)):
         raise UnbalancedMarginals(f"marginals sum to {sa} and {sb}, expected 1")
-    dropped = a_min < WEIGHT_DROP or b_min < WEIGHT_DROP
-    if not dropped and (len(a) == 1 or len(b) == 1):
+    scale = max(max(map(max, c)), -min(map(min, c)))  # max |c_ij|
+    if len(a) == 1 or len(b) == 1:
         x, phi, psi = _forced(c, a, b, sa, sb)
     else:
-        cc, ar, bc = c, a, b
-        if dropped:
-            keep_r = [i for i, w in enumerate(a) if w >= WEIGHT_DROP]
-            keep_c = [j for j, w in enumerate(b) if w >= WEIGHT_DROP]
-            cc = [[c[i][j] for j in keep_c] for i in keep_r]
-            ar, bc = [a[i] for i in keep_r], [b[j] for j in keep_c]
-            sa, sb = _line_sum(ar), _line_sum(bc)
         # w / 1.0 is w: marginals that sum to 1.0 exactly need no division
-        an = ar if sa == 1.0 else [w / sa for w in ar]
-        bn = bc if sb == 1.0 else [w / sb for w in bc]
-        if len(an) == 1 or len(bn) == 1:  # forced after dropping
-            x, phi, psi = _forced(cc, an, bn, 1.0, 1.0)
-            basis = [(i, j) for i in range(len(an)) for j in range(len(bn))]
-        else:
-            x, phi, psi, _, basis = _simplex(cc, an, bn)
+        an = a if sa == 1.0 else [w / sa for w in a]
+        bn = b if sb == 1.0 else [w / sb for w in b]
+        x, phi, psi, _, basis = _simplex(c, an, bn, scale)
         if abs(sa - 1.0) > SUM_TOL:  # the polish cannot move that much mass
             x = [[flow * sa for flow in row] for row in x]
-        if dropped:
-            x, phi, psi = _restore_dropped(c, a, b, keep_r, keep_c, x, phi,
-                                           psi, basis)
-        else:
-            _polish(x, a, b, basis)
-    if not _certified(c, a, b, x, phi, psi):
+        _polish(x, a, b, basis)
+        if a_min < WEIGHT_DROP:  # a tiny row's tree flows may round to 0
+            for i, j in basis:
+                if a[i] > 0 and not max(x[i]) > 0:
+                    x[i][j] = a[i]
+    if not _certified(c, a, b, x, phi, psi, scale):
         raise NumericalFailure("solver returned an uncertified plan")
     return x, phi, psi, _plan_value(x, c)
 
@@ -131,11 +123,11 @@ def _unit_sum(w, total):
 
 
 def _forced(c, a, b, sa, sb):
-    """The plan and potentials of a 1xk or mx1 problem with no weight below
-    ``WEIGHT_DROP``, whose coupling is forced: what normalizing, the forced
-    coupling of the normalized marginals and :func:`_polish` return, bit
-    for bit, without them.  ``sa`` and ``sb`` are the marginals'
-    sums; with both 1.0, ``a`` and ``b`` are coupled as they stand.
+    """The plan and potentials of a 1xk or mx1 problem, whose coupling is
+    forced: what normalizing, the forced coupling of the normalized
+    marginals and :func:`_polish` return, bit for bit, without them.  ``sa``
+    and ``sb`` are the marginals' sums; with both 1.0, ``a`` and ``b`` are
+    coupled as they stand.  Zero and tiny weights are coupled like others.
 
     An mx1 plan is ``a`` itself: the polish's row pass writes each row's
     only entry as its weight, and it runs last.  A 1xk plan is ``b``: when
@@ -160,38 +152,6 @@ def _plan_value(x, c):
     ``c`` (lists of rows), bit for bit."""
     flat = itertools.chain.from_iterable
     return _line_sum(list(map(operator.mul, flat(x), flat(c))))
-
-
-def _restore_dropped(c, a, b, keep_r, keep_c, x, u, v, basis):
-    """Scatter a solve on the kept rows and columns, with its ``basis``
-    cells, back to full size and polish it there.
-
-    Dropped rows and columns get tight feasible potentials.  Then each
-    dropped row ships its weight, after the polish so that kept cells keep
-    their bits, on the first kept column where its potential is tight;
-    dropped columns receive nothing.  ``c`` is the full cost as rows.
-    """
-    m, k = len(c), len(c[0])
-    matrix = [[0.0] * k for _ in range(m)]
-    for i, row in zip(keep_r, x):
-        full = matrix[i]
-        for j, flow in zip(keep_c, row):
-            full[j] = flow
-    _polish(matrix, a, b, [(keep_r[i], keep_c[j]) for i, j in basis])
-    phi, psi = [None] * m, [None] * k
-    for i, ui in zip(keep_r, u):
-        phi[i] = ui
-    for j, vj in zip(keep_c, v):
-        psi[j] = vj
-    for i in range(m):
-        if phi[i] is None:
-            reduced = [c[i][j] - v_j for j, v_j in zip(keep_c, v)]
-            phi[i] = min(reduced)
-            matrix[i][keep_c[reduced.index(phi[i])]] += a[i]
-    for j in range(k):
-        if psi[j] is None:
-            psi[j] = min(c[i][j] - phi[i] for i in range(m))
-    return matrix, phi, psi
 
 
 def _northwest_corner(a, b):
@@ -329,11 +289,10 @@ def _polish(x, a, b, cells):
     of fewer than 8 entries in order, and columns row by row; such a sum
     starts from ``0.0`` and a zero term changes none of its partial sums, so
     it takes only ``cells``.  Longer rows go pairwise (``_line_sum``), where
-    every position counts.  An (m, 1) column is added in order too: such a
-    plan comes here only with a dropped row, and the row pass sets each kept
-    entry to its row's weight.  The sweeps run only when a line is off, and
-    read and write only ``cells``: a zero entry is never a line's positive
-    peak.
+    every position counts.  An (m, 1) plan, whose column numpy would add
+    pairwise, never comes here: its coupling is forced.  The sweeps run
+    only when a line is off, and read and write only ``cells``: a zero
+    entry is never a line's positive peak.
     """
     m, k = len(a), len(b)
     low = min(a + b, default=0.0)
@@ -455,13 +414,13 @@ def _bland_entering(c, u, v, basis, neg_tol):
     return None
 
 
-def _simplex(c, a, b):
+def _simplex(c, a, b, scale):
     """Transportation simplex from the north-west start on a list of cost
-    rows and marginal lists; returns the plan rows, the potentials as lists,
-    the pivot count and the basis cells in row-major order."""
+    rows and marginal lists, with ``scale = max |c_ij|``; returns the plan
+    rows, the potentials as lists, the pivot count and the basis cells in
+    row-major order."""
     m, k = len(c), len(c[0])
-    # Bland's entering threshold, -1e-12 * max |c_ij|
-    neg_tol = -1e-12 * max(map(abs, itertools.chain.from_iterable(c)))
+    neg_tol = -1e-12 * scale  # Bland's entering threshold
     basis, flows = _northwest_corner(a, b)
     flow = dict(zip(basis, flows))  # the basis: cell -> flow
     u, v, tree = _tree_duals(m, k, basis, c)
@@ -504,10 +463,11 @@ def permutation_oracle(c) -> float:
     return best / n
 
 
-def _certified(c, a, b, x, phi, psi) -> bool:
+def _certified(c, a, b, x, phi, psi, scale) -> bool:
     """:func:`verify_optimality` on lists: the plan ``x`` and potentials
-    ``phi``, ``psi`` of a solve on the cost rows ``c`` and marginals ``a``,
-    ``b`` (lists or tuples), by the same five conditions at the same tolerances.
+    ``phi``, ``psi`` of a solve on the cost rows ``c``, of largest magnitude
+    ``scale``, and marginals ``a``, ``b`` (lists or tuples), by the same five
+    conditions at the same tolerances.
 
     Sums are taken in order rather than in numpy's order, which moves them
     by ulps, far below the tolerances.  A NaN flow fails the sign test, and
@@ -516,7 +476,6 @@ def _certified(c, a, b, x, phi, psi) -> bool:
     m, k = len(a), len(b)
     if len(x) != m or not all(len(row) == k for row in x):
         return False
-    scale = max(max(map(max, c)), -min(map(min, c)))
     sum_tol = _sum_tol(a, b)
     cols = [0.0] * k
     value = 0.0

@@ -43,7 +43,7 @@ def test_distance_level2(tmp_path, capsys):
 
 
 def test_distance_plan_round_trip_with_weight_below_weight_drop(tmp_path, capsys):
-    # the solver drops the 1e-15 atom's row; its fiber must still reach the
+    # the 1e-15 atom's fiber, one entry of its whole weight, must reach the
     # plan file, which the reader then accepts
     E2 = euclidean(2)
     a = mixture((0.999999999999999, 1e-15),

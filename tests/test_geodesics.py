@@ -43,8 +43,8 @@ def test_uncertified_plan_is_refused(monkeypatch):
     import hierot.exact_ot as exact_ot
     certified = exact_ot._certified
 
-    def product_plan(c, a, b, x, phi, psi):
-        return certified(c, a, b, np.outer(a, b).tolist(), phi, psi)
+    def product_plan(c, a, b, x, phi, psi, scale):
+        return certified(c, a, b, np.outer(a, b).tolist(), phi, psi, scale)
 
     monkeypatch.setattr(exact_ot, "_certified", product_plan)
     p = mixture((0.5, 0.5), [pt(0), pt(2)])

@@ -80,10 +80,14 @@ def test_cost_matrix_is_the_cost_rows(man, level):
     assert ref.tobytes() == c.tobytes()
 
 
+def _scale(c):
+    return max(abs(v) for row in c for v in row)
+
+
 def _both(c, a, b, x, phi, psi):
     """The list certificate's verdict, after checking that
     ``verify_optimality`` reaches the same one."""
-    listed = _certified(c, a, b, x, phi, psi)
+    listed = _certified(c, a, b, x, phi, psi, _scale(c))
     plan = TransportPlan(np.array(x), np.array(a), np.array(b))
     assert verify_optimality(plan, DualPotentials(np.array(phi), np.array(psi)),
                              np.array(c)) == listed
@@ -95,7 +99,7 @@ def test_list_certificate_decides_as_verify_optimality(m, k, kind, rep):
     c, a, b = _lists(m, k, kind, rep)
     x, phi, psi, _ = _solve_lists(c, a, b)
     assert _both(c, a, b, x, phi, psi)
-    scale = max(abs(v) for row in c for v in row)
+    scale = _scale(c)
     # a perturbed potential: a tight cell of row 0 goes negative
     assert not _both(c, a, b, x, [phi[0] + 1e-6 * scale] + phi[1:], psi)
     # a plan off its marginals: row 0 and column 0 carry 1e-9 too much
@@ -139,18 +143,19 @@ def test_certificates_cap_the_mass_gap(a, b, certified):
 def test_list_certificate_refuses_nan_potentials_and_bad_shapes():
     c, a, b = _lists(3, 4, "random", 0)
     x, phi, psi, _ = _solve_lists(c, a, b)
-    assert _certified(c, a, b, x, phi, psi)
-    assert not _certified(c, a, b, x, [float("nan")] + phi[1:], psi)
-    assert not _certified(c, a, b, x, phi, psi[:-1] + [float("inf")])
-    assert not _certified(c, a, b, x[:-1], phi, psi)
-    assert not _certified(c, a, b, [row[:-1] for row in x], phi, psi)
+    s = _scale(c)
+    assert _certified(c, a, b, x, phi, psi, s)
+    assert not _certified(c, a, b, x, [float("nan")] + phi[1:], psi, s)
+    assert not _certified(c, a, b, x, phi, psi[:-1] + [float("inf")], s)
+    assert not _certified(c, a, b, x[:-1], phi, psi, s)
+    assert not _certified(c, a, b, [row[:-1] for row in x], phi, psi, s)
 
 
 # -- fault injection: the core refuses a plan that fails its certificate ------
 
 def _shift_a_potential(out, c):
     x, u, v, pivots, basis = out
-    scale = max(abs(w) for row in c for w in row)
+    scale = _scale(c)
     return x, [u[0] + 1e-6 * scale] + u[1:], v, pivots, basis
 
 
@@ -183,7 +188,7 @@ def _fault_inputs():
 def _inject(monkeypatch, fault):
     simplex = exact_ot._simplex
     monkeypatch.setattr(exact_ot, "_simplex",
-                        lambda c, a, b: fault(simplex(c, a, b), c))
+                        lambda c, a, b, scale: fault(simplex(c, a, b, scale), c))
 
 
 FAULT_CALLS = {

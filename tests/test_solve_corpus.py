@@ -12,9 +12,14 @@ bit of a result, or to the pivot sequence, shows here.  The synthetic
 problems of ``solver_golden.json`` do not have these shapes.  The pinning
 test also runs the problems of ``tests/solve_shapes.json``, recorded from
 ``hierot flow`` and ``hierot distance`` by ``test_solve_shapes.py``.
-Regenerate only when a result is meant to change::
+Re-digest the pinned problems only when a result is meant to change::
 
     PYTHONPATH=src python tests/test_solve_corpus.py
+
+That solves the committed inputs again and rewrites only their digests.
+The command's problems change whenever the library's solves do, so
+recording them afresh, ``write(select(record()))``, replaces the problems
+themselves.
 """
 
 import contextlib
@@ -142,5 +147,11 @@ def write(problems, path=CORPUS):
                                          for e in entries) + "\n]\n")
 
 
+def redigest(path=CORPUS):
+    """Solve the problems pinned in ``path`` again and write them back with
+    their new digests."""
+    write([problem for problem, _ in load(path)], path)
+
+
 if __name__ == "__main__":
-    write(select(record()))
+    redigest()

@@ -5,13 +5,16 @@ Each drawn problem is solved by the core on costs scaled by a power of ten
 from 1e-150 to 1e150.  Its value must match HiGHS ``linprog`` on the
 unscaled costs, within a relative 1e-9, or, for uniform square problems up
 to ``ORACLE_MAX_ATOMS``, the brute-force ``permutation_oracle``.  Its plan
-and potentials must pass ``verify_optimality``, each row below
-``WEIGHT_DROP`` must ship exactly its weight on a kept column where its
-potential is tight, and no column below ``WEIGHT_DROP`` may receive any.
+and potentials must pass ``verify_optimality``; every row of positive
+weight must have a positive flow; every positive flow, those below
+``FLOW_TOL`` that the certificate skips included, must sit on a cell whose
+reduced cost is within ``SLACK_TOL`` of zero, relative to the largest
+cost; and the plan must be a vertex, with at most m+k-1 positive entries.
 
 The draws cover shapes up to 16x16 with 1xk and mx1 among them, costs with
-exact ties, uniform weights, rows and columns of weight 1e-16 and 1e-300,
-and masses off one by up to 0.9 * ``MASS_TOL`` on each side.
+exact ties, uniform weights, rows and columns of weight 0, 1e-300, 1e-16
+and 9.9e-15 (just below ``WEIGHT_DROP``), and masses off one by up to
+0.9 * ``MASS_TOL`` on each side.
 """
 
 import math
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierot.exact_ot import (MASS_TOL, ORACLE_MAX_ATOMS, WEIGHT_DROP,
+from hierot.exact_ot import (MASS_TOL, ORACLE_MAX_ATOMS, SLACK_TOL,
                              DualPotentials, TransportPlan, _solve_lists,
                              permutation_oracle, verify_optimality)
 from test_exact_ot import highs_value
@@ -30,7 +33,7 @@ SEEDS = st.integers(0, 2 ** 32 - 1)
 SCALES = st.integers(-150, 150).map(lambda e: 10.0 ** e)
 OFFSETS = st.one_of(st.just(0.0), st.sampled_from([-0.9, 0.9]),
                     st.floats(-0.9, 0.9)).map(lambda f: f * MASS_TOL)
-TINY = st.sampled_from([None, 1e-16, 1e-300])
+TINY = st.sampled_from([None, 0.0, 1e-300, 1e-16, 9.9e-15])
 
 
 def _costs(rng, m, k, ties):
@@ -70,16 +73,14 @@ def _certified_value(c0, scale, a, b):
     plan = TransportPlan(np.array(x), np.array(a), np.array(b))
     duals = DualPotentials(np.array(phi), np.array(psi))
     assert verify_optimality(plan, duals, np.array(c))
-    kept = [j for j, w in enumerate(b) if w >= WEIGHT_DROP]
-    for i, w in enumerate(a):
-        if w < WEIGHT_DROP:
-            reduced = [c[i][j] - psi[j] for j in kept]
-            j = kept[reduced.index(min(reduced))]
-            assert phi[i] == min(reduced)
-            assert x[i] == [w if t == j else 0.0 for t in range(len(b))]
-    for j, w in enumerate(b):
-        if w < WEIGHT_DROP:
-            assert all(row[j] == 0.0 for row in x)
+    for w, row in zip(a, x):
+        assert not w > 0 or max(row) > 0
+    slack = SLACK_TOL * max(abs(v) for row in c for v in row)
+    support = [(i, j) for i, row in enumerate(x)
+               for j, flow in enumerate(row) if flow > 0]
+    for i, j in support:
+        assert abs(c[i][j] - phi[i] - psi[j]) <= slack
+    assert len(support) <= len(a) + len(b) - 1
     return value / scale
 
 

@@ -10,9 +10,15 @@ from 5 atoms as it steps, and the 16x16 problems of level-1 ``hierot
 distance`` between measures of 16 uniform atoms, on ``euclidean(3)`` and
 ``sphere(3)``.  The inputs are drawn here from fixed seeds.  The corpus's
 ``test_recorded_solve_is_pinned`` solves them; this file checks that every
-shape is there.  Regenerate only when a result is meant to change::
+shape is there.  Re-digest the pinned problems only when a result is meant
+to change::
 
     PYTHONPATH=src python tests/test_solve_shapes.py
+
+That solves the committed inputs again and rewrites only their digests.
+Recording the commands afresh, ``test_solve_corpus.write(select(),
+SHAPES)``, replaces the problems themselves: their solves change whenever
+the library's do.
 """
 
 import json
@@ -23,7 +29,7 @@ from hierot import euclidean, sphere
 from hierot.measures import dirac, mixture
 from hierot.sampling import rng_from_seed, stick_weights
 from hierot.serialization import measure_to_obj, save_measure
-from test_solve_corpus import SHAPES, load, record, write
+from test_solve_corpus import SHAPES, load, record, redigest
 
 MANIFOLDS = (euclidean(3), sphere(3))
 FLOW_SEEDS = (501, 502, 503, 504)
@@ -94,4 +100,4 @@ def test_every_shape_is_there():
 
 
 if __name__ == "__main__":
-    write(select(), SHAPES)
+    redigest(SHAPES)

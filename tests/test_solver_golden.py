@@ -8,10 +8,10 @@ random weights, repeated points (exact cost ties, uniform weights) and
 weights below ``WEIGHT_DROP``; and on hand-made 2x2 problems (``HAND_2X2``)
 whose north-west start is optimal, on a tie or not, or needs one pivot.
 Lines of 8 entries or more reach numpy's pairwise summation in the polish,
-rows and columns alike, and the (m, 1) shapes its contiguous column.  ``test_exact_ot.py`` checks
-values against HiGHS within a tolerance; this file sees every bit and every
-pivot, so a change to the solver's arithmetic or its pivot sequence shows
-here.  Regenerate only when a result is meant to change::
+and the 1xk and mx1 shapes take the forced coupling.  ``test_exact_ot.py``
+checks values against HiGHS within a tolerance; this file sees every bit
+and every pivot, so a change to the solver's arithmetic or its pivot
+sequence shows here.  Regenerate only when a result is meant to change::
 
     PYTHONPATH=src python tests/test_solver_golden.py
 """

@@ -246,10 +246,9 @@ TINY = (0.999999999999999, 1e-15)  # the second weight is below WEIGHT_DROP
 
 
 def test_weight_below_weight_drop_keeps_its_fiber():
-    # the core drops the row of the tiny atom from its solve and ships its
-    # weight on the column where its restored potential is tight, here
-    # (2, 2): its costs [2, 5] less psi = [1, 8] give [1, -3]; its fiber is
-    # that one entry
+    # the core solves the tiny atom's row with the others: it ships its
+    # weight to (2, 2), whose reduced cost 5 - (-3) - 8 is zero, and its
+    # fiber is that one entry
     assert TINY[1] < WEIGHT_DROP
     a = mixture(TINY, [dirac(E2, [0.0, 0.0]), dirac(E2, [1.0, 0.0])])
     b = mixture((0.5, 0.5), [dirac(E2, [0.0, 1.0]), dirac(E2, [2.0, 2.0])])
@@ -268,10 +267,9 @@ def test_weight_below_weight_drop_solves_its_child():
     atoms = [random_measure(rng, E2, 1, 3) for _ in range(4)]
     a = mixture(TINY, atoms[:2])
     b = mixture((0.5, 0.5), atoms[2:])
-    c = cost_matrix(a, b)
-    _, duals, _ = solve_ot(c, a.weights, b.weights)
-    j = int(np.argmin(c[1] - duals.psi))
-    gamma = transport(a, b).velocity
+    result = transport(a, b)
+    j = int(np.argmax(result.top[1]))
+    gamma = result.velocity
     validate_plan(gamma)
     entry, = gamma.fibers[1]
     assert entry.weight == TINY[1]
@@ -279,17 +277,20 @@ def test_weight_below_weight_drop_solves_its_child():
         entry.plan, transport(atoms[1], b.atoms[j]).velocity, 0.0)
 
 
-def test_weight_below_weight_drop_goes_to_a_kept_column():
-    # nu's first atom is dropped too; its restored potential -14 comes from
-    # the tiny row, whose costs less psi = [-14, 1] then tie at 15: the
-    # fiber takes the kept column, the one the row's potential came from
+def test_weight_below_weight_drop_may_go_to_a_tiny_column():
+    # nu's first atom is below WEIGHT_DROP too, and the core solves both
+    # with the rest: the tiny atom ships its whole weight to the tiny target
+    # at distance 1, on a cell whose reduced cost 1 - (-25) - 26 is zero
     a = mixture(TINY, [dirac(E2, [0.0, 0.0]), dirac(E2, [5.0, 0.0])])
     b = mixture(TINY[::-1], [dirac(E2, [5.0, 1.0]), dirac(E2, [1.0, 0.0])])
+    c = cost_matrix(a, b)
+    _, duals, _ = solve_ot(c, a.weights, b.weights)
+    assert c[1, 0] - duals.phi[1] - duals.psi[0] == 0.0
     gamma = transport(a, b).velocity
     validate_plan(gamma)
     entry, = gamma.fibers[1]
     assert entry.weight == TINY[1]
-    assert entry.plan.tangent.tolist() == [-4.0, 0.0]
+    assert entry.plan.tangent.tolist() == [0.0, 1.0]
 
 
 def test_velocity_sliver_complement_adds_in_order():
