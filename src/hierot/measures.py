@@ -55,7 +55,7 @@ class HierMeasure:
         else:
             if self.point is not None or not self.atoms:
                 raise InvalidInput("level >= 1 measure must hold a non-empty atom list")
-            if len(self.weights) != len(self.atoms):
+            if self.weights is None or len(self.weights) != len(self.atoms):
                 raise InvalidInput("weights and atoms must have equal length")
 
     def structural_key(self):

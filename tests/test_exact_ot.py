@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import itertools
 
@@ -7,12 +6,10 @@ import pytest
 
 from hierot.errors import InvalidInput, TooLarge, UnbalancedMarginals
 from hierot.exact_ot import (WEIGHT_DROP, DualPotentials, TransportPlan,
-                             _certified, _cycle, _forced, _line_sum,
-                             _plan_value, _polish, _simplex, _solve_lists,
-                             _tree_duals,
-                             permutation_oracle, solve_ot, verify_optimality)
+                             _certified, _forced, _line_sum, _plan_value,
+                             _polish, _solve_lists, permutation_oracle,
+                             solve_ot, verify_optimality)
 from hierot.sampling import rng_from_seed
-from test_solver_golden import pivot_counts
 
 
 def two_by_two():
@@ -247,11 +244,6 @@ def highs_value(c, a, b):
     return float(res.fun)
 
 
-# Bland's-rule pivot counts of every case, in highs_cases() order; a change
-# of pricing, start basis or tie-breaking shows here.
-HIGHS_PIVOTS = [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 4, 1,
-                17, 13, 12, 46, 25, 45, 5, 3, 2, 7, 16, 7, 7, 4, 6, 15, 33, 17]
-
 # Cases whose polished sums stay off the marginals by a few ulps: where the
 # marginals' own float sums differ no plan reproduces both sides exactly.
 HIGHS_INEXACT = {
@@ -263,9 +255,8 @@ HIGHS_INEXACT = {
 
 
 def test_solver_matches_highs():
-    for idx, (case, c, a, b) in enumerate(highs_cases()):
-        with pivot_counts() as pivots:
-            plan, duals, value = solve_ot(c, a, b)
+    for case, c, a, b in highs_cases():
+        plan, duals, value = solve_ot(c, a, b)
         assert value == pytest.approx(highs_value(c, a, b), rel=1e-9, abs=1e-12), case
         assert verify_optimality(plan, duals, c), case
         # rows below the weight floor ship their weight on tight cells
@@ -276,7 +267,6 @@ def test_solver_matches_highs():
             assert gap <= 4 * np.finfo(float).eps, case
         else:
             assert gap == 0.0, case
-        assert pivots == [HIGHS_PIVOTS[idx]], case
 
 
 def repair_by_lines(x, a, b, sweeps=3):
@@ -405,38 +395,6 @@ def _hexes(rows):
     return [[v.hex() for v in row] for row in rows]
 
 
-def test_two_by_two_pivot_loop_is_optimal_in_one_pivot():
-    # random costs, tied costs, degenerate marginals (a == b) and reduced
-    # costs on both sides of the tolerance: from the north-west start the
-    # loop makes at most one pivot, and its plan and potentials certify
-    rng = rng_from_seed(71)
-    pivots = []
-    for trial in range(4000):
-        kind = trial % 4
-        if kind == 0:
-            c = rng.standard_normal((2, 2)) * 10.0 ** rng.integers(-3, 4)
-        elif kind == 1:
-            c = rng.integers(0, 3, size=(2, 2)).astype(float)
-        elif kind == 2:
-            c = rng.random((2, 2))
-        else:
-            eps = float(rng.choice([1e-13, 2.9e-12, 3.1e-12, 1e-11]))
-            c = np.array([[0.0, 1.0], [1.0, 2.0 + float(rng.choice([-1, 1])) * eps]])
-        a = rng.random(2) + 0.05
-        b = a.copy() if kind == 2 else rng.random(2) + 0.05
-        if kind == 1 and trial % 8 == 1:
-            a, b = np.full(2, 0.5), np.full(2, 0.5)
-        a, b = a / a.sum(), b / b.sum()
-        x, u, v, it, _ = _simplex(c.tolist(), a.tolist(), b.tolist(),
-                                  float(np.abs(c).max()))
-        assert it <= 1, (c, a, b)
-        plan = TransportPlan(matrix=np.array(x), row_marginal=a, col_marginal=b)
-        duals = DualPotentials(phi=np.array(u), psi=np.array(v))
-        assert verify_optimality(plan, duals, c), (c, a, b)
-        pivots.append(it)
-    assert 0 < sum(pivots) < len(pivots)
-
-
 @pytest.mark.parametrize("m,k", [(1, 1), (1, 2), (1, 7), (1, 8), (1, 13),
                                  (2, 1), (7, 1), (8, 1), (13, 1)])
 def test_forced_coupling_is_the_general_path(m, k):
@@ -509,101 +467,6 @@ def test_polish_on_support_cells_matches_all_cells(m, k):
         exact = x.tolist()
         _polish(exact, x.sum(axis=1).tolist(), x.sum(axis=0).tolist(), support)
         assert _hexes(exact) == _hexes(x.tolist())
-
-
-def _random_tree(rng, m, k):
-    """A random spanning tree of the complete bipartite graph on rows
-    ``0..m-1`` and columns ``m..m+k-1``, as basis cells: the first-entry
-    edges of a random walk (Aldous-Broder)."""
-    node = int(rng.integers(m + k))
-    seen, cells = {node}, []
-    while len(seen) < m + k:
-        nxt = m + int(rng.integers(k)) if node < m else int(rng.integers(m))
-        if nxt not in seen:
-            seen.add(nxt)
-            cells.append((node, nxt - m) if node < m else (nxt, node - m))
-        node = nxt
-    return cells
-
-
-def _bfs_parents(m, cells, start):
-    """Each node's predecessor on a breadth-first search from ``start``."""
-    adj = collections.defaultdict(list)
-    for i, j in cells:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    came, queue = {start: None}, collections.deque([start])
-    while queue:
-        node = queue.popleft()
-        for nbr in adj[node]:
-            if nbr not in came:
-                came[nbr] = node
-                queue.append(nbr)
-    return came
-
-
-def _chain(came, node):
-    """``node`` and its predecessors up to the start of the search."""
-    nodes = [node]
-    while came[nodes[-1]] is not None:
-        nodes.append(came[nodes[-1]])
-    return nodes
-
-
-def test_tree_duals_follow_each_nodes_path_from_row_zero():
-    # potentials, parents, cells and depths are those of each node's one
-    # path from row 0, as a breadth-first search finds it, bit for bit and
-    # whatever the order of the basis cells
-    rng = rng_from_seed(89)
-    for m, k in itertools.product(range(1, 10), repeat=2):
-        cells = _random_tree(rng, m, k)
-        c = rng.random((m, k)).tolist()
-        came = _bfs_parents(m, cells, 0)
-        n = m + k
-        u, parent, via, depth = [0.0] * n, [None] * n, [None] * n, [0] * n
-        for node in range(1, n):
-            path = _chain(came, node)[::-1]
-            for p, q in zip(path, path[1:]):
-                cell = (p, q - m) if p < m else (q, p - m)
-                u[node] = c[cell[0]][cell[1]] - u[node]
-            parent[node], via[node], depth[node] = path[-2], cell, len(path) - 1
-        for _ in range(3):
-            order = [cells[t] for t in rng.permutation(len(cells))]
-            assert _tree_duals(m, k, order, c) == (u[:m], u[m:], (parent, via, depth))
-
-
-def test_cycle_is_the_tree_path_closed_by_the_entering_cell():
-    # every cell outside a random spanning tree enters; its cycle must be
-    # the cell, then the tree path from its row to its column, each step's
-    # cell in order, as a breadth-first search from the row finds it
-    rng = rng_from_seed(83)
-    seen = collections.Counter()
-    for m, k in itertools.product(range(2, 17), repeat=2):
-        for _ in range(2):
-            cells = _random_tree(rng, m, k)
-            c = rng.random((m, k)).tolist()
-            tree = _tree_duals(m, k, cells, c)[2]
-            from_root = _bfs_parents(m, cells, 0)
-            for i0 in range(m):
-                came = _bfs_parents(m, cells, i0)
-                for j0 in range(k):
-                    if (i0, j0) in cells:
-                        continue
-                    nodes = _chain(came, m + j0)[::-1]
-                    want = [(i0, j0)] + [
-                        (p, q - m) if p < m else (q, p - m)
-                        for p, q in zip(nodes, nodes[1:])]
-                    assert _cycle(m, tree, (i0, j0)) == want, (m, k, i0, j0)
-                    # where the chains from the root meet
-                    row_up = _chain(from_root, i0)
-                    col_up = _chain(from_root, m + j0)
-                    meet = next(n for n in row_up if n in col_up)
-                    seen["row 0"] += i0 == 0
-                    seen["meet at the root"] += meet == 0 != i0
-                    seen["row above column"] += meet == i0
-                    seen["column above row"] += meet == m + j0
-                    seen["cells"] += 1
-    assert min(seen.values()) >= 100, seen
 
 
 def test_plan_and_duals_are_frozen_slotted_dataclasses():

@@ -82,6 +82,17 @@ def test_non_finite_weights_rejected(w):
     assert issue is not None and issue.code == "InvalidInput"
 
 
+@pytest.mark.parametrize("level,fields", [
+    (0, {}), (0, {"point": np.zeros(1), "weights": (1.0,)}),
+    (1, {"weights": (1.0,)}), (1, {"weights": (0.5, 0.5), "atoms": (pt(0),)}),
+    (1, {"atoms": (pt(0),)})],
+    ids=["no_point", "point_and_weights", "no_atoms", "more_weights",
+         "no_weights"])
+def test_malformed_node_is_invalid_input(level, fields):
+    with pytest.raises(InvalidInput):
+        HierMeasure(E1, level, **fields)
+
+
 def test_validate_level_mismatch_path():
     bad = HierMeasure(E1, 2, weights=(1.0,), atoms=(pt(0),))
     issue = validate(bad)

@@ -2,7 +2,7 @@
 
 ``exact_ot._solve_lists`` is the solve the level recursion and the fiber
 couplings call; ``solve_ot`` wraps it in numpy.  Here the core must return
-the wrapper's pinned results bit for bit, ``cost_matrix`` must be the
+the wrapper's results bit for bit, ``cost_matrix`` must be the
 internal cost rows as an array, and ``exact_ot._certified`` must decide as
 ``verify_optimality`` does.  A core whose pivot loop returns a perturbed
 potential or a plan off its marginals must make every caller raise
@@ -25,16 +25,15 @@ from hierot.plans import FiberEntry, VelocityPlan, inner_mu, optimal_coupling
 from hierot.sampling import (random_coupling, random_measure, random_plan,
                              rng_from_seed)
 from hierot.wasserstein import _cost_rows, cost_matrix, w2, w2_sq
-from test_solver_golden import CASES, GOLDEN, _hex, _key, problem
+from test_solver_golden import CASES, _key, problem
 from test_wasserstein import EDGE_WEIGHTS
 
 IDS = [_key(*c) for c in CASES]
 E2 = euclidean(2)
 
 
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN.read_text())
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
 
 
 def _lists(m, k, kind, rep):
@@ -43,15 +42,13 @@ def _lists(m, k, kind, rep):
 
 
 @pytest.mark.parametrize("m,k,kind,rep", CASES, ids=IDS)
-def test_core_returns_the_wrappers_bits(golden, m, k, kind, rep):
+def test_core_returns_the_wrappers_bits(m, k, kind, rep):
     x, phi, psi, value = _solve_lists(*_lists(m, k, kind, rep))
     plan, duals, wrapped = solve_ot(*problem(m, k, kind, rep))
     core = {"matrix": _hex(x), "phi": _hex(phi), "psi": _hex(psi),
             "value": value.hex()}
     assert core == {"matrix": _hex(plan.matrix), "phi": _hex(duals.phi),
                     "psi": _hex(duals.psi), "value": wrapped.hex()}
-    pinned = golden[_key(m, k, kind, rep)]
-    assert core == {key: pinned[key] for key in core}
     assert all(type(v) is float for row in x for v in row)
 
 
