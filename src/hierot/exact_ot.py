@@ -80,13 +80,13 @@ def _solve_lists(c, a, b):
     weights included.  A row of positive weight that the tree flows'
     rounding left without a positive flow then ships its weight on its
     first basis cell, which is tight.  Every plan returned is certified
-    with :func:`_certified` (``NumericalFailure`` if that fails), and the
-    value is summed last.  The inputs are not modified.
+    with :func:`_certified` (``NumericalFailure`` if that fails), whose pass
+    also sums the value below 8 cells.  The inputs are not modified.
     """
     # a NaN or infinite entry makes the sum non-finite; only an overflowing
     # sum of finite entries needs the entry-by-entry test
-    if not math.isfinite(sum(map(sum, c))) and not all(
-            map(math.isfinite, itertools.chain.from_iterable(c))):
+    flat = [*itertools.chain.from_iterable(c)]
+    if not math.isfinite(sum(flat)) and not all(map(math.isfinite, flat)):
         raise InvalidInput("cost matrix has a non-finite entry")
     # signs first: fsum cannot overflow on nonnegative weights of finite sum
     a_min, b_min = min(a, default=0.0), min(b, default=0.0)
@@ -95,7 +95,7 @@ def _solve_lists(c, a, b):
     sa, sb = _line_sum(a), _line_sum(b)
     if not (_unit_sum(a, sa) and _unit_sum(b, sb)):
         raise UnbalancedMarginals(f"marginals sum to {sa} and {sb}, expected 1")
-    scale = max(max(map(max, c)), -min(map(min, c)))  # max |c_ij|
+    scale = max(max(flat), -min(flat))  # max |c_ij|
     if len(a) == 1 or len(b) == 1:
         x, phi, psi = _forced(c, a, b, sa, sb)
     else:
@@ -105,14 +105,16 @@ def _solve_lists(c, a, b):
         x, phi, psi, _, basis = _simplex(c, an, bn, scale)
         if abs(sa - 1.0) > SUM_TOL:  # the polish cannot move that much mass
             x = [[flow * sa for flow in row] for row in x]
-        _polish(x, a, b, basis)
+        _polish(x, a, b, basis, min(a_min, b_min))
         if a_min < WEIGHT_DROP:  # a tiny row's tree flows may round to 0
             for i, j in basis:
                 if a[i] > 0 and not max(x[i]) > 0:
                     x[i][j] = a[i]
-    if not _certified(c, a, b, x, phi, psi, scale):
+    value = _certified(c, a, b, x, phi, psi, scale)
+    if value is False:
         raise NumericalFailure("solver returned an uncertified plan")
-    return x, phi, psi, _plan_value(x, c)
+    # below 8 products numpy sums in order, as the certificate did
+    return x, phi, psi, value if len(flat) < 8 else _plan_value(x, c)
 
 
 def _unit_sum(w, total):
@@ -268,7 +270,7 @@ def _tree_flows(m, k, basis, a, b):
     return x
 
 
-def _polish(x, a, b, cells):
+def _polish(x, a, b, cells, low):
     """Nudge positive flows so row and column sums reproduce the marginals.
 
     Each pass rewrites the largest entry of a line as the complement of the
@@ -282,7 +284,8 @@ def _polish(x, a, b, cells):
 
     Works in place on a nonnegative plan ``x``, a list of rows whose entries
     outside ``cells`` (row-major ``(i, j)`` pairs, a solve's basis) are
-    zero, with the marginals as lists.
+    zero, with the marginals as lists and ``low`` the least of their
+    weights.
 
     Sums are taken in numpy's order, so a line that is exact here is exact
     under ``np.sum`` on the matrix built from ``x`` too.  numpy adds a row
@@ -295,17 +298,20 @@ def _polish(x, a, b, cells):
     entry is never a line's positive peak.
     """
     m, k = len(a), len(b)
-    low = min(a + b, default=0.0)
     if not low > 0:
         low = min((w for w in a + b if w > 0), default=0.0)
     clip = 1e-15 * low
-    rows, cols = [0.0] * m, [0.0] * k
+    # line sums and each column's first largest positive entry
+    rows, cols, peaks, tops = [0.0] * m, [0.0] * k, [0.0] * k, [-1] * k
     for i, j in cells:
         flow = x[i][j]
         if 0.0 < flow < clip:
             x[i][j] = flow = 0.0
         rows[i] += flow
         cols[j] += flow
+        if flow > peaks[j]:
+            peaks[j] = flow
+            tops[j] = i
     pairwise_rows = k >= 8
     if pairwise_rows:
         rows = [_line_sum(row) for row in x]
@@ -315,30 +321,30 @@ def _polish(x, a, b, cells):
     for i, j in cells:
         in_row[i].append(j)
     for sweep in range(3):
-        # column sums and each column's first largest positive entry
-        cols = [0.0] * k
-        peaks = [0.0] * k
-        tops = [None] * k
-        for i, js in enumerate(in_row):
-            row = x[i]
-            for j in js:
-                flow = row[j]
-                cols[j] += flow
-                if flow > peaks[j]:
-                    peaks[j] = flow
-                    tops[j] = i
-        if sweep and cols == b and rows == a:
-            return
+        if sweep:  # the column sums and peaks again, after a sweep's writes
+            cols, peaks, tops = [0.0] * k, [0.0] * k, [-1] * k
+            for i in range(m):
+                row = x[i]
+                for j in in_row[i]:
+                    flow = row[j]
+                    cols[j] += flow
+                    if flow > peaks[j]:
+                        peaks[j] = flow
+                        tops[j] = i
+            if cols == b and rows == a:
+                return
         wrote = False
-        for j, i in enumerate(tops):
-            if i is not None:
-                val = b[j] - (cols[j] - peaks[j])
-                if val >= 0 and val != peaks[j]:
+        for j in range(k):
+            i = tops[j]
+            if i >= 0:
+                peak = peaks[j]
+                val = b[j] - (cols[j] - peak)
+                if val >= 0 and val != peak:
                     x[i][j] = val
                     wrote = True
-        for i, js in enumerate(in_row):
-            row = x[i]
-            peak, top, total = 0.0, None, 0.0
+        for i in range(m):
+            row, js = x[i], in_row[i]
+            peak, top, total = 0.0, -1, 0.0
             for j in js:
                 flow = row[j]
                 total += flow
@@ -347,7 +353,7 @@ def _polish(x, a, b, cells):
             if pairwise_rows:
                 total = _line_sum(row)
             val = a[i] - (total - peak)
-            if top is not None and val >= 0 and val != peak:
+            if top >= 0 and val >= 0 and val != peak:
                 row[top] = val
                 wrote = True
                 total = 0.0
@@ -428,7 +434,7 @@ def _simplex(c, a, b, scale):
     for it in range(200 * (m + k) * max(m, k) + 2000):
         enter = _bland_entering(c, u, v, flow, neg_tol)
         if enter is None:
-            basis = sorted(flow)
+            basis = sorted(flow) if it else basis  # the start is row-major
             return _tree_flows(m, k, basis, a, b), u, v, it, basis
 
         cycle = _cycle(m, tree, enter)
@@ -463,30 +469,34 @@ def permutation_oracle(c) -> float:
     return best / n
 
 
-def _certified(c, a, b, x, phi, psi, scale) -> bool:
+def _certified(c, a, b, x, phi, psi, scale):
     """:func:`verify_optimality` on lists: the plan ``x`` and potentials
     ``phi``, ``psi`` of a solve on the cost rows ``c``, of largest magnitude
     ``scale``, and marginals ``a``, ``b`` (lists or tuples), by the same five
-    conditions at the same tolerances.
+    conditions at the same tolerances.  Returns the plan's value, summed in
+    row-major order, if they hold, else ``False``.
 
     Sums are taken in order rather than in numpy's order, which moves them
     by ulps, far below the tolerances.  A NaN flow fails the sign test, and
     a NaN or infinite potential the duality gap.
     """
     m, k = len(a), len(b)
-    if len(x) != m or not all(len(row) == k for row in x):
+    if len(x) != m or len(phi) != m or len(psi) != k:
         return False
-    sum_tol = _sum_tol(a, b)
-    cols = [0.0] * k
-    value = 0.0
-    low = 0.0        # the least reduced cost
-    loose = 0.0      # the largest |reduced cost| on the support
-    for row, cost, ai, ui in zip(x, c, a, phi):
+    neg, tol, cols = -FLOW_TOL, SUM_TOL, [0.0] * k
+    value = dual = 0.0
+    low = loose = 0.0  # the least reduced cost, the largest |one| on the support
+    for i in range(m):
+        row, cost, ui = x[i], c[i], phi[i]
+        if len(row) != k:
+            return False
         total = 0.0
-        for j, (flow, cij, vj) in enumerate(zip(row, cost, psi)):
-            if not flow >= -FLOW_TOL:
+        for j in range(k):
+            flow = row[j]
+            if not flow >= neg:
                 return False
-            slack = cij - ui - vj
+            cij = cost[j]
+            slack = cij - ui - psi[j]
             if slack < low:
                 low = slack
             if flow > FLOW_TOL and abs(slack) > loose:
@@ -494,17 +504,18 @@ def _certified(c, a, b, x, phi, psi, scale) -> bool:
             total += flow
             cols[j] += flow
             value += flow * cij
-        if not abs(total - ai) <= sum_tol:
+        dual += a[i] * ui
+        # a line that misses SUM_TOL is held to _sum_tol, which includes it
+        off = abs(total - a[i])
+        if not (off <= tol or off <= (tol := _sum_tol(a, b))):
             return False
-    for total, bj in zip(cols, b):
-        if not abs(total - bj) <= sum_tol:
+    for j in range(k):
+        dual += b[j] * psi[j]
+        off = abs(cols[j] - b[j])
+        if not (off <= tol or off <= (tol := _sum_tol(a, b))):
             return False
-    dual = 0.0
-    for w, p in zip(itertools.chain(a, b), itertools.chain(phi, psi)):
-        dual += w * p
-    return (low >= -REDUCED_TOL * scale
-            and abs(value - dual) <= GAP_TOL * scale
-            and loose <= SLACK_TOL * scale)
+    return value if (low >= -REDUCED_TOL * scale and loose <= SLACK_TOL * scale
+                     and abs(value - dual) <= GAP_TOL * scale) else False
 
 
 def _sum_tol(a, b) -> float:

@@ -177,9 +177,15 @@ def supergradient_inequality_check(mu: HierMeasure, nu: HierMeasure,
     """
     gamma = optimal_velocity_plan(mu, nu)
     toward = transport(mu, mubar)  # the supergradient plan and its value
+    return _supergradient_sides(gamma, toward, 0.5 * w2_sq(nu, mubar),
+                                coupling)
+
+
+def _supergradient_sides(gamma, toward, lhs, coupling=None):
+    """:func:`supergradient_inequality_check` on its solves: ``gamma``,
+    ``toward = transport(mu, mubar)`` and ``lhs = 0.5 w2(nu, mubar)^2``."""
     alpha = (coupling if coupling is not None
              else generic_coupling(gamma, toward.velocity))
-    lhs = 0.5 * w2_sq(nu, mubar)
     rhs = (0.5 * toward.value_sq - coupling_inner(alpha)
            + 0.5 * plan_norm_sq(gamma))
     return lhs, rhs, lhs <= rhs + CHECK_TOL

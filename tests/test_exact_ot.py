@@ -150,8 +150,8 @@ def test_verify_optimality_refuses_nan(where):
         phi[1] = np.nan
     assert not verify_optimality(TransportPlan(x, row, a),
                                  DualPotentials(phi, duals.psi), c)
-    assert not _certified(c.tolist(), row.tolist(), a.tolist(), x.tolist(),
-                          phi.tolist(), duals.psi.tolist(), 1.0)
+    assert _certified(c.tolist(), row.tolist(), a.tolist(), x.tolist(),
+                      phi.tolist(), duals.psi.tolist(), 1.0) is False
 
 
 def assert_tiny_rows_ship_their_weight(plan, duals, c):
@@ -310,7 +310,8 @@ def test_repair_flow_sums_matches_line_reference():
         b = x.sum(axis=0) + rng.integers(-2, 3, size=k) * 1e-17
         rows = x.tolist()
         _polish(rows, a.tolist(), b.tolist(),
-                [(i, j) for i in range(m) for j in range(k)])
+                [(i, j) for i in range(m) for j in range(k)],
+                float(min(a.min(), b.min())))
         got = np.array(rows)
         want = repair_by_lines(x, a, b)
         if max(m, k) < 8:
@@ -417,7 +418,7 @@ def test_forced_coupling_is_the_general_path(m, k):
         else:
             x, phi, psi = [[w * bn[0]] for w in an], [row[0] for row in c], [0.0]
             basis = [(i, 0) for i in range(m)]
-        _polish(x, a, b, basis)
+        _polish(x, a, b, basis, min(a + b))
         value = _line_sum([xv * cv for xr, cr in zip(x, c)
                            for xv, cv in zip(xr, cr)])
         got = _forced(c, a, b, sa, sb)
@@ -441,6 +442,33 @@ def test_plan_value_from_cells_is_numpys_sum(m, k):
         assert got.hex() == float(np.sum(x * c)).hex()
 
 
+def _weights(rng, n, kind):
+    """``n`` weights summing to one: equal, random, or random with a zero,
+    a 1e-300 and a 1e-16 weight in random places."""
+    if kind == "uniform" or n == 1:
+        return [1.0 / n] * n
+    w = rng.random(n) + 0.05
+    w /= w.sum()
+    if kind == "tiny":
+        w[rng.permutation(n)[:3]] = [0.0, 1e-300, 1e-16][:min(n, 3)]
+        w[np.argmax(w)] += 1.0 - w.sum()
+    return w.tolist()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "random", "tiny"])
+@pytest.mark.parametrize("m,k", [(1, 7), (7, 1), (1, 8), (2, 3), (2, 4),
+                                 (4, 2), (3, 3)])
+def test_solve_value_is_numpys_sum_of_its_plan(m, k, kind):
+    # below 8 cells the value comes from the certificate's in-order pass,
+    # from 8 up from the pairwise sum: np.sum of the product either way
+    rng = rng_from_seed(79 + 16 * m + k)
+    for _ in range(100):
+        c = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-3, 4)
+        a, b = _weights(rng, m, kind), _weights(rng, k, kind)
+        x, _, _, value = _solve_lists(c.tolist(), a, b)
+        assert value.hex() == float(np.sum(np.array(x) * c)).hex()
+
+
 @pytest.mark.parametrize("m,k", [(1, 5), (5, 1), (3, 4), (4, 3), (6, 6),
                                  (3, 7), (3, 8), (2, 9), (9, 2), (12, 1),
                                  (1, 12), (10, 10)])
@@ -458,14 +486,15 @@ def test_polish_on_support_cells_matches_all_cells(m, k):
         every = [(i, j) for i in range(m) for j in range(k)]
         support = [(i, j) for i, j in every if x[i, j] != 0.0]
         full, sparse = x.tolist(), x.tolist()
-        _polish(full, a, b, every)
-        _polish(sparse, a, b, support)
+        _polish(full, a, b, every, min(a + b))
+        _polish(sparse, a, b, support, min(a + b))
         assert _hexes(sparse) == _hexes(full)
         # a plan whose sums are numpy's marginals to the last bit is left as
         # it is, which needs numpy's order (pairwise from 8 entries up)
         x[x < 1e-17] = 0.0
         exact = x.tolist()
-        _polish(exact, x.sum(axis=1).tolist(), x.sum(axis=0).tolist(), support)
+        rows, cols = x.sum(axis=1).tolist(), x.sum(axis=0).tolist()
+        _polish(exact, rows, cols, support, min(rows + cols))
         assert _hexes(exact) == _hexes(x.tolist())
 
 

@@ -139,22 +139,41 @@ def test_output_bytes_match_golden(name, tmp_path):
 # core solves of each golden flow command: a step solves each distance term
 # once, for its plan and its value together
 FLOW_SOLVES = {"flow_euclidean": 164, "flow_sphere": 164}
+# core solves of `hierot check --suite all --seed 1000 --samples 1`, and how
+# many of them are 1xk or mx1 problems, whose coupling is forced
+CHECK_SOLVES, CHECK_FORCED = 5161, 1936
+
+
+def count_solves(monkeypatch):
+    """The marginal lengths of every core solve from now on, recorded
+    through each module's own binding of ``_solve_lists``."""
+    solve, shapes = exact_ot._solve_lists, []
+
+    def counted(c, a, b):
+        shapes.append((len(a), len(b)))
+        return solve(c, a, b)
+
+    for module in (exact_ot, plans, wasserstein):  # each binds the name itself
+        monkeypatch.setattr(module, "_solve_lists", counted)
+    return shapes
 
 
 @pytest.mark.parametrize("name", sorted(FLOW_SOLVES))
 def test_flow_core_solve_count_is_pinned(name, tmp_path, monkeypatch):
-    solve, calls = exact_ot._solve_lists, []
-
-    def counted(*args):
-        calls.append(1)
-        return solve(*args)
-
-    for module in (exact_ot, plans, wasserstein):  # each binds the name itself
-        monkeypatch.setattr(module, "_solve_lists", counted)
+    shapes = count_solves(monkeypatch)
     _, argv, files = next(c for c in commands(GOLDEN / "inputs", tmp_path)
                           if c[0] == name)
     assert run_command(argv, files)[0] == 0
-    assert len(calls) == FLOW_SOLVES[name]
+    assert len(shapes) == FLOW_SOLVES[name]
+
+
+def test_check_core_solve_count_is_pinned(monkeypatch):
+    # a count that no machine moves, read next to check's timings
+    shapes = count_solves(monkeypatch)
+    argv = ["check", "--suite", "all", "--seed", "1000", "--samples", "1"]
+    assert run_command(argv, [])[0] == 0
+    assert len(shapes) == CHECK_SOLVES
+    assert sum(1 in shape for shape in shapes) == CHECK_FORCED
 
 
 def regenerate():

@@ -84,7 +84,7 @@ def _scale(c):
 def _both(c, a, b, x, phi, psi):
     """The list certificate's verdict, after checking that
     ``verify_optimality`` reaches the same one."""
-    listed = _certified(c, a, b, x, phi, psi, _scale(c))
+    listed = _certified(c, a, b, x, phi, psi, _scale(c)) is not False
     plan = TransportPlan(np.array(x), np.array(a), np.array(b))
     assert verify_optimality(plan, DualPotentials(np.array(phi), np.array(psi)),
                              np.array(c)) == listed
@@ -141,11 +141,19 @@ def test_list_certificate_refuses_nan_potentials_and_bad_shapes():
     c, a, b = _lists(3, 4, "random", 0)
     x, phi, psi, _ = _solve_lists(c, a, b)
     s = _scale(c)
-    assert _certified(c, a, b, x, phi, psi, s)
-    assert not _certified(c, a, b, x, [float("nan")] + phi[1:], psi, s)
-    assert not _certified(c, a, b, x, phi, psi[:-1] + [float("inf")], s)
-    assert not _certified(c, a, b, x[:-1], phi, psi, s)
-    assert not _certified(c, a, b, [row[:-1] for row in x], phi, psi, s)
+    assert _certified(c, a, b, x, phi, psi, s) is not False
+    assert _certified(c, a, b, x, [float("nan")] + phi[1:], psi, s) is False
+    assert _certified(c, a, b, x, phi, psi[:-1] + [float("inf")], s) is False
+    assert _certified(c, a, b, x[:-1], phi, psi, s) is False
+    assert _certified(c, a, b, [row[:-1] for row in x], phi, psi, s) is False
+    # potentials one short or one long; the last column has weight 0 and no
+    # flow, so only the potentials' length shows a short psi
+    c, a, b = [[1.0, 2.0, 3.0], [2.0, 1.0, 5.0]], [0.5, 0.5], [0.5, 0.5, 0.0]
+    x, phi, psi, _ = _solve_lists(c, a, b)
+    assert _certified(c, a, b, x, phi, psi, 5.0) is not False
+    for bad_phi, bad_psi in ((phi, psi[:-1]), (phi[:-1], psi),
+                             (phi, psi + [0.0]), (phi + [0.0], psi)):
+        assert _certified(c, a, b, x, bad_phi, bad_psi, 5.0) is False
 
 
 # -- fault injection: the core refuses a plan that fails its certificate ------
