@@ -279,8 +279,9 @@ def _polish(x, a, b, cells, low):
     scale.  The adjustments are ~1e-16 and irrelevant to optimality, but
     they remove stray mass that would otherwise cross finite distances in
     downstream measure comparisons.  A plan whose sums are already exact is
-    left unchanged, and the sweeps stop once one writes no entry (the next
-    would repeat it).
+    left unchanged, and the sweeps stop once one leaves the plan as it
+    found it, whether it wrote no entry or wrote some back: the next would
+    start from the same sums and repeat it.
 
     Works in place on a nonnegative plan ``x``, a list of rows whose entries
     outside ``cells`` (row-major ``(i, j)`` pairs, a solve's basis) are
@@ -333,15 +334,15 @@ def _polish(x, a, b, cells, low):
                         tops[j] = i
             if cols == b and rows == a:
                 return
-        wrote = False
+        before = {}  # each cell this sweep writes: its flow before the sweep
         for j in range(k):
             i = tops[j]
             if i >= 0:
                 peak = peaks[j]
                 val = b[j] - (cols[j] - peak)
                 if val >= 0 and val != peak:
+                    before.setdefault((i, j), peak)
                     x[i][j] = val
-                    wrote = True
         for i in range(m):
             row, js = x[i], in_row[i]
             peak, top, total = 0.0, -1, 0.0
@@ -354,15 +355,15 @@ def _polish(x, a, b, cells, low):
                 total = _line_sum(row)
             val = a[i] - (total - peak)
             if top >= 0 and val >= 0 and val != peak:
+                before.setdefault((i, top), peak)
                 row[top] = val
-                wrote = True
                 total = 0.0
                 for j in js:
                     total += row[j]
                 if pairwise_rows:
                     total = _line_sum(row)
             rows[i] = total
-        if not wrote:
+        if all(x[i][j] == flow for (i, j), flow in before.items()):
             return
 
 
@@ -529,11 +530,16 @@ def _sum_tol(a, b) -> float:
 
 
 def verify_optimality(plan: TransportPlan, duals: DualPotentials, c) -> bool:
-    """Feasibility + dual feasibility + duality gap + complementary slackness."""
+    """Feasibility + dual feasibility + duality gap + complementary slackness.
+
+    A plan, marginal or potential whose shape does not match the costs fails.
+    """
     c = np.asarray(c, dtype=float)
     x = plan.matrix
     m, k = c.shape
-    if x.shape != (m, k):
+    shapes = [np.shape(v) for v in (x, plan.row_marginal, duals.phi,
+                                    plan.col_marginal, duals.psi)]
+    if shapes != [(m, k), (m,), (m,), (k,), (k,)]:
         return False
     scale = float(np.abs(c).max()) if c.size else 0.0
     # each test is written so that a NaN fails it, as in _certified

@@ -82,26 +82,18 @@ class HierMeasure:
             object.__setattr__(self, "_max_atoms", cached)
         return cached
 
-    def point_stack(self) -> np.ndarray:
-        """The points of a level-1 measure's atoms as the rows of one
-        read-only array, stacked once and cached."""
-        cached = getattr(self, "_points", None)
-        if cached is None:
-            cached = np.stack([a.point for a in self.atoms])
-            cached.flags.writeable = False
-            object.__setattr__(self, "_points", cached)
-        return cached
-
     def leaf_stack(self):
-        """The leaf points of a level-2 measure as the rows of one read-only
-        array, atom after atom, and the row offsets of the atoms (atom ``i``
-        holds rows ``offsets[i]:offsets[i + 1]``); stacked once and cached."""
+        """The leaf points of a level >= 1 measure as the rows of one
+        read-only array, atom after atom, and the row offsets of the atoms
+        (atom ``i`` holds rows ``offsets[i]:offsets[i + 1]``; at level 1 one
+        row each, its point); stacked once and cached."""
         cached = getattr(self, "_leaves", None)
         if cached is None:
-            offsets = [0]
+            points, offsets = [], [0]
             for a in self.atoms:
-                offsets.append(offsets[-1] + len(a.atoms))
-            stack = np.stack([leaf.point for a in self.atoms for leaf in a.atoms])
+                points.extend(p for _, p in _leaf_rows(a, 1.0))
+                offsets.append(len(points))
+            stack = np.stack(points)
             stack.flags.writeable = False
             cached = (stack, tuple(offsets))
             object.__setattr__(self, "_leaves", cached)

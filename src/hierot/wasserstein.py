@@ -88,15 +88,6 @@ def _solve(mu: HierMeasure, nu: HierMeasure, keep: bool, c=None):
     return max(value, 0.0), x, kids
 
 
-def _entry(mu: HierMeasure, nu: HierMeasure, kids, cell, c=None) -> float:
-    """The squared distance of a level >= 1 pair, solved on the cost rows
-    ``c`` when given and kept as ``kids[cell]`` when ``kids`` is a dict."""
-    solve = _solve(mu, nu, kids is not None, c)
-    if kids is not None:
-        kids[cell] = solve
-    return solve[0]
-
-
 def cost_matrix(mu: HierMeasure, nu: HierMeasure) -> np.ndarray:
     """Pairwise squared distances between the atom lists of ``mu`` and ``nu``."""
     if mu.level != nu.level or mu.level < 1:
@@ -108,25 +99,30 @@ def _cost_rows(mu: HierMeasure, nu: HierMeasure, kids=None) -> list:
     """:func:`cost_matrix` as a list of rows, each entry solved in its own
     orientation (``kids``: see ``_solve``).
 
-    At level 2 the leaf distances of the whole pair come from one table, and
-    each entry is solved on its block of it.  The table becomes lists one
-    atom's band of rows at a time, never whole.
+    A level-1 or level-2 pair takes the leaf distances of the whole pair
+    from one table over its ``leaf_stack`` rows: level 1 returns it as the
+    rows, and each level-2 entry is solved on its block of it, which
+    becomes lists one atom's band of rows at a time, never whole.  Above
+    level 2 each entry builds its own tables, so none spans more than one
+    level-2 pair's leaves.
     """
-    if mu.level == 1:
-        return mu.manifold.pairwise_sq_dist(mu.point_stack(),
-                                            nu.point_stack()).tolist()
-    if mu.level > 2:
-        return [[_entry(ai, bj, kids, (i, j)) for j, bj in enumerate(nu.atoms)]
-                for i, ai in enumerate(mu.atoms)]
-    xs, rows = mu.leaf_stack()
-    ys, cols = nu.leaf_stack()
-    table = mu.manifold.pairwise_sq_dist(xs, ys)
-    spans = [slice(lo, hi) for lo, hi in zip(cols, cols[1:])]
+    if mu.level <= 2:
+        xs, rows = mu.leaf_stack()
+        ys, cols = nu.leaf_stack()
+        table = mu.manifold.pairwise_sq_dist(xs, ys)
+        if mu.level == 1:
+            return table.tolist()
     c = []
     for i, ai in enumerate(mu.atoms):
-        band = table[rows[i]:rows[i + 1]].tolist()
-        c.append([_entry(ai, bj, kids, (i, j), [row[span] for row in band])
-                  for j, (bj, span) in enumerate(zip(nu.atoms, spans))])
+        band = table[rows[i]:rows[i + 1]].tolist() if mu.level == 2 else None
+        c.append([])
+        for j, bj in enumerate(nu.atoms):
+            block = (None if band is None
+                     else [row[cols[j]:cols[j + 1]] for row in band])
+            kid = _solve(ai, bj, kids is not None, block)
+            if kids is not None:
+                kids[i, j] = kid
+            c[i].append(kid[0])
     return c
 
 

@@ -71,7 +71,7 @@ def test_cost_matrix_is_the_cost_rows(man, level):
     assert np.array(rows).tobytes() == c.tobytes()
     # each entry is the squared distance of its atom pair, solved on its own
     if level == 1:
-        ref = man.pairwise_sq_dist(mu.point_stack(), nu.point_stack())
+        ref = man.pairwise_sq_dist(mu.leaf_stack()[0], nu.leaf_stack()[0])
     else:
         ref = np.array([[w2_sq(ai, bj) for bj in nu.atoms] for ai in mu.atoms])
     assert ref.tobytes() == c.tobytes()
@@ -151,9 +151,14 @@ def test_list_certificate_refuses_nan_potentials_and_bad_shapes():
     c, a, b = [[1.0, 2.0, 3.0], [2.0, 1.0, 5.0]], [0.5, 0.5], [0.5, 0.5, 0.0]
     x, phi, psi, _ = _solve_lists(c, a, b)
     assert _certified(c, a, b, x, phi, psi, 5.0) is not False
+    # both certificates refuse potentials or marginals of the wrong length;
+    # verify_optimality returns False for them instead of raising
     for bad_phi, bad_psi in ((phi, psi[:-1]), (phi[:-1], psi),
                              (phi, psi + [0.0]), (phi + [0.0], psi)):
         assert _certified(c, a, b, x, bad_phi, bad_psi, 5.0) is False
+        assert _both(c, a, b, x, bad_phi, bad_psi) is False
+    for bad_a, bad_b in ((a[:1], b), (a + [0.0], b), (a, b[:-1]), (a, b + [0.0])):
+        assert _both(c, bad_a, bad_b, x, phi, psi) is False
 
 
 # -- fault injection: the core refuses a plan that fails its certificate ------

@@ -176,44 +176,88 @@ def test_desk_scale_guard(monkeypatch):
     assert w2(big, big) == 0.0
 
 
-@pytest.mark.parametrize("man", [euclidean(1), euclidean(3), sphere(3)],
-                         ids=["euclidean1", "euclidean3", "sphere3"])
-def test_level2_leaf_table_blocks_match_pairwise(man):
-    # atoms of 1 to 9 leaves: every block of one table over all the leaves
-    # is the atom pair's own pairwise_sq_dist, bit for bit
+MANIFOLDS = pytest.mark.parametrize(
+    "man", [euclidean(1), euclidean(3), sphere(3)],
+    ids=["euclidean1", "euclidean3", "sphere3"])
+
+
+def _own_leaves(atom):
+    """The leaf rows of one atom: its point at level 0, else its stack."""
+    return atom.point[None] if atom.level == 0 else atom.leaf_stack()[0]
+
+
+def _check_leaf_table(man, level):
+    # atoms of 1 to 9 leaves (one each at level 1): the stack holds the
+    # atoms' leaves in order at their offsets, read-only and cached, and
+    # every block of one table over all the leaves is the atom pair's own
+    # pairwise_sq_dist, bit for bit
     rng = rng_from_seed(23)
     for _ in range(6):
-        a = random_measure(rng, man, 2, 9)
-        b = random_measure(rng, man, 2, 9)
+        a = random_measure(rng, man, level, 9)
+        b = random_measure(rng, man, level, 9)
         xs, rows = a.leaf_stack()
         ys, cols = b.leaf_stack()
-        assert rows[-1] == len(xs) and cols[-1] == len(ys)
         assert not xs.flags.writeable and a.leaf_stack()[0] is xs
+        assert a.leaf_stack()[1] is rows and rows[0] == 0
+        assert rows[-1] == len(xs) and cols[-1] == len(ys)
+        for i, ai in enumerate(a.atoms):
+            assert xs[rows[i]:rows[i + 1]].tobytes() == _own_leaves(ai).tobytes()
         table = man.pairwise_sq_dist(xs, ys)
         for i, ai in enumerate(a.atoms):
             for j, bj in enumerate(b.atoms):
                 block = table[rows[i]:rows[i + 1], cols[j]:cols[j + 1]]
-                own = man.pairwise_sq_dist(ai.point_stack(), bj.point_stack())
+                own = man.pairwise_sq_dist(_own_leaves(ai), _own_leaves(bj))
                 assert block.tobytes() == own.tobytes()
 
 
-@pytest.mark.parametrize("man", [euclidean(3), sphere(3)], ids=["euclidean", "sphere"])
-def test_level2_distance_makes_one_pairwise_call(monkeypatch, man):
+@MANIFOLDS
+def test_level1_leaf_table_blocks_match_pairwise(man):
+    _check_leaf_table(man, 1)
+
+
+@MANIFOLDS
+def test_level2_leaf_table_blocks_match_pairwise(man):
+    _check_leaf_table(man, 2)
+
+
+PAIRWISE = Manifold.pairwise_sq_dist
+
+
+def _check_pairwise_calls(monkeypatch, man, level, solve):
+    # a level-1 or level-2 pair makes one table over all its leaves; a
+    # level-3 pair one per cost entry, over that level-2 pair's leaves only
     calls = []
-    pairwise = Manifold.pairwise_sq_dist
 
     def counted(self, xs, ys):
         calls.append((len(xs), len(ys)))
-        return pairwise(self, xs, ys)
+        return PAIRWISE(self, xs, ys)
 
     monkeypatch.setattr(Manifold, "pairwise_sq_dist", counted)
     rng = rng_from_seed(29)
-    a = random_measure(rng, man, 2, 5)
-    b = random_measure(rng, man, 2, 5)
-    w2_sq(a, b)
-    n_a = sum(len(x.atoms) for x in a.atoms)
-    n_b = sum(len(y.atoms) for y in b.atoms)
-    assert calls == [(n_a, n_b)]
+    a = random_measure(rng, man, level, 3 if level == 3 else 5)
+    b = random_measure(rng, man, level, 3 if level == 3 else 5)
+    solve(a, b)
+    pairs = [(a, b)] if level < 3 else [(x, y) for x in a.atoms for y in b.atoms]
+    assert calls == [(len(x.leaf_stack()[0]), len(y.leaf_stack()[0]))
+                     for x, y in pairs]
+    assert len(calls) == (9 if level == 3 else 1)
+
+
+PAIR_MANIFOLDS = pytest.mark.parametrize("man", [euclidean(3), sphere(3)],
+                                         ids=["euclidean", "sphere"])
+
+
+@PAIR_MANIFOLDS
+def test_level2_distance_makes_one_pairwise_call(monkeypatch, man):
+    for solve in (w2_sq, transport):
+        _check_pairwise_calls(monkeypatch, man, 2, solve)
+
+
+@PAIR_MANIFOLDS
+@pytest.mark.parametrize("solve", [w2_sq, transport], ids=["w2_sq", "transport"])
+@pytest.mark.parametrize("level", [1, 3])
+def test_pairwise_calls_per_level2_pair(monkeypatch, man, level, solve):
+    _check_pairwise_calls(monkeypatch, man, level, solve)
 
 
 def test_distance_does_not_depend_on_call_history():
