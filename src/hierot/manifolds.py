@@ -172,7 +172,7 @@ class Manifold:
         nrm = _norm(v)
         if nrm == 0.0:
             return x
-        y = np.cos(nrm) * x + np.sin(nrm) * (v / nrm)
+        y = math.cos(nrm) * x + math.sin(nrm) * (v / nrm)
         return y / _norm(y)
 
     def log(self, x, y) -> np.ndarray:
