@@ -11,6 +11,11 @@ input validation through the polish and the value; the library's own
 callers (the level recursion and the fiber couplings) call it on lists.
 :func:`solve_ot` is its numpy edge: costs and marginals come in once through
 ``tolist``, and numpy builds only the returned plan and potentials.
+
+Every sum the core takes is ``math.fsum``: the marginals' masses, the line
+sums of the polish and the certificate, the value and the dual value.  It is
+correctly rounded, so no result depends on the order of the terms, on
+numpy's summation order or on the Python version.
 """
 
 from __future__ import annotations
@@ -73,31 +78,32 @@ def _solve_lists(c, a, b):
     marginal lists of ``m`` and ``k`` floats; returns the plan as a list of
     rows, the potentials as two lists and the value.
 
-    Validates the costs and marginals (the shapes are the caller's).  A 1xk
-    or mx1 problem takes its forced coupling (:func:`_forced`); every other
-    problem is normalized, solved, scaled back by a row mass off one by more
-    than ``SUM_TOL`` and polished, on its full marginals, zero and tiny
-    weights included.  A row of positive weight that the tree flows'
-    rounding left without a positive flow then ships its weight on its
-    first basis cell, which is tight.  Every plan returned is certified
-    with :func:`_certified` (``NumericalFailure`` if that fails), whose pass
-    also sums the value below 8 cells.  The inputs are not modified.
+    Validates the costs and marginals (the shapes are the caller's); each
+    marginal's ``math.fsum`` must be within ``MASS_TOL`` of one.  A 1xk or
+    mx1 problem takes its forced coupling (:func:`_forced`); every other
+    problem is normalized by those sums, solved, scaled back by a row mass
+    off one by more than ``SUM_TOL`` and polished on its full marginals,
+    zero and tiny weights included.  Either plan is then certified with :func:`_certified` (``NumericalFailure`` if that fails), which
+    returns the value, the ``fsum`` of the products ``x_ij * c_ij``.  The
+    inputs are not modified.
     """
     # a NaN or infinite entry makes the sum non-finite; only an overflowing
     # sum of finite entries needs the entry-by-entry test
     flat = [*itertools.chain.from_iterable(c)]
     if not math.isfinite(sum(flat)) and not all(map(math.isfinite, flat)):
         raise InvalidInput("cost matrix has a non-finite entry")
-    # signs first: fsum cannot overflow on nonnegative weights of finite sum
-    a_min, b_min = min(a, default=0.0), min(b, default=0.0)
-    if a_min < 0 or b_min < 0:
+    # signs first: only weights of one sign can overflow fsum, past 1e308
+    if min(a, default=0.0) < 0 or min(b, default=0.0) < 0:
         raise UnbalancedMarginals("marginals must be nonnegative")
-    sa, sb = _line_sum(a), _line_sum(b)
-    if not (_unit_sum(a, sa) and _unit_sum(b, sb)):
+    try:
+        sa, sb = math.fsum(a), math.fsum(b)
+    except OverflowError:
+        sa = sb = math.inf
+    if not (abs(sa - 1.0) <= MASS_TOL and abs(sb - 1.0) <= MASS_TOL):
         raise UnbalancedMarginals(f"marginals sum to {sa} and {sb}, expected 1")
     scale = max(max(flat), -min(flat))  # max |c_ij|
     if len(a) == 1 or len(b) == 1:
-        x, phi, psi = _forced(c, a, b, sa, sb)
+        x, phi, psi = _forced(c, a, b)
     else:
         # w / 1.0 is w: marginals that sum to 1.0 exactly need no division
         an = a if sa == 1.0 else [w / sa for w in a]
@@ -105,55 +111,25 @@ def _solve_lists(c, a, b):
         x, phi, psi, _, basis = _simplex(c, an, bn, scale)
         if abs(sa - 1.0) > SUM_TOL:  # the polish cannot move that much mass
             x = [[flow * sa for flow in row] for row in x]
-        _polish(x, a, b, basis, min(a_min, b_min))
-        if a_min < WEIGHT_DROP:  # a tiny row's tree flows may round to 0
-            for i, j in basis:
-                if a[i] > 0 and not max(x[i]) > 0:
-                    x[i][j] = a[i]
+        _polish(x, a, b, basis)
     value = _certified(c, a, b, x, phi, psi, scale)
     if value is False:
         raise NumericalFailure("solver returned an uncertified plan")
-    # below 8 products numpy sums in order, as the certificate did
-    return x, phi, psi, value if len(flat) < 8 else _plan_value(x, c)
+    return x, phi, psi, value
 
 
-def _unit_sum(w, total):
-    """Whether ``w``, of in-order sum ``total``, sums to one within MASS_TOL
-    in order or exactly (as ``measures.check_weights``); NaN sums fail."""
-    return abs(total - 1.0) <= MASS_TOL or (
-        math.isfinite(total) and abs(math.fsum(w) - 1.0) <= MASS_TOL)
-
-
-def _forced(c, a, b, sa, sb):
+def _forced(c, a, b):
     """The plan and potentials of a 1xk or mx1 problem, whose coupling is
-    forced: what normalizing, the forced coupling of the normalized
-    marginals and :func:`_polish` return, bit for bit, without them.  ``sa``
-    and ``sb`` are the marginals' sums; with both 1.0, ``a`` and ``b`` are
-    coupled as they stand.  Zero and tiny weights are coupled like others.
-
-    An mx1 plan is ``a`` itself: the polish's row pass writes each row's
-    only entry as its weight, and it runs last.  A 1xk plan is ``b``: when
-    both sums are exactly 1.0 the normalized plan is ``b`` and already
-    exact; otherwise the column pass writes each column's only entry as its
-    weight, and the row pass then writes the row's first largest entry as
-    ``a[0]`` minus the sum of the others, every sweep alike.
-    """
+    forced, as :func:`_polish` leaves the coupling of the normalized
+    marginals: an mx1 plan is ``a``; a 1xk plan is ``b`` with its first
+    largest entry written as ``a[0]`` less the others, one ``fsum``."""
     if len(a) == 1:
-        row = list(b)
-        if not (sa == 1.0 and sb == 1.0):
-            peak = max(row)
-            val = a[0] - (sb - peak)
-            if val >= 0 and val != peak:
-                row[row.index(peak)] = val
+        row, top = list(b), b.index(max(b))
+        peak = math.fsum([a[0], *(-w for j, w in enumerate(b) if j != top)])
+        if peak >= 0:
+            row[top] = peak
         return [row], [0.0], list(c[0])
     return [[w] for w in a], [row[0] for row in c], [0.0]
-
-
-def _plan_value(x, c):
-    """``np.sum`` of the C-ordered product of the plan ``x`` and the costs
-    ``c`` (lists of rows), bit for bit."""
-    flat = itertools.chain.from_iterable
-    return _line_sum(list(map(operator.mul, flat(x), flat(c))))
 
 
 def _northwest_corner(a, b):
@@ -270,141 +246,78 @@ def _tree_flows(m, k, basis, a, b):
     return x
 
 
-def _polish(x, a, b, cells, low):
-    """Nudge positive flows so row and column sums reproduce the marginals.
-
-    Each pass rewrites the largest entry of a line as the complement of the
-    others, which makes that line's floating-point sum exact (Sterbenz);
-    up to three alternating passes drive both sides to exactness at ulp
-    scale.  The adjustments are ~1e-16 and irrelevant to optimality, but
-    they remove stray mass that would otherwise cross finite distances in
-    downstream measure comparisons.  A plan whose sums are already exact is
-    left unchanged, and the sweeps stop once one leaves the plan as it
-    found it, whether it wrote no entry or wrote some back: the next would
-    start from the same sums and repeat it.
+def _polish(x, a, b, cells):
+    """Rewrite flows so that each row's and column's ``math.fsum`` is its
+    marginal.
 
     Works in place on a nonnegative plan ``x``, a list of rows whose entries
-    outside ``cells`` (row-major ``(i, j)`` pairs, a solve's basis) are
-    zero, with the marginals as lists and ``low`` the least of their
-    weights.
+    outside ``cells`` (``(i, j)`` pairs: a solve's basis, or every cell) are
+    zero, with the marginals as lists.  Positive flows below ``1e-15``
+    times the least positive weight are rounding debris and become zero.
+    A row of positive weight left without a positive flow then ships its
+    weight on its first cell, which in a basis is tight.
 
-    Sums are taken in numpy's order, so a line that is exact here is exact
-    under ``np.sum`` on the matrix built from ``x`` too.  numpy adds a row
-    of fewer than 8 entries in order, and columns row by row; such a sum
-    starts from ``0.0`` and a zero term changes none of its partial sums, so
-    it takes only ``cells``.  Longer rows go pairwise (``_line_sum``), where
-    every position counts.  An (m, 1) plan, whose column numpy would add
-    pairwise, never comes here: its coupling is forced.  The sweeps run
-    only when a line is off, and read and write only ``cells``: a zero
-    entry is never a line's positive peak.
+    The positive cells join the lines into trees.  Each tree is walked from
+    its column of largest weight (the first of them), and every other line,
+    children first, writes the cell joining it to its parent as its
+    marginal less the line's other flows, one ``fsum`` over them, correctly
+    rounded: the line's ``fsum`` is then its marginal, and the flow moves by
+    ulps.  The written flow depends only on the other flows, so a plan's
+    polish does not depend on the flows it rewrites.
+
+    A line may stay off in two cases.  The root column of each tree takes
+    what is left: it misses when the exact masses of the tree's rows and
+    columns differ, because those of ``a`` and ``b`` do, or when the
+    roundings of the written flows, each within half an ulp, add up past
+    its own half ulp.  Any other line misses only where no float value of
+    its written cell meets its marginal: on a rounding tie, where the
+    complement falls halfway between two floats and neither rounds the
+    line's sum to the marginal, or where the line's other flows already
+    exceed it; a negative complement is not written.  Rows are never roots,
+    so a row (a fiber, in the level recursion) misses only in that second
+    case.
     """
-    m, k = len(a), len(b)
-    if not low > 0:
-        low = min((w for w in a + b if w > 0), default=0.0)
-    clip = 1e-15 * low
-    # line sums and each column's first largest positive entry
-    rows, cols, peaks, tops = [0.0] * m, [0.0] * k, [0.0] * k, [-1] * k
-    for i, j in cells:
+    m = len(a)
+    weights = a + b
+    clip = 1e-15 * min((w for w in weights if w > 0), default=0.0)
+    lines = [[] for _ in weights]  # the positive cells of each row and column
+    for cell in cells:
+        i, j = cell
         flow = x[i][j]
-        if 0.0 < flow < clip:
-            x[i][j] = flow = 0.0
-        rows[i] += flow
-        cols[j] += flow
-        if flow > peaks[j]:
-            peaks[j] = flow
-            tops[j] = i
-    pairwise_rows = k >= 8
-    if pairwise_rows:
-        rows = [_line_sum(row) for row in x]
-    if cols == b and rows == a:
-        return
-    in_row = [[] for _ in range(m)]
-    for i, j in cells:
-        in_row[i].append(j)
-    for sweep in range(3):
-        if sweep:  # the column sums and peaks again, after a sweep's writes
-            cols, peaks, tops = [0.0] * k, [0.0] * k, [-1] * k
-            for i in range(m):
-                row = x[i]
-                for j in in_row[i]:
-                    flow = row[j]
-                    cols[j] += flow
-                    if flow > peaks[j]:
-                        peaks[j] = flow
-                        tops[j] = i
-            if cols == b and rows == a:
-                return
-        before = {}  # each cell this sweep writes: its flow before the sweep
-        for j in range(k):
-            i = tops[j]
-            if i >= 0:
-                peak = peaks[j]
-                val = b[j] - (cols[j] - peak)
-                if val >= 0 and val != peak:
-                    before.setdefault((i, j), peak)
-                    x[i][j] = val
-        for i in range(m):
-            row, js = x[i], in_row[i]
-            peak, top, total = 0.0, -1, 0.0
-            for j in js:
-                flow = row[j]
-                total += flow
-                if flow > peak:
-                    peak, top = flow, j
-            if pairwise_rows:
-                total = _line_sum(row)
-            val = a[i] - (total - peak)
-            if top >= 0 and val >= 0 and val != peak:
-                before.setdefault((i, top), peak)
-                row[top] = val
-                total = 0.0
-                for j in js:
-                    total += row[j]
-                if pairwise_rows:
-                    total = _line_sum(row)
-            rows[i] = total
-        if all(x[i][j] == flow for (i, j), flow in before.items()):
-            return
-
-
-def _line_sum(v):
-    """``np.sum`` of a list of floats, bit for bit.
-
-    numpy adds a contiguous line of fewer than 8 entries in order, and a
-    longer one pairwise with 8 accumulators in blocks of 128; the reduction
-    starts from ``0.0``.  Explicit loops, not the builtin ``sum``, which
-    compensates float sums from Python 3.12 on.
-    """
-    if len(v) < 8:
-        total = 0.0
-        for w in v:
-            total += w
-        return total
-    return 0.0 + _pairwise_sum(v)
-
-
-def _pairwise_sum(v):
-    """numpy's pairwise sum of a list of 8 or more floats."""
-    n = len(v)
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
-    r0, r1, r2, r3, r4, r5, r6, r7 = v[:8]
-    stop = n - n % 8
-    for i in range(8, stop, 8):
-        r0 += v[i]
-        r1 += v[i + 1]
-        r2 += v[i + 2]
-        r3 += v[i + 3]
-        r4 += v[i + 4]
-        r5 += v[i + 5]
-        r6 += v[i + 6]
-        r7 += v[i + 7]
-    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for w in v[stop:]:
-        total += w
-    return total
+        if flow > 0.0:
+            if flow < clip:
+                x[i][j] = 0.0
+            else:
+                lines[i].append(cell)
+                lines[m + j].append(cell)
+    for cell in cells:
+        i, j = cell
+        if not lines[i] and a[i] > 0:
+            x[i][j] = a[i]
+            lines[i].append(cell)
+            lines[m + j].append(cell)
+    # each tree's lines from its root column, every one after its parent
+    order, seen = [], [False] * len(weights)
+    columns = sorted(range(m, len(weights)), key=weights.__getitem__,
+                     reverse=True)  # stable: the first of equal weights first
+    for root in columns:
+        if seen[root]:
+            continue
+        seen[root] = True
+        todo = [root]
+        while todo:
+            node = todo.pop()
+            for cell in lines[node]:
+                other = m + cell[1] if node < m else cell[0]
+                if not seen[other]:
+                    seen[other] = True
+                    todo.append(other)
+                    order.append((other, cell))
+    for node, via in reversed(order):
+        val = math.fsum([weights[node], *[-x[i][j] for i, j in lines[node]
+                                          if (i, j) != via]])
+        if val >= 0:
+            x[via[0]][via[1]] = val
 
 
 def _bland_entering(c, u, v, basis, neg_tol):
@@ -471,50 +384,41 @@ def permutation_oracle(c) -> float:
 
 
 def _certified(c, a, b, x, phi, psi, scale):
-    """:func:`verify_optimality` on lists: the plan ``x`` and potentials
-    ``phi``, ``psi`` of a solve on the cost rows ``c``, of largest magnitude
-    ``scale``, and marginals ``a``, ``b`` (lists or tuples), by the same five
-    conditions at the same tolerances.  Returns the plan's value, summed in
-    row-major order, if they hold, else ``False``.
-
-    Sums are taken in order rather than in numpy's order, which moves them
-    by ulps, far below the tolerances.  A NaN flow fails the sign test, and
-    a NaN or infinite potential the duality gap.
+    """The dual certificate of a plan ``x`` and potentials ``phi``, ``psi``
+    for the cost rows ``c``, of largest magnitude ``scale``, and marginals
+    ``a``, ``b`` (lists or tuples): every flow is at least ``-FLOW_TOL``,
+    every line sum within ``_sum_tol`` of its marginal, every reduced cost
+    at least ``-REDUCED_TOL * scale``, within ``SLACK_TOL * scale`` of zero
+    on the flows above ``FLOW_TOL``, and the plan's value within
+    ``GAP_TOL * scale`` of the dual one.  Returns the value, the ``fsum`` of
+    the products ``x_ij * c_ij``, if all hold, else ``False``.  Sums are
+    ``math.fsum``; a NaN flow fails the sign test, and a NaN or infinite
+    potential the duality gap.
     """
     m, k = len(a), len(b)
     if len(x) != m or len(phi) != m or len(psi) != k:
         return False
-    neg, tol, cols = -FLOW_TOL, SUM_TOL, [0.0] * k
-    value = dual = 0.0
     low = loose = 0.0  # the least reduced cost, the largest |one| on the support
-    for i in range(m):
-        row, cost, ui = x[i], c[i], phi[i]
+    for row, cost, ui in zip(x, c, phi):
         if len(row) != k:
             return False
-        total = 0.0
-        for j in range(k):
-            flow = row[j]
-            if not flow >= neg:
+        for flow, cij, vj in zip(row, cost, psi):
+            if not flow >= -FLOW_TOL:
                 return False
-            cij = cost[j]
-            slack = cij - ui - psi[j]
+            slack = cij - ui - vj
             if slack < low:
                 low = slack
             if flow > FLOW_TOL and abs(slack) > loose:
                 loose = abs(slack)
-            total += flow
-            cols[j] += flow
-            value += flow * cij
-        dual += a[i] * ui
-        # a line that misses SUM_TOL is held to _sum_tol, which includes it
-        off = abs(total - a[i])
+    tol = SUM_TOL  # a line that misses it is held to _sum_tol, which includes it
+    sums = [*map(math.fsum, x), *map(math.fsum, zip(*x))]
+    for total, w in zip(sums, itertools.chain(a, b)):
+        off = abs(total - w)
         if not (off <= tol or off <= (tol := _sum_tol(a, b))):
             return False
-    for j in range(k):
-        dual += b[j] * psi[j]
-        off = abs(cols[j] - b[j])
-        if not (off <= tol or off <= (tol := _sum_tol(a, b))):
-            return False
+    flat = itertools.chain.from_iterable
+    value = math.fsum(map(operator.mul, flat(x), flat(c)))
+    dual = math.fsum(map(operator.mul, [*a, *b], [*phi, *psi]))
     return value if (low >= -REDUCED_TOL * scale and loose <= SLACK_TOL * scale
                      and abs(value - dual) <= GAP_TOL * scale) else False
 
@@ -530,33 +434,18 @@ def _sum_tol(a, b) -> float:
 
 
 def verify_optimality(plan: TransportPlan, duals: DualPotentials, c) -> bool:
-    """Feasibility + dual feasibility + duality gap + complementary slackness.
+    """Feasibility + dual feasibility + duality gap + complementary slackness:
+    :func:`_certified` on the plan, its marginals, the potentials and the
+    costs, at its tolerances against ``max |c|``.
 
     A plan, marginal or potential whose shape does not match the costs fails.
     """
     c = np.asarray(c, dtype=float)
-    x = plan.matrix
     m, k = c.shape
-    shapes = [np.shape(v) for v in (x, plan.row_marginal, duals.phi,
-                                    plan.col_marginal, duals.psi)]
-    if shapes != [(m, k), (m,), (m,), (k,), (k,)]:
+    parts = [np.asarray(v, dtype=float) for v in (
+        plan.matrix, plan.row_marginal, plan.col_marginal, duals.phi, duals.psi)]
+    if [v.shape for v in parts] != [(m, k), (m,), (k,), (m,), (k,)]:
         return False
+    x, a, b, phi, psi = (v.tolist() for v in parts)
     scale = float(np.abs(c).max()) if c.size else 0.0
-    # each test is written so that a NaN fails it, as in _certified
-    if not np.all(x >= -FLOW_TOL):
-        return False
-    sum_tol = _sum_tol(plan.row_marginal, plan.col_marginal)
-    if not (np.abs(x.sum(axis=1) - plan.row_marginal).max() <= sum_tol
-            and np.abs(x.sum(axis=0) - plan.col_marginal).max() <= sum_tol):
-        return False
-    slack = c - duals.phi[:, None] - duals.psi[None, :]
-    if not float(slack.min()) >= -REDUCED_TOL * scale:
-        return False
-    value = float((x * c).sum())
-    dual_value = float(plan.row_marginal @ duals.phi + plan.col_marginal @ duals.psi)
-    if not abs(value - dual_value) <= GAP_TOL * scale:
-        return False
-    support = x > FLOW_TOL
-    if support.any() and not float(np.abs(slack[support]).max()) <= SLACK_TOL * scale:
-        return False
-    return True
+    return _certified(c.tolist(), a, b, x, phi, psi, scale) is not False

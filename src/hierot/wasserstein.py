@@ -9,6 +9,7 @@ nothing outlives the call.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -160,15 +161,13 @@ def _velocity(mu: HierMeasure, nu: HierMeasure, solve) -> VelocityPlan:
     for i, (w_i, row) in enumerate(zip(mu.weights, x)):
         entries = [(w, j) for j, w in enumerate(row) if w > 0.0]
         # drop the slivers below WEIGHT_DROP, never the first largest entry,
-        # and complement that one so the fiber still carries w_i exactly
+        # and write that one as w_i less the others, one fsum, as the solve
+        # core's polish does, so that the fiber's fsum is still w_i
         top = max(entries, key=lambda e: e[0])[1]
         kept = [(w, j) for w, j in entries if w >= WEIGHT_DROP or j == top]
         if len(kept) < len(entries):
-            others = 0.0  # in order: the builtin sum compensates from 3.12
-            for w, j in kept:
-                if j != top:
-                    others += w
-            kept = [(w_i - others if j == top else w, j) for w, j in kept]
+            peak = math.fsum([w_i, *(-w for w, j in kept if j != top)])
+            kept = [(peak if j == top else w, j) for w, j in kept]
         fibers.append(tuple(
             FiberEntry(w, _velocity(mu.atoms[i], nu.atoms[j],
                                     kids[i, j] if mu.level > 1 else None))

@@ -1,14 +1,14 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from hierot.errors import InvalidInput, TooLarge, UnbalancedMarginals
 from hierot.exact_ot import (WEIGHT_DROP, DualPotentials, TransportPlan,
-                             _certified, _forced, _line_sum, _plan_value,
-                             _polish, _solve_lists, permutation_oracle,
-                             solve_ot, verify_optimality)
+                             _certified, _polish, _solve_lists,
+                             permutation_oracle, solve_ot, verify_optimality)
 from hierot.sampling import rng_from_seed
 
 
@@ -269,55 +269,80 @@ def test_solver_matches_highs():
             assert gap == 0.0, case
 
 
-def repair_by_lines(x, a, b, sweeps=3):
-    """Line-by-line reference for the polish on every cell."""
+def repair_by_lines(x, a, b):
+    """Line-by-line reference for the polish on a plan whose positive cells
+    form a forest: clip the debris, then, while some line other than its
+    tree's root column (the first of its largest weight) has one cell left,
+    write that cell as the line's marginal less its other flows, one fsum,
+    and drop the cell."""
     x = x.copy()
     m, k = x.shape
-    positive = np.concatenate([a[a > 0], b[b > 0]])
-    if positive.size:
-        clip = 1e-15 * float(positive.min())
-        x[(x > 0) & (x < clip)] = 0.0
-    for _ in range(sweeps):
-        if (x.sum(axis=1) == a).all() and (x.sum(axis=0) == b).all():
-            break
-        for j in range(k):
-            rows = np.flatnonzero(x[:, j] > 0)
-            if len(rows):
-                top = rows[np.argmax(x[rows, j])]
-                val = b[j] - float(x[rows, j].sum() - x[top, j])
-                if val >= 0:
-                    x[top, j] = val
-        for i in range(m):
-            cols = np.flatnonzero(x[i] > 0)
-            if len(cols):
-                top = cols[np.argmax(x[i, cols])]
-                val = a[i] - float(x[i, cols].sum() - x[i, top])
-                if val >= 0:
-                    x[i, top] = val
-    return x
+    w = np.concatenate([a, b])
+    x[(x > 0) & (x < 1e-15 * w[w > 0].min())] = 0.0
+    left = {(int(i), int(j)) for i, j in zip(*np.nonzero(x > 0))}
+    near = {q: set() for q in range(m + k)}
+    for i, j in left:
+        near[i].add(m + j)
+        near[m + j].add(i)
+    roots, seen = set(), set()
+    for start in range(m + k):
+        part, todo = {start}, [start]
+        while todo:
+            more = near[todo.pop()] - part
+            part |= more
+            todo.extend(more)
+        if not part & seen and max(part) >= m:
+            roots.add(min((q for q in part if q >= m), key=lambda q: (-w[q], q)))
+        seen |= part
+    while True:
+        leaves = [(node, cells[0]) for node in range(m + k) if node not in roots
+                  for cells in [[c for c in left if node in (c[0], m + c[1])]]
+                  if len(cells) == 1]
+        if not leaves:
+            return x
+        node, (i, j) = leaves[0]
+        line = x[node] if node < m else x[:, node - m]
+        others = [v for q, v in enumerate(line)
+                  if v > 0 and q != (j if node < m else i)]
+        val = math.fsum([w[node], *(-v for v in others)])
+        if val >= 0:
+            x[i, j] = val
+        left.discard((i, j))
+
+
+def _random_forest(rng, m, k):
+    """The cells of a random spanning tree on rows and columns, less a few
+    but never all."""
+    rows, cols = [int(i) for i in rng.permutation(m)], [int(j) for j in rng.permutation(k)]
+    reached = [[rows.pop()], [cols.pop()]]
+    cells = [(reached[0][0], reached[1][0])]
+    rest = [(0, i) for i in rows] + [(1, j) for j in cols]
+    for q in rng.permutation(len(rest)):
+        side, node = rest[q]
+        partner = int(rng.choice(reached[1 - side]))
+        cells.append((node, partner) if side == 0 else (partner, node))
+        reached[side].append(node)
+    return sorted(cells[:1] + [c for c in cells[1:] if rng.random() > 0.15])
 
 
 def test_repair_flow_sums_matches_line_reference():
-    # below eight entries a line sums in index order either way, so the
-    # results agree bit for bit; longer lines may differ in the last ulp
+    # the polish walks each tree from its root column; the reference peels
+    # its leaves: on a forest both write each cell from the same flows
     rng = rng_from_seed(31)
     for _ in range(300):
         m, k = (int(n) for n in rng.integers(1, 13, size=2))
-        x = rng.random((m, k)) * (rng.random((m, k)) < 0.6)
-        x[rng.integers(m), rng.integers(k)] += 0.5
+        cells = _random_forest(rng, m, k)
+        x = np.zeros((m, k))
+        for i, j in cells:
+            x[i, j] = rng.random() * 10.0 ** rng.integers(-3, 1)
         x /= x.sum()
-        a = x.sum(axis=1) + rng.integers(-2, 3, size=m) * 1e-17
-        b = x.sum(axis=0) + rng.integers(-2, 3, size=k) * 1e-17
+        a, b = x.sum(axis=1), x.sum(axis=0)  # a few ulps off, where positive
+        a = a + (a > 0) * rng.integers(-2, 3, size=m) * 1e-17
+        b = b + (b > 0) * rng.integers(-2, 3, size=k) * 1e-17
         rows = x.tolist()
-        _polish(rows, a.tolist(), b.tolist(),
-                [(i, j) for i in range(m) for j in range(k)],
-                float(min(a.min(), b.min())))
-        got = np.array(rows)
+        _polish(rows, a.tolist(), b.tolist(), cells)
         want = repair_by_lines(x, a, b)
-        if max(m, k) < 8:
-            assert np.array_equal(got, want)
-        else:
-            assert np.abs(got - want).max() <= 4 * np.finfo(float).eps
+        assert _hexes(rows) == _hexes(want.tolist())
 
 
 @pytest.mark.parametrize("a", [[float("nan"), 0.5], [float("nan"), 1.0],
@@ -358,40 +383,6 @@ def test_cost_that_is_not_2d_rejected(c):
         solve_ot(c, [1.0], [1.0])
 
 
-def _spread(rng, shape):
-    """Positive values over ten decades, with some exact zeros."""
-    x = rng.random(shape) * 10.0 ** rng.integers(-10, 1, size=shape)
-    return np.where(rng.random(shape) < 0.1, 0.0, x)
-
-
-def _bits(values):
-    return np.asarray(values, dtype=float).tobytes()
-
-
-# The polish decides exactness with these sums, so they must be numpy's to
-# the last bit: short lines in order, longer ones pairwise in blocks.  The
-# builtin sum() is no substitute: from Python 3.12 it compensates float sums
-# and returns different bits.
-def test_line_sum_matches_numpy_bit_for_bit():
-    rng = rng_from_seed(41)
-    for n in range(1, 301):
-        for _ in range(3):
-            x = _spread(rng, n)
-            assert _bits(_line_sum(x.tolist())) == _bits(np.sum(x)), n
-    assert _bits(_line_sum([-0.0, -0.0])) == _bits(np.sum([-0.0, -0.0]))
-
-
-@pytest.mark.parametrize("m,k", [(1, 1), (1, 9), (9, 1), (20, 1), (300, 1),
-                                 (2, 3), (5, 9), (9, 5), (7, 7), (8, 8),
-                                 (13, 130), (130, 13), (300, 2), (2, 300)])
-def test_matrix_line_sums_match_numpy_bit_for_bit(m, k):
-    rng = rng_from_seed(43 + m * k)
-    for _ in range(3):
-        x = _spread(rng, (m, k))
-        rows = x.tolist()
-        assert _bits([_line_sum(r) for r in rows]) == _bits(x.sum(axis=1))
-
-
 def _hexes(rows):
     return [[v.hex() for v in row] for row in rows]
 
@@ -399,9 +390,10 @@ def _hexes(rows):
 @pytest.mark.parametrize("m,k", [(1, 1), (1, 2), (1, 7), (1, 8), (1, 13),
                                  (2, 1), (7, 1), (8, 1), (13, 1)])
 def test_forced_coupling_is_the_general_path(m, k):
-    # normalize, the product coupling of the normalized marginals, the
-    # polish and the value sum, bit for bit: marginals whose sums are 1.0
-    # exactly, and a few ulps or up to the 1e-9 tolerance off
+    # normalize by the fsum of each side, the product coupling of the
+    # normalized marginals, the polish and the value's fsum, bit for bit:
+    # marginals whose sums are 1.0 exactly, and a few ulps or up to the
+    # 1e-9 tolerance off
     rng = rng_from_seed(61 + 16 * m + k)
     for trial in range(300):
         c = (rng.standard_normal((m, k)) * 10.0 ** rng.integers(-2, 3)).tolist()
@@ -410,36 +402,28 @@ def test_forced_coupling_is_the_general_path(m, k):
         a, b = (a / a.sum()).tolist(), (b / b.sum()).tolist()
         off = [0.0, 2e-16, -3e-16, 1e-12, -5e-10][trial % 5]
         a = [w * (1.0 + off) for w in a]
-        sa, sb = _line_sum(a), _line_sum(b)
+        sa, sb = math.fsum(a), math.fsum(b)
         an, bn = [w / sa for w in a], [w / sb for w in b]
         if m == 1:
             x, phi, psi = [[w * an[0] for w in bn]], [0.0], list(c[0])
-            basis = [(0, j) for j in range(k)]
         else:
             x, phi, psi = [[w * bn[0]] for w in an], [row[0] for row in c], [0.0]
-            basis = [(i, 0) for i in range(m)]
-        _polish(x, a, b, basis, min(a + b))
-        value = _line_sum([xv * cv for xr, cr in zip(x, c)
-                           for xv, cv in zip(xr, cr)])
-        got = _forced(c, a, b, sa, sb)
+        _polish(x, a, b, [*itertools.product(range(m), range(k))])
+        value = math.fsum(xv * cv for xr, cr in zip(x, c)
+                          for xv, cv in zip(xr, cr))
+        got = _solve_lists(c, a, b)
         assert _hexes(got[0]) == _hexes(x)
-        assert _hexes(got[1:]) == _hexes([phi, psi])
-        assert _solve_lists(c, a, b)[3].hex() == value.hex()
-
-
-@pytest.mark.parametrize("m,k", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 5),
-                                 (4, 4), (5, 7), (8, 8), (9, 15), (11, 12),
-                                 (12, 11), (16, 16)])
-def test_plan_value_from_cells_is_numpys_sum(m, k):
-    # a sparse plan's value is np.sum of the whole product matrix, bit for
-    # bit, zero products (of either sign) included
-    rng = rng_from_seed(67 + 16 * m + k)
-    for _ in range(200):
-        x = rng.random((m, k)) * (rng.random((m, k)) < 0.3)
-        c = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-3, 4)
-        x[rng.integers(m), rng.integers(k)] = 0.0
-        got = _plan_value(x.tolist(), c.tolist())
-        assert got.hex() == float(np.sum(x * c)).hex()
+        assert _hexes(got[1:3]) == _hexes([phi, psi])
+        assert got[3].hex() == value.hex()
+        # an mx1 plan is a; a 1xk plan is b with its first largest entry
+        # rewritten to meet a[0]
+        if m > 1:
+            assert x == [[w] for w in a]
+        else:
+            top = b.index(max(b))
+            others = b[:top] + b[top + 1:]
+            assert x[0][:top] + x[0][top + 1:] == others
+            assert x[0][top] == math.fsum([a[0], *(-w for w in others)])
 
 
 def _weights(rng, n, kind):
@@ -459,43 +443,40 @@ def _weights(rng, n, kind):
 @pytest.mark.parametrize("m,k", [(1, 7), (7, 1), (1, 8), (2, 3), (2, 4),
                                  (4, 2), (3, 3)])
 def test_solve_value_is_numpys_sum_of_its_plan(m, k, kind):
-    # below 8 cells the value comes from the certificate's in-order pass,
-    # from 8 up from the pairwise sum: np.sum of the product either way
+    # the value is the exact sum (math.fsum, correctly rounded) of numpy's
+    # product of the plan and the costs, in any shape
     rng = rng_from_seed(79 + 16 * m + k)
     for _ in range(100):
         c = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-3, 4)
         a, b = _weights(rng, m, kind), _weights(rng, k, kind)
         x, _, _, value = _solve_lists(c.tolist(), a, b)
-        assert value.hex() == float(np.sum(np.array(x) * c)).hex()
+        assert value.hex() == math.fsum((np.array(x) * c).ravel()).hex()
 
 
 @pytest.mark.parametrize("m,k", [(1, 5), (5, 1), (3, 4), (4, 3), (6, 6),
                                  (3, 7), (3, 8), (2, 9), (9, 2), (12, 1),
                                  (1, 12), (10, 10)])
 def test_polish_on_support_cells_matches_all_cells(m, k):
-    # a plan's sums over its support cells alone, in numpy's order, decide
-    # and repair exactly as the sums over every cell do
+    # a plan's positive cells alone decide and repair as every cell does,
+    # and a polished plan is left as it is
     rng = rng_from_seed(73 + 16 * m + k)
     for _ in range(200):
         x = rng.random((m, k)) * (rng.random((m, k)) < 0.5)
-        x[rng.integers(m), rng.integers(k)] += 0.3
+        x[np.arange(m), rng.integers(k, size=m)] += 0.3  # no row left empty
         x[rng.integers(m), rng.integers(k)] = 1e-19  # below the clip
         x /= x.sum()
-        a = (x.sum(axis=1) + rng.integers(-2, 3, size=m) * 1e-17).tolist()
-        b = (x.sum(axis=0) + rng.integers(-2, 3, size=k) * 1e-17).tolist()
+        a, b = x.sum(axis=1), x.sum(axis=0)  # a few ulps off, where positive
+        a = (a + (a > 0) * rng.integers(-2, 3, size=m) * 1e-17).tolist()
+        b = (b + (b > 0) * rng.integers(-2, 3, size=k) * 1e-17).tolist()
         every = [(i, j) for i in range(m) for j in range(k)]
         support = [(i, j) for i, j in every if x[i, j] != 0.0]
         full, sparse = x.tolist(), x.tolist()
-        _polish(full, a, b, every, min(a + b))
-        _polish(sparse, a, b, support, min(a + b))
+        _polish(full, a, b, every)
+        _polish(sparse, a, b, support)
         assert _hexes(sparse) == _hexes(full)
-        # a plan whose sums are numpy's marginals to the last bit is left as
-        # it is, which needs numpy's order (pairwise from 8 entries up)
-        x[x < 1e-17] = 0.0
-        exact = x.tolist()
-        rows, cols = x.sum(axis=1).tolist(), x.sum(axis=0).tolist()
-        _polish(exact, rows, cols, support, min(rows + cols))
-        assert _hexes(exact) == _hexes(x.tolist())
+        again = [list(row) for row in full]
+        _polish(again, a, b, every)
+        assert _hexes(again) == _hexes(full)
 
 
 def test_plan_and_duals_are_frozen_slotted_dataclasses():

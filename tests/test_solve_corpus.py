@@ -26,14 +26,15 @@ The inputs stay as committed when a result is meant to change; only their
 digests are rewritten, by ``test_solver_golden.py``'s one command.
 """
 
+import math
+
 import pytest
 
-from hierot.exact_ot import _line_sum
 from test_solver_golden import GOLDEN, RECORDED, pin
 
 # problems of each size class among those from ``check``
 QUOTAS = {"1xk": 50, "2x2": 40, "<=16": 110, "17-64": 55}
-INEXACT = 42  # problems from ``check`` whose marginals do not sum to 1.0
+INEXACT = 42  # problems from ``check`` whose marginals' fsum is not 1.0
 
 
 def size_class(m, k):
@@ -50,7 +51,7 @@ def test_corpus_covers_every_size_class():
     assert len(check) == 300
     for name in [*QUOTAS, ">64"]:
         assert classes.count(name) >= 3, name
-    assert sum(_line_sum(a) != 1.0 or _line_sum(b) != 1.0
+    assert sum(math.fsum(a) != 1.0 or math.fsum(b) != 1.0
                for c, a, b in check) >= INEXACT
     assert (18, 14) in [(len(a), len(b)) for c, a, b in check]
     assert GOLDEN.stat().st_size < 300_000
