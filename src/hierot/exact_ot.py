@@ -83,16 +83,18 @@ def _solve_lists(c, a, b):
     mx1 problem takes its forced coupling (:func:`_forced`); every other
     problem is normalized by those sums, solved, scaled back by a row mass
     off one by more than ``SUM_TOL`` and polished on its full marginals,
-    zero and tiny weights included.  Either plan is then certified with :func:`_certified` (``NumericalFailure`` if that fails), which
-    returns the value, the ``fsum`` of the products ``x_ij * c_ij``.  The
-    inputs are not modified.
+    zero and tiny weights included.  Either plan is then certified with
+    :func:`_certified` (``NumericalFailure`` if that fails), which returns
+    the value, the ``fsum`` of the products ``x_ij * c_ij``.  The inputs
+    are not modified.
     """
     # a NaN or infinite entry makes the sum non-finite; only an overflowing
     # sum of finite entries needs the entry-by-entry test
     flat = [*itertools.chain.from_iterable(c)]
     if not math.isfinite(sum(flat)) and not all(map(math.isfinite, flat)):
         raise InvalidInput("cost matrix has a non-finite entry")
-    # signs first: only weights of one sign can overflow fsum, past 1e308
+    # signs first: weights of mixed sign can make fsum fail on the way to
+    # a finite sum (inf - inf); nonnegative ones can only overflow it
     if min(a, default=0.0) < 0 or min(b, default=0.0) < 0:
         raise UnbalancedMarginals("marginals must be nonnegative")
     try:
@@ -314,8 +316,11 @@ def _polish(x, a, b, cells):
                     todo.append(other)
                     order.append((other, cell))
     for node, via in reversed(order):
-        val = math.fsum([weights[node], *[-x[i][j] for i, j in lines[node]
-                                          if (i, j) != via]])
+        terms = [weights[node]]
+        for cell in lines[node]:
+            if cell is not via:
+                terms.append(-x[cell[0]][cell[1]])
+        val = math.fsum(terms)
         if val >= 0:
             x[via[0]][via[1]] = val
 
@@ -410,15 +415,17 @@ def _certified(c, a, b, x, phi, psi, scale):
                 low = slack
             if flow > FLOW_TOL and abs(slack) > loose:
                 loose = abs(slack)
-    tol = SUM_TOL  # a line that misses it is held to _sum_tol, which includes it
-    sums = [*map(math.fsum, x), *map(math.fsum, zip(*x))]
-    for total, w in zip(sums, itertools.chain(a, b)):
-        off = abs(total - w)
-        if not (off <= tol or off <= (tol := _sum_tol(a, b))):
-            return False
-    flat = itertools.chain.from_iterable
-    value = math.fsum(map(operator.mul, flat(x), flat(c)))
-    dual = math.fsum(map(operator.mul, [*a, *b], [*phi, *psi]))
+    sums = [*map(math.fsum, x), *map(math.fsum, zip(*x) if x else [()] * k)]
+    weights = [*a, *b]
+    if sums != weights:  # an exact line passes; the others are held to SUM_TOL
+        tol = SUM_TOL  # and, past it, to _sum_tol, which includes it
+        for total, w in zip(sums, weights):
+            off = abs(total - w)
+            if not (off <= tol or off <= (tol := _sum_tol(a, b))):
+                return False
+    value = math.fsum(map(operator.mul, itertools.chain.from_iterable(x),
+                          itertools.chain.from_iterable(c)))
+    dual = math.fsum(map(operator.mul, weights, [*phi, *psi]))
     return value if (low >= -REDUCED_TOL * scale and loose <= SLACK_TOL * scale
                      and abs(value - dual) <= GAP_TOL * scale) else False
 

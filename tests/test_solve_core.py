@@ -284,8 +284,9 @@ def _floats(values):
 
 
 # a problem of `hierot check --suite all --seed 1000 --samples 1` whose
-# marginals have the same exact mass; the alternating sweeps of an earlier
-# polish returned its row 1 and column 0 an ulp off their marginals
+# marginals have the same exact mass, so some float plan meets every one;
+# rewriting each line's largest entry in alternating column and row sweeps
+# leaves its row 1 and column 0 an ulp off
 RECORDED_MISS = (
     [["0x1.11110f10b8439p+0", "0x1.418a4025e743cp+1", "0x1.c4f4a894b5b2ep+0"],
      ["0x1.29c3ce441d868p+0", "0x1.8fd6dba51c40dp+0", "0x1.30b65047940d6p+1"]],
