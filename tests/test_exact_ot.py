@@ -313,7 +313,7 @@ def repair_by_lines(x, a, b):
 def _random_forest(rng, m, k):
     """The cells of a random spanning tree on rows and columns, less a few
     but never all."""
-    rows, cols = [int(i) for i in rng.permutation(m)], [int(j) for j in rng.permutation(k)]
+    rows, cols = rng.permutation(m).tolist(), rng.permutation(k).tolist()
     reached = [[rows.pop()], [cols.pop()]]
     cells = [(reached[0][0], reached[1][0])]
     rest = [(0, i) for i in rows] + [(1, j) for j in cols]
