@@ -4,7 +4,8 @@ Implements the transportation simplex (MODI) with north-west-corner
 initialization and Bland's pivoting rule, which terminates without cycling
 and returns a basic optimal solution: at most ``m + k - 1`` strictly
 positive entries, plus dual potentials certifying optimality through
-complementary slackness.
+complementary slackness.  The pivot loop only picks the plan's support:
+the polish writes its flows from the marginals.
 
 The solve itself, :func:`_solve_lists`, runs on Python lists of floats from
 input validation through the polish and the value; the library's own
@@ -81,12 +82,11 @@ def _solve_lists(c, a, b):
     Validates the costs and marginals (the shapes are the caller's); each
     marginal's ``math.fsum`` must be within ``MASS_TOL`` of one.  A 1xk or
     mx1 problem takes its forced coupling (:func:`_forced`); every other
-    problem is normalized by those sums, solved, scaled back by a row mass
-    off one by more than ``SUM_TOL`` and polished on its full marginals,
-    zero and tiny weights included.  Either plan is then certified with
-    :func:`_certified` (``NumericalFailure`` if that fails), which returns
-    the value, the ``fsum`` of the products ``x_ij * c_ij``.  The inputs
-    are not modified.
+    problem is solved (:func:`_simplex`) and polished (:func:`_polish`) on
+    its full marginals, zero and tiny weights included.  Either plan is then
+    certified with :func:`_certified` (``NumericalFailure`` if that fails),
+    which returns the value, the ``fsum`` of the products ``x_ij * c_ij``.
+    The inputs are not modified.
     """
     # a NaN or infinite entry makes the sum non-finite; only an overflowing
     # sum of finite entries needs the entry-by-entry test
@@ -107,12 +107,7 @@ def _solve_lists(c, a, b):
     if len(a) == 1 or len(b) == 1:
         x, phi, psi = _forced(c, a, b)
     else:
-        # w / 1.0 is w: marginals that sum to 1.0 exactly need no division
-        an = a if sa == 1.0 else [w / sa for w in a]
-        bn = b if sb == 1.0 else [w / sb for w in b]
-        x, phi, psi, _, basis = _simplex(c, an, bn, scale)
-        if abs(sa - 1.0) > SUM_TOL:  # the polish cannot move that much mass
-            x = [[flow * sa for flow in row] for row in x]
+        x, phi, psi, _, basis = _simplex(c, a, b, scale)
         _polish(x, a, b, basis)
     value = _certified(c, a, b, x, phi, psi, scale)
     if value is False:
@@ -208,49 +203,9 @@ def _cycle(m, tree, enter):
     return up + down[::-1]
 
 
-def _tree_flows(m, k, basis, a, b):
-    """The plan, as a list of rows, whose only nonzero entries are the unique
-    flows on the basis spanning tree that satisfy the marginals.
-
-    Peels degree-one nodes, so every flow is a short alternating sum of
-    marginals; this avoids the rounding drift of pivot-accumulated flows.
-    A negative flow is written as ``0.0``, and a ``-0.0`` stays ``-0.0``.
-    ``a`` and ``b`` are lists of floats.  Nodes are rows ``0..m-1`` and
-    columns ``m..m+k-1``; a node of degree one finds its last neighbour as
-    the XOR of all it had, less those peeled.
-    """
-    deg = [0] * (m + k)
-    link = [0] * (m + k)
-    for i, j in basis:
-        j += m
-        deg[i] += 1
-        deg[j] += 1
-        link[i] ^= j
-        link[j] ^= i
-    rem = a + b
-    x = [[0.0] * k for _ in range(m)]
-    stack = [node for node, d in enumerate(deg) if d == 1]
-    while stack:
-        node = stack.pop()
-        if deg[node] != 1:  # the last node, whose neighbours all went first
-            continue
-        other = link[node]
-        link[other] ^= node
-        f = rem[node]
-        if node < m:
-            x[node][other - m] = 0.0 if f < 0.0 else f
-        else:
-            x[other][node - m] = 0.0 if f < 0.0 else f
-        rem[other] -= f
-        deg[other] -= 1
-        if deg[other] == 1:
-            stack.append(other)
-    return x
-
-
 def _polish(x, a, b, cells):
-    """Rewrite flows so that each row's and column's ``math.fsum`` is its
-    marginal.
+    """Write the flows of a plan so that each row's and column's
+    ``math.fsum`` is its marginal.
 
     Works in place on a nonnegative plan ``x``, a list of rows whose entries
     outside ``cells`` (``(i, j)`` pairs: a solve's basis, or every cell) are
@@ -263,9 +218,10 @@ def _polish(x, a, b, cells):
     its column of largest weight (the first of them), and every other line,
     children first, writes the cell joining it to its parent as its
     marginal less the line's other flows, one ``fsum`` over them, correctly
-    rounded: the line's ``fsum`` is then its marginal, and the flow moves by
-    ulps.  The written flow depends only on the other flows, so a plan's
-    polish does not depend on the flows it rewrites.
+    rounded: the line's ``fsum`` is then its marginal.  On a forest of
+    positive cells (a basis's) every cell joins a line to its parent and is
+    written from the marginals alone, so unless a complement is negative the
+    plan depends only on which cells are above the clip, not on their flows.
 
     A line may stay off in two cases.  The root column of each tree takes
     what is left: it misses when the exact masses of the tree's rows and
@@ -341,9 +297,9 @@ def _bland_entering(c, u, v, basis, neg_tol):
 
 def _simplex(c, a, b, scale):
     """Transportation simplex from the north-west start on a list of cost
-    rows and marginal lists, with ``scale = max |c_ij|``; returns the plan
-    rows, the potentials as lists, the pivot count and the basis cells in
-    row-major order."""
+    rows and marginal lists, with ``scale = max |c_ij|``; returns its final
+    flows as plan rows (``-0.0`` as ``0.0``), the potentials as lists, the
+    pivot count and the basis cells in row-major order."""
     m, k = len(c), len(c[0])
     neg_tol = -1e-12 * scale  # Bland's entering threshold
     basis, flows = _northwest_corner(a, b)
@@ -354,7 +310,10 @@ def _simplex(c, a, b, scale):
         enter = _bland_entering(c, u, v, flow, neg_tol)
         if enter is None:
             basis = sorted(flow) if it else basis  # the start is row-major
-            return _tree_flows(m, k, basis, a, b), u, v, it, basis
+            x = [[0.0] * k for _ in range(m)]
+            for (i, j), f in flow.items():
+                x[i][j] = f + 0.0  # -0.0 + 0.0 is 0.0
+            return x, u, v, it, basis
 
         cycle = _cycle(m, tree, enter)
         minus = cycle[1::2]

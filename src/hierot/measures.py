@@ -33,7 +33,10 @@ def check_weights(weights) -> None:
         raise InvalidInput(f"weights must be finite, got {weights}")
     if not all(w > 0.0 for w in weights):
         raise NonUnitMass(f"weights must be strictly positive, got {weights}")
-    total = math.fsum(weights)
+    try:
+        total = math.fsum(weights)
+    except OverflowError:  # finite weights whose exact sum overflows
+        total = math.inf
     if abs(total - 1.0) > MASS_TOL:
         raise NonUnitMass(f"weights sum to {total}")
 

@@ -185,7 +185,10 @@ def check_fiber(weights, mass: float, i: int) -> None:
         raise InvalidInput(f"empty fiber at atom {i}")
     if not all(w > 0.0 for w in weights):
         raise InvalidInput(f"fiber weights at atom {i} must be positive")
-    total = math.fsum(weights)
+    try:
+        total = math.fsum(weights)
+    except OverflowError:  # finite weights whose exact sum overflows
+        total = math.inf
     if abs(total - mass) > FIBER_SUM_TOL:
         raise InvalidInput(
             f"fiber weights at atom {i} sum to {total}, expected {mass}")

@@ -121,6 +121,19 @@ def test_distance_non_finite_weight_exit_code(tmp_path, capsys, w):
     assert "finite" in capsys.readouterr().err
 
 
+def test_distance_overflowing_weight_sum_exit_code(tmp_path, capsys):
+    # finite weights whose exact sum overflows are off the unit mass
+    doc = {"manifold": {"kind": "euclidean", "ambient_dim": 1}, "level": 1,
+           "measure": {"weights": [1e308, 1e308],
+                       "atoms": [{"point": [0.0]}, {"point": [1.0]}]}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    good = tmp_path / "good.json"
+    save_measure(mixture((1.0,), [dirac(E1, [0.0])]), good)
+    assert main(["distance", str(bad), str(good)]) == 2
+    assert capsys.readouterr().err == "error: node weights sum to inf\n"
+
+
 def test_distance_accepts_the_mass_the_node_rule_accepts(tmp_path, capsys):
     # weights whose exact sum is within 1e-9 of one, but not their sum in
     # numpy's order: the reader accepts them, so the solve must too

@@ -5,11 +5,12 @@ exception may escape."""
 import copy
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierot import euclidean, sphere
-from hierot.errors import HierotError
+from hierot.errors import HierotError, SchemaError
 from hierot.sampling import random_measure, random_plan, rng_from_seed
 from hierot.serialization import (measure_from_obj, measure_to_obj,
                                   plan_from_obj, plan_to_obj)
@@ -75,3 +76,21 @@ def test_ingestion_returns_or_raises_hierot_error(data):
         parse(bad)
     except HierotError:
         pass
+
+
+E1 = {"kind": "euclidean", "ambient_dim": 1}
+
+
+@pytest.mark.parametrize("parse,doc", [
+    (measure_from_obj, {"manifold": E1, "level": 1, "measure": {
+        "weights": [1e308, 1e308], "atoms": [{"point": [0.0]}, {"point": [1.0]}]}}),
+    (plan_from_obj, {"manifold": E1, "level": 1,
+                     "base": {"weights": [1.0], "atoms": [{"point": [0.0]}]},
+                     "plan": {"fibers": [
+                         [{"weight": 1e308, "plan": {"tangent": [0.0]}}] * 2]}}),
+], ids=["node", "fiber"])
+def test_overflowing_weight_sum_is_off_its_mass(parse, doc):
+    # finite weights whose exact sum overflows math.fsum: the weight rules
+    # read the sum as infinite, so the document is refused for its mass
+    with pytest.raises(SchemaError, match="sum to inf"):
+        parse(doc)

@@ -23,14 +23,14 @@ from hierot import euclidean, exact_ot, sphere
 from hierot.cli import main
 from hierot.errors import NumericalFailure
 from hierot.exact_ot import (MASS_TOL, DualPotentials, TransportPlan,
-                             _certified, _solve_lists, solve_ot,
+                             _certified, _polish, _solve_lists, solve_ot,
                              verify_optimality)
 from hierot.measures import dirac, mixture
 from hierot.plans import FiberEntry, VelocityPlan, inner_mu, optimal_coupling
 from hierot.sampling import (random_coupling, random_measure, random_plan,
                              rng_from_seed)
 from hierot.wasserstein import _cost_rows, cost_matrix, w2, w2_sq
-from test_solver_golden import CASES, _key, problem
+from test_solver_golden import CASES, _key, _random_tree, problem
 from test_wasserstein import EDGE_WEIGHTS
 
 IDS = [_key(*c) for c in CASES]
@@ -332,3 +332,42 @@ def test_every_line_meets_its_marginal_but_by_the_rule(problem):
     c, a, b = problem
     x = _solve_lists(c, a, b)[0]
     assert _misses_outside_the_rule(x, a, b) == []
+
+
+@st.composite
+def polish_pairs(draw):
+    """The cells of a random spanning tree from 1x1 to 12x12, as a basis;
+    marginals that are the line sums of flows of 1e-9 to 1 on a forest
+    among them, so no complement the polish writes is negative; and two
+    plans with other, unrelated flows above the polish's clip on that
+    forest and zero or debris below the clip on the tree's other cells."""
+    m, k = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tree = sorted(_random_tree(rng, m, k))
+    forest = {cell for cell in tree if rng.random() > 0.2} or {tree[0]}
+    flows = np.zeros((m, k))
+    for i, j in forest:
+        flows[i, j] = 10.0 ** rng.uniform(-9, 0)
+    a, b = ([math.fsum(line) for line in side.tolist()]
+            for side in (flows, flows.T))
+    clip = 1e-15 * min(w for w in a + b if w > 0)
+    plans = []
+    for _ in range(2):
+        x = np.zeros((m, k))
+        for cell in tree:
+            x[cell] = (10.0 ** rng.uniform(-12, 1) if cell in forest
+                       else clip * rng.random() * (rng.random() < 0.5))
+        plans.append(x.tolist())
+    return tree, a, b, plans
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(polish_pairs())
+def test_polish_writes_the_plan_from_its_support(pair):
+    # every positive cell of a forest joins a line to its parent and is
+    # written from the marginals and the cells written before it, so the
+    # flows the polish is given decide only which cells are above its clip
+    tree, a, b, (x, y) = pair
+    _polish(x, a, b, tree)
+    _polish(y, a, b, tree)
+    assert _hex(x) == _hex(y)

@@ -167,11 +167,26 @@ def write(pins):
                       + recorded + "\n]}\n")
 
 
+def _named(pins):
+    """Every digest of ``pins`` by name: a seeded problem's own, and
+    ``recorded[i] (command)`` for the recorded ones."""
+    return {**pins["seeded"], **{f"recorded[{i}] ({e['from']})": e["sha256"]
+                                 for i, e in enumerate(pins["recorded"])}}
+
+
 def redigest():
-    """Solve every pinned problem again and rewrite only its digest."""
-    write({"seeded": {name: pin(*p) for name, p in SEEDED.items()},
-           "recorded": [{**e, "sha256": pin(*p)}
-                        for e, (_, p, _) in zip(PINS["recorded"], RECORDED)]})
+    """Solve every pinned problem again and rewrite only its digest; print
+    each pin that moves (its name and the first 12 hex digits of its digest,
+    old -> new) and their count."""
+    pins = {"seeded": {name: pin(*p) for name, p in SEEDED.items()},
+            "recorded": [{**e, "sha256": pin(*p)}
+                         for e, (_, p, _) in zip(PINS["recorded"], RECORDED)]}
+    old, new = _named(PINS), _named(pins)
+    moved = [name for name in new if old.get(name) != new[name]]
+    for name in moved:
+        print(f"{name}: {old.get(name, 'none')[:12]} -> {new[name][:12]}")
+    print(f"{len(moved)} of {len(new)} pins moved")
+    write(pins)
 
 
 @pytest.mark.parametrize("name", SEEDED)

@@ -368,8 +368,8 @@ def test_w2_scales_with_the_points(level, s):
 
 def test_transport_takes_the_mass_the_node_rule_accepts():
     # both sides weigh 1 + 9e-10, which check_weights accepts: the core
-    # solves on normalized marginals and scales the plan back by the mass,
-    # which the polish alone cannot put back
+    # solves and polishes on those marginals as given, so the plan carries
+    # their mass
     rng = rng_from_seed(77)
 
     def measure(n):
