@@ -5,10 +5,12 @@ seeded property check returning a worst residual.  The CLI ``check``
 command and the acceptance tests both run these functions, so a failure is
 reproducible from the printed seed.
 
-A property is its body: :func:`_property` declares the body's report name,
-rng label, manifolds, levels, draw count and tolerance, and turns it into a
-check ``check(seed, samples)``.  The harness owns the sampling loop, the
-residual fold and the result; ``samples`` is the only setting.
+A property is its body: :func:`_property` declares the body's suite, report
+name, rng label, manifolds, levels, draw count and tolerance, turns it into a
+check ``check(seed, samples)`` and appends that to its suite in ``SUITES``,
+so a suite reports its properties in the order they are declared.  The
+harness owns the sampling loop, the residual fold and the result;
+``samples`` is the only setting.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .wasserstein import TOL_NEAR_ZERO, transport, w2, w2_sq
 LEVELS = (1, 2, 3)
 MAX_ATOMS = 3
 E1, E2, E3, S3 = euclidean(1), euclidean(2), euclidean(3), sphere(3)
+# suite name -> its checks, in declaration order
+SUITES = {}
 
 
 @dataclass(frozen=True)
@@ -70,16 +74,17 @@ def _result(name, worst, tol, samples, detail="") -> PropertyResult:
                           detail=detail or f"tolerance {tol}")
 
 
-def _property(name, label, *, tol, manifolds, levels=(0,),
+def _property(suite, name, label, *, tol, manifolds, levels=(0,),
               draws=lambda samples: samples, detail=""):
-    """Declare a seeded property around its body.
+    """Declare a seeded property of ``suite`` around its body.
 
     ``body(rng, man, level)`` draws one instance from ``rng`` and returns
     its residuals, or ``None`` to skip the draw, which is then not counted.
     The check ``check(seed, samples)`` this returns seeds ``rng`` from
     ``seed`` and ``label``, makes ``draws(samples)`` draws for each manifold
     and, within it, each level, and passes when no residual exceeds ``tol``.
-    A body that draws only points keeps the default level 0.
+    A body that draws only points keeps the default level 0.  The check
+    is appended to ``SUITES[suite]``.
     """
     def declare(body):
         def check(seed: int, samples: int) -> PropertyResult:
@@ -95,6 +100,7 @@ def _property(name, label, *, tol, manifolds, levels=(0,),
                             n += 1
             return _result(name, worst, tol, n, detail)
         check.__name__ = check.__qualname__ = body.__name__
+        SUITES.setdefault(suite, []).append(check)
         return check
     return declare
 
@@ -107,7 +113,7 @@ def _measure(rng, man, level):
 # metric suite
 
 
-@_property("manifold.exp_log_identity", "exp_log", tol=1e-9,
+@_property("metric", "manifold.exp_log_identity", "exp_log", tol=1e-9,
            manifolds=(E1, E3, S3), draws=lambda s: s * 4)
 def check_exp_log_identity(rng, man, level):
     x = smp.random_point(rng, man)
@@ -117,14 +123,14 @@ def check_exp_log_identity(rng, man, level):
             abs(float(np.linalg.norm(v)) - man.dist(x, y)))
 
 
-@_property("manifold.triangle", "mtri", tol=1e-12,
+@_property("metric", "manifold.triangle", "mtri", tol=1e-12,
            manifolds=(E1, E3, S3), draws=lambda s: s * 4)
 def check_manifold_triangle(rng, man, level):
     x, y, z = (smp.random_point(rng, man) for _ in range(3))
     return (man.dist(x, z) - man.dist(x, y) - man.dist(y, z),)
 
 
-@_property("manifold.exp_contraction", "contraction", tol=1e-9,
+@_property("metric", "manifold.exp_contraction", "contraction", tol=1e-9,
            manifolds=(S3, E3), draws=lambda s: s * 4)
 def check_exp_contraction(rng, man, level):
     # exp contracts on the sphere and is an isometry in flat space
@@ -140,37 +146,7 @@ def check_exp_contraction(rng, man, level):
             - float(np.linalg.norm(u - v)),)
 
 
-@_property("manifold.pt_isometry", "pt_leaf_iso", tol=1e-9,
-           manifolds=(E1, E3, S3), draws=lambda s: s * 4)
-def check_pt_leaf_isometry(rng, man, level):
-    x = smp.random_point(rng, man)
-    v = smp.random_tangent(rng, man, x, 1.0)
-    w1 = smp.random_tangent(rng, man, x, 1.0)
-    w2_ = smp.random_tangent(rng, man, x, 1.0)
-    t = float(rng.uniform(-1.5, 1.5))
-    _, tw1 = man.parallel_transport(x, v, w1, t)
-    _, tw2 = man.parallel_transport(x, v, w2_, t)
-    return (abs(np.linalg.norm(tw1) - np.linalg.norm(w1)),
-            abs(float(np.dot(tw1, tw2)) - float(np.dot(w1, w2_))))
-
-
-@_property("manifold.pt_group_law", "pt_leaf_group", tol=1e-8,
-           manifolds=(E1, E3, S3), draws=lambda s: s * 4)
-def check_pt_leaf_group(rng, man, level):
-    x = smp.random_point(rng, man)
-    v = smp.random_tangent(rng, man, x, 1.0)
-    w = smp.random_tangent(rng, man, x, 1.0)
-    t = float(rng.uniform(-1.0, 1.0))
-    s = float(rng.uniform(-1.0, 1.0))
-    y, v_t = man.parallel_transport(x, v, v, t)
-    _, w_t = man.parallel_transport(x, v, w, t)
-    y2, w_ts = man.parallel_transport(y, v_t, w_t, s)
-    y_direct, w_direct = man.parallel_transport(x, v, w, t + s)
-    return (float(np.linalg.norm(y2 - y_direct)),
-            float(np.linalg.norm(w_ts - w_direct)))
-
-
-@_property("w2.metric_axioms", "w2metric", tol=1e-8,
+@_property("metric", "w2.metric_axioms", "w2metric", tol=1e-8,
            manifolds=(E2, S3), levels=LEVELS)
 def check_w2_metric(rng, man, level):
     a, b, c = (_measure(rng, man, level) for _ in range(3))
@@ -178,7 +154,7 @@ def check_w2_metric(rng, man, level):
     return (abs(ab - w2(b, a)), w2(a, c) - ab - w2(b, c), w2(a, a))
 
 
-@_property("w2.dirac_lift_isometry", "dirac_iso", tol=1e-10,
+@_property("metric", "w2.dirac_lift_isometry", "dirac_iso", tol=1e-10,
            manifolds=(E2, S3), levels=LEVELS)
 def check_dirac_isometry(rng, man, level):
     x = smp.random_point(rng, man)
@@ -187,7 +163,7 @@ def check_dirac_isometry(rng, man, level):
                 - man.dist(x, y)),)
 
 
-@_property("w2.collapse_lower_bound", "collapse_lb", tol=1e-9,
+@_property("metric", "w2.collapse_lower_bound", "collapse_lb", tol=1e-9,
            manifolds=(E2, S3), levels=(2, 3))
 def check_collapse_lower_bound(rng, man, level):
     a = _measure(rng, man, level)
@@ -195,7 +171,7 @@ def check_collapse_lower_bound(rng, man, level):
     return (w2(collapse(a), collapse(b)) - w2(a, b),)
 
 
-@_property("w2.dirac_second_moment", "w2dirac", tol=1e-9,
+@_property("metric", "w2.dirac_second_moment", "w2dirac", tol=1e-9,
            manifolds=(E2, S3), levels=LEVELS)
 def check_w2_to_dirac(rng, man, level):
     mu = _measure(rng, man, level)
@@ -209,7 +185,7 @@ def _random_scalar_fn(rng, man):
     return lambda x: float(np.dot(a, x)) + c
 
 
-@_property("measure.holder_minkowski", "holder", tol=1e-9,
+@_property("metric", "measure.holder_minkowski", "holder", tol=1e-9,
            manifolds=(E2, S3), levels=LEVELS)
 def check_holder_minkowski(rng, man, level):
     mu = _measure(rng, man, level)
@@ -223,8 +199,8 @@ def check_holder_minkowski(rng, man, level):
     return holder, np.sqrt(esum) - np.sqrt(ef2) - np.sqrt(eg2)
 
 
-@_property("measure.expectancy_matches_unrolled", "expect_unrolled", tol=0.0,
-           manifolds=(E2, S3), levels=LEVELS,
+@_property("metric", "measure.expectancy_matches_unrolled", "expect_unrolled",
+           tol=0.0, manifolds=(E2, S3), levels=LEVELS,
            detail="exact equality (shared summation order)")
 def check_expectancy_unrolled(rng, man, level):
     mu = _measure(rng, man, level)
@@ -232,7 +208,7 @@ def check_expectancy_unrolled(rng, man, level):
     return (abs(n_expectancy(mu, f) - eval_unrolled(mu, f)),)
 
 
-@_property("measure.pushforward_naturality", "push_nat", tol=0.0,
+@_property("metric", "measure.pushforward_naturality", "push_nat", tol=0.0,
            manifolds=(E3,), levels=(2, 3), detail="structural equality")
 def check_pushforward_naturality(rng, man, level):
     mu = _measure(rng, man, level)
@@ -245,7 +221,7 @@ def check_pushforward_naturality(rng, man, level):
     return residuals
 
 
-@_property("measure.base_support_recurrence", "spt", tol=0.0,
+@_property("metric", "measure.base_support_recurrence", "spt", tol=0.0,
            manifolds=(E2, S3), levels=(2, 3))
 def check_base_support(rng, man, level):
     mu = _measure(rng, man, level)
@@ -260,7 +236,7 @@ def check_base_support(rng, man, level):
     return (0.0 if ok else 1.0,)
 
 
-@_property("measure.representation_invariance", "repr_inv", tol=1e-8,
+@_property("metric", "measure.representation_invariance", "repr_inv", tol=1e-8,
            manifolds=(E2,), levels=(1, 2))
 def check_representation_invariance(rng, man, level):
     mu = _measure(rng, man, level)
@@ -285,7 +261,7 @@ def _random_base_and_plans(rng, man, level, count=2):
     return base, [smp.random_plan(rng, base, 1.0) for _ in range(count)]
 
 
-@_property("plans.wmu_metric_axioms", "wmu_metric", tol=1e-8,
+@_property("coupling", "plans.wmu_metric_axioms", "wmu_metric", tol=1e-8,
            manifolds=(E2, S3), levels=(1, 2))
 def check_wmu_metric(rng, man, level):
     _, (g1, g2, g3) = _random_base_and_plans(rng, man, level, 3)
@@ -294,14 +270,14 @@ def check_wmu_metric(rng, man, level):
             pl.w_mu(g1, g1))
 
 
-@_property("plans.cauchy_schwarz", "cs", tol=1e-9,
+@_property("coupling", "plans.cauchy_schwarz", "cs", tol=1e-9,
            manifolds=(E2, S3), levels=(1, 2))
 def check_cauchy_schwarz(rng, man, level):
     _, (g1, g2) = _random_base_and_plans(rng, man, level)
     return (abs(pl.inner_mu(g1, g2)) - pl.plan_norm(g1) * pl.plan_norm(g2),)
 
 
-@_property("plans.polarization_identity", "polar", tol=1e-12,
+@_property("coupling", "plans.polarization_identity", "polar", tol=1e-12,
            manifolds=(E2, S3), levels=(1, 2), detail="holds by construction")
 def check_polarization(rng, man, level):
     _, (g1, g2) = _random_base_and_plans(rng, man, level)
@@ -311,15 +287,15 @@ def check_polarization(rng, man, level):
     return (abs(lhs - rhs) / (1.0 + abs(lhs)),)
 
 
-@_property("plans.inner_product_dual_route", "inner_direct", tol=1e-8,
-           manifolds=(E2, S3), levels=(1, 2))
+@_property("coupling", "plans.inner_product_dual_route", "inner_direct",
+           tol=1e-8, manifolds=(E2, S3), levels=(1, 2))
 def check_inner_direct(rng, man, level):
     _, (g1, g2) = _random_base_and_plans(rng, man, level)
     return (abs(pl.inner_mu(g1, g2) - pl.inner_mu(g1, g2, method="direct")),)
 
 
-@_property("plans.inner_self_and_homogeneity", "inner_self", tol=1e-8,
-           manifolds=(E2, S3), levels=(1, 2))
+@_property("coupling", "plans.inner_self_and_homogeneity", "inner_self",
+           tol=1e-8, manifolds=(E2, S3), levels=(1, 2))
 def check_inner_self_and_homogeneity(rng, man, level):
     _, (g1, g2) = _random_base_and_plans(rng, man, level)
     self_gap = abs(pl.inner_mu(g1, g1) - pl.plan_norm_sq(g1))
@@ -329,8 +305,8 @@ def check_inner_self_and_homogeneity(rng, man, level):
                          - l1 * l2 * pl.inner_mu(g1, g2))
 
 
-@_property("plans.coupling_second_moment", "second_moment", tol=1e-12,
-           manifolds=(E2, S3), levels=(1, 2))
+@_property("coupling", "plans.coupling_second_moment", "second_moment",
+           tol=1e-12, manifolds=(E2, S3), levels=(1, 2))
 def check_second_moment_additivity(rng, man, level):
     _, (g1, g2) = _random_base_and_plans(rng, man, level)
     residuals = []
@@ -344,7 +320,7 @@ def check_second_moment_additivity(rng, man, level):
     return residuals
 
 
-@_property("plans.zero_plan", "zero_plan", tol=1e-10,
+@_property("coupling", "plans.zero_plan", "zero_plan", tol=1e-10,
            manifolds=(E2, S3), levels=(1, 2))
 def check_zero_plan(rng, man, level):
     base, (g,) = _random_base_and_plans(rng, man, level, 1)
@@ -353,7 +329,7 @@ def check_zero_plan(rng, man, level):
             abs(pl.coupling_inner(pl.generic_coupling(zero, g))))
 
 
-@_property("plans.unique_coupling_fully_det", "unique_fd", tol=0.0,
+@_property("coupling", "plans.unique_coupling_fully_det", "unique_fd", tol=0.0,
            manifolds=(E2, S3), levels=(1, 2), draws=lambda s: s * 2,
            detail="structural equality of generic and optimal couplings")
 def check_unique_coupling_fully_det(rng, man, level):
@@ -366,7 +342,7 @@ def check_unique_coupling_fully_det(rng, man, level):
     return (0.0 if same else 1.0,)
 
 
-@_property("plans.coupling_marginals", "marginals", tol=0.0,
+@_property("coupling", "plans.coupling_marginals", "marginals", tol=0.0,
            manifolds=(E2, S3), levels=(1, 2))
 def check_coupling_marginals(rng, man, level):
     _, (g1, g2) = _random_base_and_plans(rng, man, level)
@@ -382,7 +358,7 @@ def check_coupling_marginals(rng, man, level):
     return residuals
 
 
-@_property("plans.fully_det_vector_space", "fd_vs", tol=1e-10,
+@_property("coupling", "plans.fully_det_vector_space", "fd_vs", tol=1e-10,
            manifolds=(E2, S3), levels=(1, 2))
 def check_fd_vector_space(rng, man, level):
     base = _measure(rng, man, level)
@@ -414,7 +390,7 @@ def check_fd_vector_space(rng, man, level):
             abs(lhs - rhs) / (1.0 + abs(rhs)), abs(dd - diff))
 
 
-@_property("plans.fd_l2_isometry", "fd_l2", tol=0.0,
+@_property("coupling", "plans.fd_l2_isometry", "fd_l2", tol=0.0,
            manifolds=(E3, S3), levels=LEVELS,
            detail="exact (identical summation order)")
 def check_fd_l2_isometry(rng, man, level):
@@ -426,14 +402,14 @@ def check_fd_l2_isometry(rng, man, level):
     return (abs(pl.plan_norm_sq(g) - direct),)
 
 
-@_property("plans.norm_bounds_w2", "pnorm", tol=1e-9,
+@_property("coupling", "plans.norm_bounds_w2", "pnorm", tol=1e-9,
            manifolds=(E2, S3), levels=(1, 2))
 def check_pseudo_norm_bounds(rng, man, level):
     base, (g,) = _random_base_and_plans(rng, man, level, 1)
     return (w2(base, pl.exp_push(g)) - pl.plan_norm(g),)
 
 
-@_property("plans.sasaki_zero_section", "sasaki", tol=1e-8,
+@_property("coupling", "plans.sasaki_zero_section", "sasaki", tol=1e-8,
            manifolds=(E2,), levels=(1, 2))
 def check_sasaki_embedding_bounds(rng, man, level):
     base, (g,) = _random_base_and_plans(rng, man, level, 1)
@@ -448,7 +424,7 @@ def check_sasaki_embedding_bounds(rng, man, level):
     return bound, abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
-@_property("plans.inner_subadditivity", "subadd", tol=1e-8,
+@_property("coupling", "plans.inner_subadditivity", "subadd", tol=1e-8,
            manifolds=(E2, S3), levels=(1, 2))
 def check_inner_subadditive(rng, man, level):
     _, (g1, g2, g3) = _random_base_and_plans(rng, man, level, 3)
@@ -462,7 +438,7 @@ def check_inner_subadditive(rng, man, level):
     return residuals
 
 
-@_property("plans.addition_identities", "add_ids", tol=1e-9,
+@_property("coupling", "plans.addition_identities", "add_ids", tol=1e-9,
            manifolds=(E2, S3), levels=(1, 2))
 def check_add_identities(rng, man, level):
     base, (g,) = _random_base_and_plans(rng, man, level, 1)
@@ -474,8 +450,8 @@ def check_add_identities(rng, man, level):
     return neutral, pl.plan_norm(pl.sub(fd, fd, a2))
 
 
-@_property("plans.fiber_optimal_vs_bruteforce", "fiber_oracle", tol=1e-9,
-           manifolds=(E2, S3), levels=(1,), draws=lambda s: s * 2)
+@_property("coupling", "plans.fiber_optimal_vs_bruteforce", "fiber_oracle",
+           tol=1e-9, manifolds=(E2, S3), levels=(1,), draws=lambda s: s * 2)
 def check_fiber_permutation_oracle(rng, man, level):
     k = int(rng.integers(2, 6))
     x = smp.random_point(rng, man)
@@ -499,7 +475,37 @@ def check_fiber_permutation_oracle(rng, man, level):
 # geodesic suite
 
 
-@_property("geodesic.optimal_plan_norm", "ovp_norm", tol=1e-8,
+@_property("geodesic", "manifold.pt_isometry", "pt_leaf_iso", tol=1e-9,
+           manifolds=(E1, E3, S3), draws=lambda s: s * 4)
+def check_pt_leaf_isometry(rng, man, level):
+    x = smp.random_point(rng, man)
+    v = smp.random_tangent(rng, man, x, 1.0)
+    w1 = smp.random_tangent(rng, man, x, 1.0)
+    w2_ = smp.random_tangent(rng, man, x, 1.0)
+    t = float(rng.uniform(-1.5, 1.5))
+    _, tw1 = man.parallel_transport(x, v, w1, t)
+    _, tw2 = man.parallel_transport(x, v, w2_, t)
+    return (abs(np.linalg.norm(tw1) - np.linalg.norm(w1)),
+            abs(float(np.dot(tw1, tw2)) - float(np.dot(w1, w2_))))
+
+
+@_property("geodesic", "manifold.pt_group_law", "pt_leaf_group", tol=1e-8,
+           manifolds=(E1, E3, S3), draws=lambda s: s * 4)
+def check_pt_leaf_group(rng, man, level):
+    x = smp.random_point(rng, man)
+    v = smp.random_tangent(rng, man, x, 1.0)
+    w = smp.random_tangent(rng, man, x, 1.0)
+    t = float(rng.uniform(-1.0, 1.0))
+    s = float(rng.uniform(-1.0, 1.0))
+    y, v_t = man.parallel_transport(x, v, v, t)
+    _, w_t = man.parallel_transport(x, v, w, t)
+    y2, w_ts = man.parallel_transport(y, v_t, w_t, s)
+    y_direct, w_direct = man.parallel_transport(x, v, w, t + s)
+    return (float(np.linalg.norm(y2 - y_direct)),
+            float(np.linalg.norm(w_ts - w_direct)))
+
+
+@_property("geodesic", "geodesic.optimal_plan_norm", "ovp_norm", tol=1e-8,
            manifolds=(E2, S3), levels=LEVELS)
 def check_ovp_norm(rng, man, level):
     a = _measure(rng, man, level)
@@ -510,7 +516,7 @@ def check_ovp_norm(rng, man, level):
             w2(pl.exp_push(g), b) - TOL_NEAR_ZERO)
 
 
-@_property("geodesic.constant_speed", "cspeed", tol=1e-8,
+@_property("geodesic", "geodesic.constant_speed", "cspeed", tol=1e-8,
            manifolds=(E2, S3), levels=LEVELS, draws=lambda s: max(2, s // 2))
 def check_constant_speed(rng, man, level):
     a = _measure(rng, man, level)
@@ -520,7 +526,7 @@ def check_constant_speed(rng, man, level):
     return rep.max_deviation, rep.speed_mismatch
 
 
-@_property("geodesic.endpoints", "endpoints", tol=TOL_NEAR_ZERO,
+@_property("geodesic", "geodesic.endpoints", "endpoints", tol=TOL_NEAR_ZERO,
            manifolds=(E2, S3), levels=LEVELS)
 def check_endpoints(rng, man, level):
     a = _measure(rng, man, level)
@@ -529,7 +535,7 @@ def check_endpoints(rng, man, level):
     return w2(geo.interpolate(g, 0.0), a), w2(geo.interpolate(g, 1.0), b)
 
 
-@_property("geodesic.lipschitz_along_plans", "lips", tol=1e-8,
+@_property("geodesic", "geodesic.lipschitz_along_plans", "lips", tol=1e-8,
            manifolds=(E2, S3), levels=(1, 2))
 def check_lipschitz_any_plan(rng, man, level):
     base, (g,) = _random_base_and_plans(rng, man, level, 1)
@@ -539,8 +545,8 @@ def check_lipschitz_any_plan(rng, man, level):
     return (lhs - abs(t - s) * pl.plan_norm(g),)
 
 
-@_property("geodesic.parallel_transport_group_law", "ptn", tol=1e-8,
-           manifolds=(E2, S3), levels=(1, 2))
+@_property("geodesic", "geodesic.parallel_transport_group_law", "ptn",
+           tol=1e-8, manifolds=(E2, S3), levels=(1, 2))
 def check_ptn(rng, man, level):
     base, (g,) = _random_base_and_plans(rng, man, level, 1)
     t = float(rng.uniform(-1.0, 1.0))
@@ -567,7 +573,7 @@ def _plan_leaf_gap(g1, g2) -> float:
     return worst
 
 
-@_property("geodesic.restriction_optimality", "restrict", tol=1e-8,
+@_property("geodesic", "geodesic.restriction_optimality", "restrict", tol=1e-8,
            manifolds=(E2, S3), levels=(1, 2))
 def check_restriction(rng, man, level):
     a = _measure(rng, man, level)
@@ -587,8 +593,8 @@ def check_restriction(rng, man, level):
     return residuals
 
 
-@_property("geodesic.equal_interpolant_plans", "noncross", tol=1e-6,
-           manifolds=(E2,), levels=(1, 2))
+@_property("geodesic", "geodesic.equal_interpolant_plans", "noncross",
+           tol=1e-6, manifolds=(E2,), levels=(1, 2))
 def check_equal_interpolant_plans(rng, man, level):
     a = _measure(rng, man, level)
     b = _measure(rng, man, level)
@@ -618,7 +624,7 @@ def _random_potential(rng, man):
     return fn.make_quadratic(man, rng.standard_normal(man.ambient_dim))
 
 
-@_property("calculus.taylor_remainder", "taylor", tol=1e-9,
+@_property("calculus", "calculus.taylor_remainder", "taylor", tol=1e-9,
            manifolds=(E3, S3), levels=(1, 2))
 def check_taylor_bound(rng, man, level):
     mu = _measure(rng, man, level)
@@ -628,8 +634,8 @@ def check_taylor_bound(rng, man, level):
     return (lhs - bound,)
 
 
-@_property("calculus.taylor_quadratic_equality", "taylor_eq", tol=1e-10,
-           manifolds=(E3,), levels=(1, 2))
+@_property("calculus", "calculus.taylor_quadratic_equality", "taylor_eq",
+           tol=1e-10, manifolds=(E3,), levels=(1, 2))
 def check_taylor_quadratic_equality(rng, man, level):
     mu = _measure(rng, man, level)
     pot = fn.make_quadratic(man, rng.standard_normal(3))
@@ -638,7 +644,7 @@ def check_taylor_quadratic_equality(rng, man, level):
     return (abs(lhs - bound),)
 
 
-@_property("calculus.sum_and_scalar_rules", "sumrule", tol=0.0,
+@_property("calculus", "calculus.sum_and_scalar_rules", "sumrule", tol=0.0,
            manifolds=(E3, S3), levels=(1, 2), detail="exact leafwise equality")
 def check_sum_scalar_rules(rng, man, level):
     mu = _measure(rng, man, level)
@@ -679,8 +685,8 @@ def _halving_ratios(residual_fn, xi):
     return [b / a for a, b in zip(normalized, normalized[1:])]
 
 
-@_property("calculus.gradient_superlinear_decay", "grad_fd", tol=0.0,
-           manifolds=(E3,), levels=(1, 2), draws=lambda s: max(3, s),
+@_property("calculus", "calculus.gradient_superlinear_decay", "grad_fd",
+           tol=0.0, manifolds=(E3,), levels=(1, 2), draws=lambda s: max(3, s),
            detail="halving ratio <= 0.6")
 def check_gradient_superlinear(rng, man, level):
     # euclidean instances: the remainder is a positive quadratic with exact
@@ -697,7 +703,7 @@ def check_gradient_superlinear(rng, man, level):
     return [r - 0.6 for r in ratios]
 
 
-@_property("calculus.chain_rule_first_order", "chain", tol=0.0,
+@_property("calculus", "calculus.chain_rule_first_order", "chain", tol=0.0,
            manifolds=(E3,), levels=(1, 2), draws=lambda s: max(3, s // 2),
            detail="halving ratio <= 0.6")
 def check_chain_rule(rng, man, level):
@@ -728,7 +734,7 @@ def check_chain_rule(rng, man, level):
     return [r - 0.6 for r in ratios]
 
 
-@_property("calculus.gradient_uniqueness", "grad_unique", tol=0.0,
+@_property("calculus", "calculus.gradient_uniqueness", "grad_unique", tol=0.0,
            manifolds=(E3,), levels=(2,),
            detail="perturbed gradients violate the two-sided bound")
 def check_gradient_uniqueness(rng, man, level):
@@ -751,8 +757,8 @@ def check_gradient_uniqueness(rng, man, level):
     return (1.0,)
 
 
-@_property("calculus.w2_supergradient_inequality", "supergrad", tol=1e-8,
-           manifolds=(E2, S3), levels=(1, 2))
+@_property("calculus", "calculus.w2_supergradient_inequality", "supergrad",
+           tol=1e-8, manifolds=(E2, S3), levels=(1, 2))
 def check_supergradient(rng, man, level):
     mu = _measure(rng, man, level)
     nu = _measure(rng, man, level)
@@ -769,8 +775,9 @@ def check_supergradient(rng, man, level):
     return gap, lhs - rhs
 
 
-@_property("calculus.generalized_geodesic_one_convexity", "gen_geo", tol=1e-8,
-           manifolds=(E2, S3), levels=(1, 2), draws=lambda s: max(3, s // 2))
+@_property("calculus", "calculus.generalized_geodesic_one_convexity",
+           "gen_geo", tol=1e-8, manifolds=(E2, S3), levels=(1, 2),
+           draws=lambda s: max(3, s // 2))
 def check_generalized_geodesic_convexity(rng, man, level):
     mubar = _measure(rng, man, level)
     mu0 = _measure(rng, man, level)
@@ -785,8 +792,8 @@ def check_generalized_geodesic_convexity(rng, man, level):
             w2(curve.at(1.0), mu1) - TOL_NEAR_ZERO)
 
 
-@_property("calculus.generalized_geodesic_anchored_at_start", "gen_disp",
-           tol=TOL_NEAR_ZERO, manifolds=(E2,), levels=(1, 2))
+@_property("calculus", "calculus.generalized_geodesic_anchored_at_start",
+           "gen_disp", tol=TOL_NEAR_ZERO, manifolds=(E2,), levels=(1, 2))
 def check_generalized_matches_displacement(rng, man, level):
     mu0 = _measure(rng, man, level)
     mu1 = _measure(rng, man, level)
@@ -796,8 +803,8 @@ def check_generalized_matches_displacement(rng, man, level):
     return (w2(gen, disp),)
 
 
-@_property("calculus.convexity_lifting_quadratic", "lifting", tol=1e-8,
-           manifolds=(E2,), levels=(2,))
+@_property("calculus", "calculus.convexity_lifting_quadratic", "lifting",
+           tol=1e-8, manifolds=(E2,), levels=(2,))
 def check_convexity_lifting(rng, man, level):
     mu0 = _measure(rng, man, level)
     mu1 = _measure(rng, man, level)
@@ -808,32 +815,33 @@ def check_convexity_lifting(rng, man, level):
     return (rep.worst_margin,)
 
 
-def check_w2_geodesic_nonconvexity_witness(seed, samples):
+@_property("calculus", "calculus.w2_not_geodesically_convex", "nonconvex",
+           tol=0.0, manifolds=(E2,), draws=lambda s: 1,
+           detail="counterexample family must violate convexity")
+def check_w2_geodesic_nonconvexity_witness(rng, man, level):
     """The squared distance is not convex along plain geodesics.
 
     A two-atom family whose optimal assignment to the reference switches
-    mid-curve produces a concave kink; the check passes when the violation
+    mid-curve produces a concave kink; the property holds when the violation
     is actually observed (a regression guard on the reported-only status).
-    It draws nothing, so ``seed`` and ``samples`` do not change it.
+    Its one instance is fixed: it draws nothing from ``rng``.
     """
     sigma = mixture((0.5, 0.5), [
-        HierMeasure(E2, 0, point=np.array([-1.0, 0.0])),
-        HierMeasure(E2, 0, point=np.array([1.0, 0.0]))])
+        HierMeasure(man, 0, point=np.array([-1.0, 0.0])),
+        HierMeasure(man, 0, point=np.array([1.0, 0.0]))])
     mu0 = mixture((0.5, 0.5), [
-        HierMeasure(E2, 0, point=np.array([-1.0, 0.2])),
-        HierMeasure(E2, 0, point=np.array([0.0, -5.0]))])
+        HierMeasure(man, 0, point=np.array([-1.0, 0.2])),
+        HierMeasure(man, 0, point=np.array([0.0, -5.0]))])
     mu1 = mixture((0.5, 0.5), [
-        HierMeasure(E2, 0, point=np.array([1.0, 0.2])),
-        HierMeasure(E2, 0, point=np.array([0.0, -5.0]))])
+        HierMeasure(man, 0, point=np.array([1.0, 0.2])),
+        HierMeasure(man, 0, point=np.array([0.0, -5.0]))])
     curve = fn.GeodesicCurve(geo.optimal_velocity_plan(mu0, mu1))
     spec = fn.FunctionalSpec((fn.DistanceTerm(sigma, 1.0),))
     rep = fn.convexity_check(spec, curve, 0.0, ts=[0.0, 0.5, 1.0])
-    violated = rep.worst_margin > 1e-6
-    return _result("calculus.w2_not_geodesically_convex", 0.0 if violated else 1.0,
-                   0.0, 1, detail="counterexample family must violate convexity")
+    return (0.0 if rep.worst_margin > 1e-6 else 1.0,)
 
 
-@_property("calculus.descent_monotone", "descent", tol=1e-10,
+@_property("calculus", "calculus.descent_monotone", "descent", tol=1e-10,
            manifolds=(E1,), levels=(2,), draws=lambda s: max(2, s // 3))
 def check_descent(rng, man, level):
     mu0 = _measure(rng, man, level)
@@ -858,70 +866,7 @@ def check_potential_gradients(seed, samples):
                    1e-5, len(residuals))
 
 
-# ---------------------------------------------------------------------------
-# suite registry
-
-
-SUITES = {
-    "metric": (
-        check_exp_log_identity,
-        check_manifold_triangle,
-        check_exp_contraction,
-        check_w2_metric,
-        check_dirac_isometry,
-        check_collapse_lower_bound,
-        check_w2_to_dirac,
-        check_holder_minkowski,
-        check_expectancy_unrolled,
-        check_pushforward_naturality,
-        check_base_support,
-        check_representation_invariance,
-    ),
-    "coupling": (
-        check_wmu_metric,
-        check_cauchy_schwarz,
-        check_polarization,
-        check_inner_direct,
-        check_inner_self_and_homogeneity,
-        check_second_moment_additivity,
-        check_zero_plan,
-        check_unique_coupling_fully_det,
-        check_coupling_marginals,
-        check_fd_vector_space,
-        check_fd_l2_isometry,
-        check_pseudo_norm_bounds,
-        check_sasaki_embedding_bounds,
-        check_inner_subadditive,
-        check_add_identities,
-        check_fiber_permutation_oracle,
-    ),
-    "geodesic": (
-        check_pt_leaf_isometry,
-        check_pt_leaf_group,
-        check_ovp_norm,
-        check_constant_speed,
-        check_endpoints,
-        check_lipschitz_any_plan,
-        check_ptn,
-        check_restriction,
-        check_equal_interpolant_plans,
-    ),
-    "calculus": (
-        check_taylor_bound,
-        check_taylor_quadratic_equality,
-        check_sum_scalar_rules,
-        check_gradient_superlinear,
-        check_chain_rule,
-        check_gradient_uniqueness,
-        check_supergradient,
-        check_generalized_geodesic_convexity,
-        check_generalized_matches_displacement,
-        check_convexity_lifting,
-        check_w2_geodesic_nonconvexity_witness,
-        check_descent,
-        check_potential_gradients,
-    ),
-}
+SUITES["calculus"].append(check_potential_gradients)
 
 
 def run_suite(suite: str, seed: int, samples: int) -> dict:

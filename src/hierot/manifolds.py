@@ -26,18 +26,6 @@ TANGENT_TOL = 1e-10
 # entries of the (rows, points, dim) temporaries of one pairwise_sq_dist block
 PAIRWISE_BLOCK = 1 << 15
 
-# Test-only negative control: flips a sign inside parallel transport so the
-# geodesic check suite can demonstrate that it catches real faults.
-_FAULT = None
-
-
-def set_fault_injection(name):
-    """Enable a named fault (test-only).  Pass ``None`` to restore."""
-    global _FAULT
-    if name not in (None, "pt_sign"):
-        raise InvalidInput(f"unknown fault {name!r}")
-    _FAULT = name
-
 
 def _finite(x) -> bool:
     """Whether every entry of the float array ``x`` is finite.
@@ -212,8 +200,7 @@ class Manifold:
         the identity on the orthogonal complement.
         """
         if self.kind == EUCLIDEAN:
-            out = -w if _FAULT == "pt_sign" else w
-            return x + t * v, out
+            return x + t * v, w
         nv = float(np.linalg.norm(v))
         if nv == 0.0:
             return x, w
@@ -224,8 +211,7 @@ class Manifold:
         w_perp = w - b * u
         y = c * x + s * u
         y = y / np.linalg.norm(y)
-        sign = -1.0 if _FAULT == "pt_sign" else 1.0
-        w_t = b * (c * u - sign * s * x) + w_perp
+        w_t = b * (c * u - s * x) + w_perp
         return y, self.project_tangent(y, w_t)
 
 

@@ -1,13 +1,26 @@
+import argparse
 import json
 
 import pytest
 
 from hierot import checks, wasserstein
 from hierot.checks import SUITES, run_suite
-from hierot.cli import EXIT_CHECK, main
+from hierot.cli import EXIT_CHECK, build_parser, main
 from hierot.errors import InvalidInput
-from hierot.manifolds import set_fault_injection
+from hierot.manifolds import Manifold
 from hierot.serialization import dumps
+
+
+def negate_transport(monkeypatch):
+    """Inject the negative control's fault: every vector that
+    ``Manifold.parallel_transport`` returns comes back negated."""
+    transport = Manifold.parallel_transport
+
+    def faulty(self, x, v, w, t):
+        y, w_t = transport(self, x, v, w, t)
+        return y, -w_t
+
+    monkeypatch.setattr(Manifold, "parallel_transport", faulty)
 
 
 def test_all_suites_pass_with_default_seed():
@@ -25,6 +38,22 @@ def test_single_suite_subset():
     assert report["passed"] is True
 
 
+def test_cli_suite_choices_are_the_declared_suites():
+    # the CLI keeps its own list, so that only `check` imports the suites
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["check"]._actions if a.dest == "suite")
+    assert suite.choices == ["all", *SUITES]
+
+
+def test_every_check_is_in_exactly_one_suite():
+    members = [check for suite in SUITES.values() for check in suite]
+    defined = [f for name, f in vars(checks).items()
+               if name.startswith("check_") and callable(f)]
+    assert len(set(members)) == len(members)
+    assert set(members) == set(defined)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("nonsense", 0, 1)
@@ -39,17 +68,15 @@ def test_reports_are_deterministic():
     assert c["seed"] == 4
 
 
-def test_fault_injection_negative_control():
-    set_fault_injection("pt_sign")
-    try:
-        report = run_suite("geodesic", 0, 2)
-    finally:
-        set_fault_injection(None)
+def test_fault_injection_negative_control(monkeypatch):
+    negate_transport(monkeypatch)
+    report = run_suite("geodesic", 0, 2)
     assert report["passed"] is False
     names = [p["name"] for s in report["suites"].values()
              for p in s["properties"] if not p["passed"]]
     assert any("parallel_transport" in n or "pt_" in n for n in names)
-    # the suite recovers once the fault is cleared
+    # the suite recovers once the fault is undone
+    monkeypatch.undo()
     clean = run_suite("geodesic", 0, 2)
     assert clean["passed"] is True
 

@@ -12,6 +12,7 @@ from hierot.measures import dirac, dirac_lift, mixture
 from hierot.sampling import random_measure, rng_from_seed
 from hierot.serialization import (load_measure, load_plan, measure_to_obj,
                                   save_measure)
+from test_checks import negate_transport
 from test_wasserstein import EDGE_WEIGHTS
 
 E1 = euclidean(1)
@@ -502,14 +503,10 @@ def test_check_negative_seed_exit_code(capsys, seed):
     assert err.startswith("error: ") and "--seed" in err and out == ""
 
 
-def test_check_fault_injection_fails_geodesic_suite(tmp_path, capsys):
-    from hierot.manifolds import set_fault_injection
-    set_fault_injection("pt_sign")
-    try:
-        code = main(["check", "--suite", "geodesic", "--seed", "1",
-                     "--samples", "2"])
-    finally:
-        set_fault_injection(None)
+def test_check_fault_injection_fails_geodesic_suite(monkeypatch, capsys):
+    negate_transport(monkeypatch)
+    code = main(["check", "--suite", "geodesic", "--seed", "1",
+                 "--samples", "2"])
     out = json.loads(capsys.readouterr().out)
     assert code == 4
     assert out["passed"] is False

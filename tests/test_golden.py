@@ -9,8 +9,10 @@ regenerate the files only when an output is meant to change::
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -176,19 +178,33 @@ def test_check_core_solve_count_is_pinned(monkeypatch):
     assert sum(1 in shape for shape in shapes) == CHECK_FORCED
 
 
+def _digests():
+    """SHA-256 of every golden file, by its path under ``tests/golden``."""
+    return {str(f.relative_to(GOLDEN)): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(GOLDEN.glob("*/*.json"))}
+
+
 def regenerate():
+    """Write every input and output file again; print each file that moves
+    (its path and the first 12 hex digits of its SHA-256, old -> new) and
+    their count."""
     inp, outdir = GOLDEN / "inputs", GOLDEN / "outputs"
     inp.mkdir(parents=True, exist_ok=True)
     outdir.mkdir(parents=True, exist_ok=True)
+    old = _digests()
     for fname, doc in make_inputs().items():
         (inp / fname).write_text(json.dumps(doc))
-    import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv, files in commands(inp, Path(tmp)):
             code, stdout, written = run_command(argv, files)
             record = {"exit": code, "stdout": stdout.decode(),
                       "files": {f.name: d.decode() for f, d in zip(files, written)}}
             (outdir / f"{name}.json").write_text(json.dumps(record, indent=0) + "\n")
+    new = _digests()
+    moved = [name for name in new if old.get(name) != new[name]]
+    for name in moved:
+        print(f"{name}: {old.get(name, 'none')[:12]} -> {new[name][:12]}")
+    print(f"{len(moved)} of {len(new)} files moved")
 
 
 if __name__ == "__main__":

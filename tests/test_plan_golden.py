@@ -11,6 +11,7 @@ when a value is meant to change::
     PYTHONPATH=src python tests/test_plan_golden.py
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -113,8 +114,24 @@ def test_plan_values_match_golden(kind, level):
         assert got[name] == want[name], name
 
 
+def _digests(record):
+    """SHA-256 of every entry's values, by ``case function``."""
+    return {f"{case} {name}": hashlib.sha256(json.dumps(values).encode()).hexdigest()
+            for case, entries in sorted(record.items())
+            for name, values in sorted(entries.items())}
+
+
 def regenerate():
+    """Compute every pinned value again and rewrite the file; print each
+    entry that moves (its case and function, and the first 12 hex digits of
+    the SHA-256 of its values, old -> new) and their count."""
     record = {f"{kind}_{level}": compute(kind, level) for kind, level in CASES}
+    old = _digests(json.loads(GOLDEN.read_text())) if GOLDEN.exists() else {}
+    new = _digests(record)
+    moved = [name for name in new if old.get(name) != new[name]]
+    for name in moved:
+        print(f"{name}: {old.get(name, 'none')[:12]} -> {new[name][:12]}")
+    print(f"{len(moved)} of {len(new)} entries moved")
     GOLDEN.write_text(json.dumps(record, indent=0, sort_keys=True) + "\n")
 
 
