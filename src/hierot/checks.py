@@ -27,10 +27,10 @@ from . import sampling as smp
 from .errors import InvalidInput
 from .exact_ot import permutation_oracle
 from .manifolds import euclidean, sphere
-from .measures import (HierMeasure, base_support, canonicalize, collapse,
-                       dirac_lift, eval_unrolled, mixture, n_expectancy,
-                       push_leaf, w2_to_dirac)
-from .plans import FiberEntry
+from .measures import (DEDUP_TOL, HierMeasure, base_support, canonicalize,
+                       collapse, dirac_lift, eval_unrolled, mixture,
+                       n_expectancy, push_leaf, w2_to_dirac)
+from .plans import FiberEntry, _fold, _point_tangent_gap, _tree_gap
 from .wasserstein import TOL_NEAR_ZERO, transport, w2, w2_sq
 
 LEVELS = (1, 2, 3)
@@ -56,16 +56,6 @@ class PropertyResult:
 
 def _rng(seed: int, name: str) -> np.random.Generator:
     return smp.rng_from_seed((int(seed) << 16) ^ zlib.crc32(name.encode()))
-
-
-def _fold(worst: float, residuals) -> float:
-    """The largest of ``worst`` and ``residuals``.  A NaN, once met, is kept:
-    it compares false with every tolerance, so its property fails."""
-    for r in residuals:
-        r = float(r)
-        if r > worst or r != r:
-            worst = r
-    return worst
 
 
 def _result(name, worst, tol, samples, detail="") -> PropertyResult:
@@ -229,7 +219,7 @@ def check_base_support(rng, man, level):
     rec = []
     for atom in mu.atoms:
         for p in base_support(atom).points:
-            if not any(man.dist(p, q) <= 1e-10 for q in rec):
+            if not any(man.dist(p, q) <= DEDUP_TOL for q in rec):
                 rec.append(p)
     ok = len(direct) == len(rec) and all(
         any(man.dist(p, q) <= 1e-9 for q in rec) for p in direct)
@@ -556,21 +546,7 @@ def check_ptn(rng, man, level):
     base_gap = w2(moved.base, geo.interpolate(g, t))
     lhs = geo.pt_n(moved, s)
     rhs = geo.pt_n(g, t + s)
-    return norm_gap, base_gap, _plan_leaf_gap(lhs, rhs)
-
-
-def _plan_leaf_gap(g1, g2) -> float:
-    if g1.level == 0:
-        return _fold(0.0, (np.max(np.abs(g1.base.point - g2.base.point)),
-                           np.max(np.abs(g1.tangent - g2.tangent))))
-    worst = 0.0
-    for f1, f2 in zip(g1.fibers, g2.fibers):
-        if len(f1) != len(f2):
-            return np.inf
-        for e1, e2 in zip(f1, f2):
-            worst = _fold(worst, (abs(e1.weight - e2.weight),
-                                  _plan_leaf_gap(e1.plan, e2.plan)))
-    return worst
+    return norm_gap, base_gap, _tree_gap(lhs, rhs, _point_tangent_gap)
 
 
 @_property("geodesic", "geodesic.restriction_optimality", "restrict", tol=1e-8,

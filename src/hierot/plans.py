@@ -133,24 +133,53 @@ def _push_leaves(node, man, point) -> HierMeasure:
     return HierMeasure(man, node.level, weights=tuple(weights), atoms=tuple(atoms))
 
 
-def _same_tree(n1, n2, tol, same_leaf, cell=lambda e: None) -> bool:
-    """Equal shapes, entry cells and leaves (``same_leaf``), and entry
-    weights within ``tol``."""
+def _fold(worst: float, gaps) -> float:
+    """The largest of ``worst`` and ``gaps``.  A NaN, once met, is kept: it
+    compares false with every tolerance."""
+    for r in gaps:
+        r = float(r)
+        if r > worst or r != r:
+            worst = r
+    return worst
+
+
+def _vec_gap(x, y) -> float:
+    """The largest ``|x_i - y_i|`` of two leaf vectors, or NaN, which no
+    tolerance accepts, when their lengths differ."""
+    xs, ys = np.ravel(x).tolist(), np.ravel(y).tolist()
+    if len(xs) != len(ys):
+        return math.nan
+    return _fold(0.0, [abs(a - b) for a, b in zip(xs, ys)])
+
+
+def _tree_gap(n1, n2, leaf_gap, cell=lambda e: None) -> float:
+    """The largest entry-weight gap and ``leaf_gap`` of two trees, or NaN
+    when their levels, fiber counts, fiber lengths or entry cells differ."""
     if n1.level != n2.level:
-        return False
+        return math.nan
     if n1.level == 0:
-        return same_leaf(n1, n2)
+        return leaf_gap(n1, n2)
     if len(n1.fibers) != len(n2.fibers):
-        return False
+        return math.nan
+    worst = 0.0
     for f1, f2 in zip(n1.fibers, n2.fibers):
         if len(f1) != len(f2):
-            return False
+            return math.nan
         for e1, e2 in zip(f1, f2):
-            if cell(e1) != cell(e2) or abs(e1.weight - e2.weight) > tol:
-                return False
-            if not _same_tree(e1.plan, e2.plan, tol, same_leaf, cell):
-                return False
-    return True
+            if cell(e1) != cell(e2):
+                return math.nan
+            worst = _fold(worst, (abs(e1.weight - e2.weight),
+                                  _tree_gap(e1.plan, e2.plan, leaf_gap, cell)))
+    return worst
+
+
+def _point_tangent_gap(a, b) -> float:
+    return _fold(_vec_gap(a.base.point, b.base.point),
+                 (_vec_gap(a.tangent, b.tangent),))
+
+
+def _tangent_pair_gap(a, b) -> float:
+    return _fold(_vec_gap(a.v1, b.v1), (_vec_gap(a.v2, b.v2),))
 
 
 # ---------------------------------------------------------------------------
@@ -331,28 +360,11 @@ def validate_coupling(alpha: Coupling, g1: VelocityPlan, g2: VelocityPlan) -> No
     _validate_coupling(alpha, g1, g2)
 
 
-def _allclose(x, y, atol):
-    """``np.allclose(x, y, atol=atol)`` for two leaf vectors, in floats.
-
-    Each ``|x_i - y_i| <= atol + 1e-5 * |y_i|`` (numpy's default ``rtol``)
-    with ``y_i`` finite, or ``x_i == y_i``: NaN is never close and equal
-    infinities are.  Vectors of unequal length are never close.
-    """
-    xs, ys = np.ravel(x).tolist(), np.ravel(y).tolist()
-    if len(xs) != len(ys):
-        return False
-    for xi, yi in zip(xs, ys):
-        if not (xi == yi or (abs(xi - yi) <= atol + 1e-5 * abs(yi)
-                             and math.isfinite(yi))):
-            return False
-    return True
-
-
 def _validate_coupling(alpha, g1, g2):
     base = alpha.base
     if base.level == 0:
-        if not (_allclose(alpha.v1, g1.tangent, MARGINAL_TOL)
-                and _allclose(alpha.v2, g2.tangent, MARGINAL_TOL)):
+        if not (_vec_gap(alpha.v1, g1.tangent) <= MARGINAL_TOL
+                and _vec_gap(alpha.v2, g2.tangent) <= MARGINAL_TOL):
             raise CouplingMismatch("leaf tangents do not match the marginals")
         return
     for i, (f1, f2) in enumerate(zip(g1.fibers, g2.fibers)):
@@ -500,16 +512,15 @@ def fd_scale(tau: float, gamma: VelocityPlan) -> VelocityPlan:
 
 def plans_structurally_equal(g1: VelocityPlan, g2: VelocityPlan,
                              tol: float = 1e-9) -> bool:
-    return _same_tree(g1, g2, tol, lambda a, b: (
-        _allclose(a.base.point, b.base.point, tol)
-        and _allclose(a.tangent, b.tangent, tol)))
+    """Same shape; entry weights and leaf coordinates within absolute tol."""
+    return _tree_gap(g1, g2, _point_tangent_gap) <= tol
 
 
 def couplings_structurally_equal(a1: Coupling, a2: Coupling,
                                  tol: float = 1e-9) -> bool:
-    return _same_tree(a1, a2, tol, lambda a, b: (
-        _allclose(a.v1, b.v1, tol) and _allclose(a.v2, b.v2, tol)),
-        cell=lambda e: (e.left, e.right))
+    """Same cells; entry weights and leaf coordinates within absolute tol."""
+    return _tree_gap(a1, a2, _tangent_pair_gap,
+                     cell=lambda e: (e.left, e.right)) <= tol
 
 
 def plan_as_measure(gamma: VelocityPlan) -> HierMeasure:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -321,35 +322,51 @@ def test_validate_plan_detects_bad_weights():
         validate_plan(bad)
 
 
-def test_leaf_allclose_matches_numpy():
-    # the float loop that compares leaf vectors keeps np.allclose's answer
-    from hierot.plans import _allclose
+def _scale_v1(node, factor, every=True):
+    """``node`` with the ``v1`` of every leaf, or of its first leaf only,
+    scaled by ``factor``."""
+    if node.level == 0:
+        return replace(node, v1=factor * node.v1)
+    fibers = [list(f) for f in node.fibers]
+    for f in fibers if every else fibers[:1]:
+        for k in range(len(f) if every else 1):
+            f[k] = replace(f[k], plan=_scale_v1(f[k].plan, factor, every))
+    return replace(node, fibers=tuple(map(tuple, fibers)))
+
+
+def test_structural_tolerance_is_absolute():
     rng = rng_from_seed(53)
-    inf, nan = float("inf"), float("nan")
-    specials = [0.0, -0.0, 1.0, -1.0, inf, -inf, nan, 1e-9, -1e-9, 1e300]
-    atol = 1e-9
-    cases = []
-    for _ in range(2000):
-        n = int(rng.integers(1, 4))
-        y = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 3, size=n)
-        x = y + rng.standard_normal(n) * 10.0 ** rng.integers(-14, -5, size=n)
-        cases.append((x, y))
-    for s in specials:
-        for t in specials:
-            cases.append((np.array([s, 0.5]), np.array([t, 0.5])))
-    for y in (0.0, 1.0, -3.0, 1e4, 2.5e-3):
-        edge = atol + 1e-5 * abs(y)
-        for d in (edge, -edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)):
-            cases.append((np.array([y + d]), np.array([y])))
-            cases.append((np.array([d]), np.array([0.0])))
-    closes = 0
-    for x, y in cases:
-        want = bool(np.allclose(x, y, atol=atol))
-        assert _allclose(x, y, atol) == want, (x, y)
-        closes += want
-    assert 0 < closes < len(cases)
-    assert not _allclose(np.zeros(2), np.zeros(3), atol)
-    assert not _allclose(np.zeros(3), np.zeros(2), atol)
+    mu = random_measure(rng, E2, 2, 3)
+    g, h = random_plan(rng, mu, 1.0), random_plan(rng, mu, 1.0)
+    assert plans_structurally_equal(g, g, 0.0)
+    assert not plans_structurally_equal(g, scale(1 + 5e-6, g), 0.0)
+    alpha = generic_coupling(g, h)
+    assert couplings_structurally_equal(alpha, alpha, 0.0)
+    assert not couplings_structurally_equal(
+        alpha, _scale_v1(alpha, 1 + 5e-6, every=False))
+    # one fiber fewer is another shape, whatever the tolerance
+    pts = [dirac(E2, [float(k), 0.0]) for k in range(3)]
+    three = zero_plan(mixture((0.25, 0.25, 0.5), pts))
+    two = zero_plan(mixture((0.5, 0.5), pts[:2]))
+    assert not plans_structurally_equal(three, two, math.inf)
+    assert not plans_structurally_equal(two, three, math.inf)
+
+
+def test_coupling_leaf_tangents_are_held_to_marginal_tol():
+    from hierot.errors import CouplingMismatch
+    from hierot.plans import MARGINAL_TOL, validate_coupling
+    rng = rng_from_seed(5)
+    mu = random_measure(rng, euclidean(2), 1, 3)
+    g1 = random_plan(rng, mu, 1.0, deterministic=True)
+    g2 = random_plan(rng, mu, 1.0, deterministic=True)
+    off = _scale_v1(generic_coupling(g1, g2), 1 + 1e-6)
+    gap = max(float(np.max(np.abs(1e-6 * e.plan.v1)))
+              for f in off.fibers for e in f)
+    assert 1e3 * MARGINAL_TOL < gap < 1e-5
+    with pytest.raises(CouplingMismatch):
+        validate_coupling(off, g1, g2)
+    with pytest.raises(CouplingMismatch):
+        add(g1, g2, off)
 
 
 # twelve fiber weights whose exact sum is 1 + 1.00000008e-10, beyond the
