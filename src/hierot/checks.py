@@ -506,7 +506,7 @@ def check_ovp_norm(rng, man, level):
             w2(pl.exp_push(g), b) - TOL_NEAR_ZERO)
 
 
-@_property("geodesic", "geodesic.constant_speed", "cspeed", tol=1e-8,
+@_property("geodesic", "geodesic.constant_speed", "cspeed", tol=geo.SPEED_TOL,
            manifolds=(E2, S3), levels=LEVELS, draws=lambda s: max(2, s // 2))
 def check_constant_speed(rng, man, level):
     a = _measure(rng, man, level)
@@ -600,7 +600,7 @@ def _random_potential(rng, man):
     return fn.make_quadratic(man, rng.standard_normal(man.ambient_dim))
 
 
-@_property("calculus", "calculus.taylor_remainder", "taylor", tol=1e-9,
+@_property("calculus", "calculus.taylor_remainder", "taylor", tol=fn.TAYLOR_TOL,
            manifolds=(E3, S3), levels=(1, 2))
 def check_taylor_bound(rng, man, level):
     mu = _measure(rng, man, level)
@@ -734,7 +734,7 @@ def check_gradient_uniqueness(rng, man, level):
 
 
 @_property("calculus", "calculus.w2_supergradient_inequality", "supergrad",
-           tol=1e-8, manifolds=(E2, S3), levels=(1, 2))
+           tol=fn.CHECK_TOL, manifolds=(E2, S3), levels=(1, 2))
 def check_supergradient(rng, man, level):
     mu = _measure(rng, man, level)
     nu = _measure(rng, man, level)
@@ -752,7 +752,7 @@ def check_supergradient(rng, man, level):
 
 
 @_property("calculus", "calculus.generalized_geodesic_one_convexity",
-           "gen_geo", tol=1e-8, manifolds=(E2, S3), levels=(1, 2),
+           "gen_geo", tol=fn.CHECK_TOL, manifolds=(E2, S3), levels=(1, 2),
            draws=lambda s: max(3, s // 2))
 def check_generalized_geodesic_convexity(rng, man, level):
     mubar = _measure(rng, man, level)
@@ -780,7 +780,7 @@ def check_generalized_matches_displacement(rng, man, level):
 
 
 @_property("calculus", "calculus.convexity_lifting_quadratic", "lifting",
-           tol=1e-8, manifolds=(E2,), levels=(2,))
+           tol=fn.CHECK_TOL, manifolds=(E2,), levels=(2,))
 def check_convexity_lifting(rng, man, level):
     mu0 = _measure(rng, man, level)
     mu1 = _measure(rng, man, level)
@@ -839,7 +839,7 @@ def check_potential_gradients(seed, samples):
             pot = make(man, rng.standard_normal(3))
             residuals.append(fn.check_potential_gradient(pot, man, pts))
     return _result("calculus.potential_gradient_fd", _fold(0.0, residuals),
-                   1e-5, len(residuals))
+                   fn.FD_REL_TOL, len(residuals))
 
 
 SUITES["calculus"].append(check_potential_gradients)

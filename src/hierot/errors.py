@@ -43,7 +43,8 @@ class TooLarge(HierotError):
 
 
 class DeskScaleError(HierotError):
-    """Instance exceeds the configured depth/atom budget."""
+    """A document holds a node of more atoms than the reader accepts
+    (``serialization.MAX_ATOMS``); measures the library builds have no limit."""
 
 
 class NotOptimalInput(HierotError):

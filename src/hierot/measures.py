@@ -75,16 +75,6 @@ class HierMeasure:
             object.__setattr__(self, "_key", cached)
         return cached
 
-    def max_atoms(self) -> int:
-        cached = getattr(self, "_max_atoms", None)
-        if cached is None:
-            if self.level == 0:
-                cached = 0
-            else:
-                cached = max(len(self.atoms), max(a.max_atoms() for a in self.atoms))
-            object.__setattr__(self, "_max_atoms", cached)
-        return cached
-
     def leaf_stack(self):
         """The leaf points of a level >= 1 measure as the rows of one
         read-only array, atom after atom, and the row offsets of the atoms

@@ -20,13 +20,16 @@ import json
 import math
 from pathlib import Path
 
-from .errors import InvalidInput, NonUnitMass, SchemaError
+from .errors import DeskScaleError, InvalidInput, NonUnitMass, SchemaError
 from .functionals import (DistanceTerm, FunctionalSpec, Potential,
                           PotentialTerm, make_linear_ambient, make_quadratic)
 from .manifolds import Manifold, euclidean, sphere
 from .measures import HierMeasure, check_weights
 from .plans import FiberEntry, VelocityPlan, check_fiber
-from .wasserstein import MAX_LEVEL
+
+# the scale a document may have; the library limits nothing it builds
+MAX_LEVEL = 4
+MAX_ATOMS = 32  # atoms in one node
 
 
 def _manifold_to_obj(man: Manifold) -> dict:
@@ -103,6 +106,9 @@ def _node_from_obj(obj, man: Manifold, level: int) -> HierMeasure:
     atoms = obj["atoms"]
     if not isinstance(atoms, list):
         raise SchemaError(f"node atoms must be a list, got {type(atoms).__name__}")
+    if len(atoms) > MAX_ATOMS:
+        raise DeskScaleError(
+            f"{len(atoms)} atoms in a node exceeds the supported {MAX_ATOMS}")
     if len(weights) != len(atoms) or not atoms:
         raise SchemaError("weights and atoms must be non-empty and aligned")
     try:

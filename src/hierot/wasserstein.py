@@ -10,19 +10,16 @@ nothing outlives the call.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DeskScaleError, InvalidInput, LevelMismatch
+from .errors import LevelMismatch
 from .exact_ot import WEIGHT_DROP, _solve_lists
 from .measures import HierMeasure
 from .plans import FiberEntry, VelocityPlan
 
-MAX_LEVEL = 4
-DEFAULT_MAX_ATOMS = 32
 CLOSE_TOL = 1e-8  # measures_close: two measures within this w2 are equal
 
 # Comparing two independently built representations of the same measure hits
@@ -31,35 +28,11 @@ CLOSE_TOL = 1e-8  # measures_close: two measures within this w2 are equal
 TOL_NEAR_ZERO = 5e-8
 
 
-def max_atoms_budget() -> int:
-    raw = os.environ.get("HIEROT_MAX_ATOMS", "")
-    try:
-        limit = int(raw) if raw else DEFAULT_MAX_ATOMS
-    except ValueError:
-        limit = 0  # not an integer: rejected below with the rest
-    if limit < 1:
-        raise InvalidInput(
-            f"HIEROT_MAX_ATOMS must be a positive integer, got {raw!r}")
-    return limit
-
-
-def _check_budget(mu: HierMeasure) -> None:
-    if mu.level > MAX_LEVEL:
-        raise DeskScaleError(f"level {mu.level} beyond the supported {MAX_LEVEL}")
-    limit = max_atoms_budget()
-    if mu.max_atoms() > limit:
-        raise DeskScaleError(
-            f"{mu.max_atoms()} atoms in a node exceeds the budget {limit} "
-            "(override with HIEROT_MAX_ATOMS)")
-
-
 def _check_pair(mu: HierMeasure, nu: HierMeasure) -> None:
     if mu.level != nu.level or mu.manifold != nu.manifold:
         raise LevelMismatch(
             f"operands at level {mu.level}/{nu.level} on "
             f"{mu.manifold.kind}/{nu.manifold.kind}")
-    _check_budget(mu)
-    _check_budget(nu)
 
 
 def w2_sq(mu: HierMeasure, nu: HierMeasure) -> float:

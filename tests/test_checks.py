@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 
 import pytest
@@ -111,6 +112,23 @@ def test_nan_residual_fails_a_plain_check(monkeypatch):
                         lambda pot, man, pts: float("nan"))
     result = checks.check_potential_gradients(0, 1)
     assert not result.passed and result.samples == 4
+
+
+def test_failed_gradient_check_is_reported(monkeypatch, capsys):
+    # an oracle whose gradient is off fails its property; the run goes on
+    make = checks.fn.make_linear_ambient
+
+    def doubled(man, direction):
+        pot = make(man, direction)
+        return dataclasses.replace(pot, grad=lambda x: 2.0 * pot.grad(x))
+
+    monkeypatch.setattr(checks.fn, "make_linear_ambient", doubled)
+    code = main(["check", "--suite", "calculus", "--samples", "1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CHECK
+    fd, = [p for p in report["suites"]["calculus"]["properties"]
+           if p["name"] == "calculus.potential_gradient_fd"]
+    assert fd["passed"] is False
 
 
 @pytest.mark.parametrize("samples", [0, -2])

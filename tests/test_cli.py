@@ -9,7 +9,8 @@ import pytest
 from hierot import euclidean, sphere
 from hierot.cli import main
 from hierot.measures import dirac, dirac_lift, mixture
-from hierot.sampling import random_measure, rng_from_seed
+from hierot.sampling import (random_measure, random_point, rng_from_seed,
+                             stick_weights)
 from hierot.serialization import (load_measure, load_plan, measure_to_obj,
                                   save_measure)
 from test_checks import negate_transport
@@ -147,22 +148,56 @@ def test_distance_accepts_the_mass_the_node_rule_accepts(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_malformed_max_atoms_exit_code(tmp_path, capsys, monkeypatch):
-    pa, qa = write_level2_pair(tmp_path)
-    monkeypatch.setenv("HIEROT_MAX_ATOMS", "abc")
-    assert main(["distance", str(pa), str(qa)]) == 2
-    assert "HIEROT_MAX_ATOMS" in capsys.readouterr().err
+def write_wide(path, man, n, seed):
+    """A level-1 measure of ``n`` atoms with random weights, written to ``path``."""
+    rng = rng_from_seed(seed)
+    save_measure(mixture(stick_weights(rng, n),
+                         [dirac(man, random_point(rng, man)) for _ in range(n)]),
+                 path)
+    return path
 
 
-@pytest.mark.parametrize("raw", ["0", "-3"])
-def test_non_positive_max_atoms_exit_code(tmp_path, capsys, monkeypatch, raw):
-    # a budget below one atom would reject every measure with a confusing
-    # "exceeds the budget" message instead of naming the variable
-    pa, qa = write_level2_pair(tmp_path)
-    monkeypatch.setenv("HIEROT_MAX_ATOMS", raw)
-    assert main(["distance", str(pa), str(qa)]) == 2
-    err = capsys.readouterr().err
-    assert "HIEROT_MAX_ATOMS" in err and "positive" in err
+@pytest.mark.parametrize("man", [euclidean(3), S3], ids=["euclidean3", "sphere3"])
+def test_geodesic_and_flow_take_the_measures_they_build(tmp_path, capsys, man):
+    # a vertex plan between two 17-atom measures has up to 33 cells, so an
+    # interpolant or a flow step carries up to 33 atoms in a node: more than
+    # a document may hold, which the library must not refuse
+    a = write_wide(tmp_path / "a.json", man, 17, 1)
+    b = write_wide(tmp_path / "b.json", man, 17, 2)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"terms": [{"type": "half_w2_sq", "target": str(b)}]}))
+    out = tmp_path / "geo"
+    assert main(["geodesic", str(a), str(b), "--steps", "2",
+                 "--out", str(out)]) == 0
+    mid = json.loads((out / "geodesic_0001.json").read_text())
+    assert len(mid["measure"]["atoms"]) > 32
+    assert main(["flow", "--spec", str(spec), "--init", str(a),
+                 "--iters", "2", "--trace", str(tmp_path / "trace.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("case", ["distance", "geodesic", "flow --init",
+                                  "flow target"])
+def test_node_above_the_atom_limit_exit_code(tmp_path, capsys, case):
+    wide = write_wide(tmp_path / "wide.json", E1, 33, 3)
+    ok = write_wide(tmp_path / "ok.json", E1, 32, 4)
+    spec = tmp_path / "spec.json"
+    target = str(wide) if case == "flow target" else str(ok)
+    spec.write_text(json.dumps(
+        {"terms": [{"type": "half_w2_sq", "target": target}]}))
+    trace = str(tmp_path / "trace.csv")
+    argv = {"distance": ["distance", str(ok), str(wide)],
+            "geodesic": ["geodesic", str(wide), str(ok),
+                         "--out", str(tmp_path / "geo")],
+            "flow --init": ["flow", "--spec", str(spec), "--init", str(wide),
+                            "--iters", "1", "--trace", trace],
+            "flow target": ["flow", "--spec", str(spec), "--init", str(ok),
+                            "--iters", "1", "--trace", trace]}[case]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: 33 atoms in a node exceeds the supported 32\n"
+    assert out == ""
 
 
 def test_uncertified_plan_exit_code(tmp_path, capsys, monkeypatch):

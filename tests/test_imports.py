@@ -1,12 +1,15 @@
-"""Every name a library module imports is used in that module, and the
-modules of the package import each other without a cycle.
+"""Every name a library module imports is used in that module, the
+modules of the package import each other without a cycle, and none reads
+the process environment.
 
 Each module of ``src/hierot`` is parsed with ``ast``; a name bound by an
 ``import`` or ``from ... import`` (inside functions too) that the module
 never reads fails the test.  ``__init__.py`` is exempt: its imports are the
 public API.  The package's own imports, ``from .x import ...`` and
 ``from . import x`` at module level or inside functions, form a graph that
-must have no cycle.
+must have no cycle.  No module names ``os.environ``, ``os.getenv`` or
+their bytes forms, so no environment variable can change what the library
+does.
 """
 
 import ast
@@ -96,3 +99,29 @@ def test_an_import_cycle_is_caught():
     assert import_cycle(graph) == ["a", "b", "c", "a"]
     del graph["c"]
     assert import_cycle(graph) is None
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list:
+    """The names through which ``source`` reads the process environment:
+    ``os.<name>`` attributes and ``from os import <name>``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [a.name for a in node.names if a.name in ENVIRONMENT]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_library_module_reads_no_environment(path):
+    assert environment_reads((SRC / path).read_text()) == []
+
+
+def test_an_environment_read_is_caught():
+    source = ("import os\nfrom os import getenv\n"
+              "x = os.environ.get('A', '')\ny = getenv('B')\n")
+    assert environment_reads(source) == ["getenv", "environ"]

@@ -16,7 +16,8 @@ from hierot.geodesics import optimal_velocity_plan
 from hierot.plans import plans_structurally_equal, validate_plan
 from hierot.sampling import (random_measure, random_point, rng_from_seed,
                              stick_weights)
-from hierot.serialization import save_measure
+from hierot.serialization import (MAX_ATOMS, measure_from_obj,
+                                  measure_to_obj, save_measure)
 from hierot.wasserstein import (_velocity, cost_matrix, measures_close,
                                 transport, w2, w2_sq)
 
@@ -166,14 +167,18 @@ def test_zero_distance_implies_canonical_equality():
             == canonicalize(q).structural_key())
 
 
-def test_desk_scale_guard(monkeypatch):
-    man = euclidean(1)
-    big = mixture(tuple(1 / 40 for _ in range(40)),
-                  [pt(i) for i in range(40)])
-    with pytest.raises(DeskScaleError):
-        w2(big, big)
-    monkeypatch.setenv("HIEROT_MAX_ATOMS", "64")
+def test_desk_scale_guard():
+    # the reader refuses a node above MAX_ATOMS atoms at any depth; the
+    # library limits nothing it builds
+    def uniform(n):
+        return mixture(tuple(1 / n for _ in range(n)), [pt(i) for i in range(n)])
+
+    big = uniform(40)
     assert w2(big, big) == 0.0
+    inside = mixture((1.0,), [uniform(MAX_ATOMS)])
+    assert w2(measure_from_obj(measure_to_obj(inside)), inside) == 0.0
+    with pytest.raises(DeskScaleError, match="33 atoms in a node"):
+        measure_from_obj(measure_to_obj(mixture((1.0,), [uniform(33)])))
 
 
 MANIFOLDS = pytest.mark.parametrize(
