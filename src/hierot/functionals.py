@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInput, LevelMismatch
 from .geodesics import interpolate, optimal_velocity_plan
-from .manifolds import Manifold
+from .manifolds import Manifold, dot, norm
 from .measures import HierMeasure, n_expectancy
 from .plans import (Coupling, VelocityPlan, _combine, coupling_inner,
                     coupling_sq_diff, exp_push, fd_from_field,
@@ -51,13 +51,13 @@ def make_quadratic(manifold: Manifold, center) -> Potential:
         raise InvalidInput("center dimension mismatch")
     if manifold.kind == "euclidean":
         return Potential(
-            value=lambda x: 0.5 * float(np.dot(x - a, x - a)),
+            value=lambda x: 0.5 * dot(x - a, x - a),
             grad=lambda x: x - a,
             hessian_bound=1.0)
     return Potential(
-        value=lambda x: 0.5 * float(np.dot(x - a, x - a)),
-        grad=lambda x: -(a - np.dot(a, x) * x),
-        hessian_bound=float(np.linalg.norm(a)))
+        value=lambda x: 0.5 * dot(x - a, x - a),
+        grad=lambda x: -(a - dot(a, x) * x),
+        hessian_bound=norm(a))
 
 
 def make_linear_ambient(manifold: Manifold, direction) -> Potential:
@@ -67,13 +67,13 @@ def make_linear_ambient(manifold: Manifold, direction) -> Potential:
         raise InvalidInput("direction dimension mismatch")
     if manifold.kind == "euclidean":
         return Potential(
-            value=lambda x: float(np.dot(x, a)),
+            value=lambda x: dot(x, a),
             grad=lambda x: a.copy(),
             hessian_bound=0.0)
     return Potential(
-        value=lambda x: float(np.dot(x, a)),
-        grad=lambda x: a - np.dot(a, x) * x,
-        hessian_bound=float(np.linalg.norm(a)))
+        value=lambda x: dot(x, a),
+        grad=lambda x: a - dot(a, x) * x,
+        hessian_bound=norm(a))
 
 
 def check_potential_gradient(pot: Potential, manifold: Manifold, points) -> float:
@@ -82,7 +82,7 @@ def check_potential_gradient(pot: Potential, manifold: Manifold, points) -> floa
     worst = 0.0
     for x in points:
         g = pot.grad(x)
-        gn = float(np.linalg.norm(g))
+        gn = norm(g)
         if gn < 1e-12:
             continue
         d = g / gn
@@ -322,12 +322,12 @@ def gradient_descent(spec: FunctionalSpec, mu0: HierMeasure, tau: float,
                      iters: int) -> DescentTrace:
     if iters < 1:
         raise InvalidInput("iters must be >= 1")
-    mu, norm, steps = mu0, 0.0, []
+    mu, step_norm, steps = mu0, 0.0, []
     for i in range(iters):
         nxt, plan, value = gradient_step(spec, mu, tau)
-        steps.append(DescentStep(i, mu, value, norm))
-        mu, norm = nxt, plan_norm(plan)
-    steps.append(DescentStep(iters, mu, eval_functional(spec, mu), norm))
+        steps.append(DescentStep(i, mu, value, step_norm))
+        mu, step_norm = nxt, plan_norm(plan)
+    steps.append(DescentStep(iters, mu, eval_functional(spec, mu), step_norm))
     return DescentTrace(steps=tuple(steps))
 
 

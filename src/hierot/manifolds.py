@@ -8,6 +8,7 @@ ambient coordinates; sphere points live on ``S^{d-1}`` embedded in ``R^d``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +38,22 @@ def _finite(x) -> bool:
     return math.isfinite(sum(x.tolist())) or bool(np.all(np.isfinite(x)))
 
 
-def _norm(x) -> float:
-    """``np.linalg.norm`` of a real 1-D array, bit for bit: the square root
-    of its dot product with itself, without numpy's dispatch."""
-    return math.sqrt(float(x.dot(x)))
+def dot(x, y) -> float:
+    """Every leaf inner product: the ``math.fsum`` of the coordinate
+    products, their correctly rounded sum, so no summation order, BLAS
+    kernel or CPU dispatch changes its bits.  Where ``fsum`` raises (a
+    partial sum overflows, or ``inf - inf``), the builtin ``sum`` keeps the
+    IEEE result, ``inf`` or NaN."""
+    products = list(map(operator.mul, x.tolist(), y.tolist()))
+    try:
+        return math.fsum(products)
+    except (OverflowError, ValueError):
+        return sum(products)
+
+
+def norm(x) -> float:
+    """The Euclidean norm of a real 1-D array: the square root of ``dot``."""
+    return math.sqrt(dot(x, x))
 
 
 def _as_floats(value, what: str) -> np.ndarray:
@@ -82,7 +95,7 @@ class Manifold:
         if not _finite(x):
             raise InvalidPoint("non-finite coordinates")
         if self.kind == SPHERE:
-            nrm = _norm(x)
+            nrm = norm(x)
             if abs(nrm - 1.0) > SPHERE_RENORM_BAND:
                 raise InvalidPoint(f"sphere point has norm {nrm}")
             if abs(nrm - 1.0) > POINT_TOL:
@@ -99,15 +112,15 @@ class Manifold:
         if not _finite(v):
             raise InvalidInput("non-finite tangent")
         if self.kind == SPHERE:
-            dot = float(v.dot(x))
-            if abs(dot) > TANGENT_TOL:
-                raise InvalidInput(f"vector not tangent: <v,x> = {dot}")
+            vx = dot(v, x)
+            if abs(vx) > TANGENT_TOL:
+                raise InvalidInput(f"vector not tangent: <v,x> = {vx}")
         return v
 
     def project_tangent(self, x, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if self.kind == SPHERE:
-            return v - np.dot(v, x) * x
+            return v - dot(v, x) * x
         return v
 
     # -- metric ---------------------------------------------------------
@@ -116,14 +129,12 @@ class Manifold:
         if x.shape != y.shape or x.shape != (self.ambient_dim,):
             raise InvalidInput("dimension mismatch in dist")
         if self.kind == EUCLIDEAN:
-            return float(np.linalg.norm(x - y))
+            return norm(x - y)
         # chord-based arc length: stable both near 0 and near pi, where
         # arccos of the dot product loses half the working precision
-        if float(np.dot(x, y)) >= 0.0:
-            half = 0.5 * float(np.linalg.norm(x - y))
-            return 2.0 * float(np.arcsin(min(half, 1.0)))
-        half = 0.5 * float(np.linalg.norm(x + y))
-        return float(np.pi) - 2.0 * float(np.arcsin(min(half, 1.0)))
+        if dot(x, y) >= 0.0:
+            return 2.0 * math.asin(min(0.5 * norm(x - y), 1.0))
+        return math.pi - 2.0 * math.asin(min(0.5 * norm(x + y), 1.0))
 
     def pairwise_sq_dist(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Squared distances between two stacks of points (rows).
@@ -131,11 +142,11 @@ class Manifold:
         Taken in blocks of rows, so the (rows, len(ys), dim) difference
         arrays stay near ``PAIRWISE_BLOCK`` entries at any size; each row
         is computed alone, so the result does not depend on the blocks.
-        The sphere's dot products (the (len(xs), len(ys)) matrix product that
-        picks the branch) are taken in one call.
+        The sphere's dot products (the (len(xs), len(ys)) matrix that picks
+        the branch) are taken in one call.
         """
         out = np.empty((len(xs), len(ys)))
-        dots = None if self.kind == EUCLIDEAN else xs @ ys.T
+        dots = None if self.kind == EUCLIDEAN else np.einsum("ik,jk->ij", xs, ys)
         step = max(1, PAIRWISE_BLOCK // max(1, ys.size))
         for lo in range(0, len(xs), step):
             rows = slice(lo, lo + step)
@@ -149,19 +160,22 @@ class Manifold:
             return np.einsum("ijk,ijk->ij", diff, diff)
         d_minus = np.linalg.norm(xs[:, None, :] - ys[None, :, :], axis=2)
         d_plus = np.linalg.norm(xs[:, None, :] + ys[None, :, :], axis=2)
-        near = 2.0 * np.arcsin(np.minimum(0.5 * d_minus, 1.0))
-        far = np.pi - 2.0 * np.arcsin(np.minimum(0.5 * d_plus, 1.0))
-        ang = np.where(dots >= 0.0, near, far)
+        near = dots >= 0.0
+        half = np.minimum(0.5 * np.where(near, d_minus, d_plus), 1.0)
+        # math.asin, as in dist: numpy's arcsin takes its bits from the CPU
+        arc = 2.0 * np.fromiter(map(math.asin, half.ravel().tolist()), float,
+                                half.size).reshape(half.shape)
+        ang = np.where(near, arc, math.pi - arc)
         return ang * ang
 
     def exp(self, x, v) -> np.ndarray:
         if self.kind == EUCLIDEAN:
             return x + v
-        nrm = _norm(v)
+        nrm = norm(v)
         if nrm == 0.0:
             return x
         y = math.cos(nrm) * x + math.sin(nrm) * (v / nrm)
-        return y / _norm(y)
+        return y / norm(y)
 
     def log(self, x, y) -> np.ndarray:
         """A minimizing tangent ``v`` with ``exp_x(v) = y`` and ``|v| = dist(x, y)``.
@@ -172,10 +186,10 @@ class Manifold:
         """
         if self.kind == EUCLIDEAN:
             return y - x
-        cosang = float(np.clip(np.dot(x, y), -1.0, 1.0))
+        cosang = min(max(dot(x, y), -1.0), 1.0)
         theta = self.dist(x, y)
         u = y - cosang * x
-        nrm = float(np.linalg.norm(u))
+        nrm = norm(u)
         if theta < 1e-15:
             return np.zeros(self.ambient_dim)
         if nrm < 1e-12:
@@ -186,8 +200,8 @@ class Manifold:
         for k in range(self.ambient_dim):
             e = np.zeros(self.ambient_dim)
             e[k] = 1.0
-            u = e - np.dot(e, x) * x
-            nrm = float(np.linalg.norm(u))
+            u = e - dot(e, x) * x
+            nrm = norm(u)
             if nrm > 1e-6:
                 return u / nrm
         raise InvalidPoint("degenerate point for antipodal tie-break")
@@ -201,16 +215,16 @@ class Manifold:
         """
         if self.kind == EUCLIDEAN:
             return x + t * v, w
-        nv = float(np.linalg.norm(v))
+        nv = norm(v)
         if nv == 0.0:
             return x, w
         u = v / nv
         theta = t * nv
-        c, s = np.cos(theta), np.sin(theta)
-        b = float(np.dot(w, u))
+        c, s = math.cos(theta), math.sin(theta)
+        b = dot(w, u)
         w_perp = w - b * u
         y = c * x + s * u
-        y = y / np.linalg.norm(y)
+        y = y / norm(y)
         w_t = b * (c * u - s * x) + w_perp
         return y, self.project_tangent(y, w_t)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BaseMismatch, CouplingMismatch, InvalidInput
 from .exact_ot import _solve_lists
-from .manifolds import Manifold, euclidean
+from .manifolds import Manifold, dot, euclidean
 from .measures import HierMeasure, dirac
 
 # fiber weights must add up to their atom's weight within this
@@ -257,7 +257,7 @@ def _check_same_base(g1: VelocityPlan, g2: VelocityPlan) -> None:
 
 
 def plan_norm_sq(gamma: VelocityPlan) -> float:
-    return _leaf_sum(gamma, lambda g: float(np.dot(g.tangent, g.tangent)))
+    return _leaf_sum(gamma, lambda g: dot(g.tangent, g.tangent))
 
 
 def plan_norm(gamma: VelocityPlan) -> float:
@@ -329,7 +329,7 @@ def _couple(g1, g2, rng=None):
     base = g1.base
     if base.level == 0:
         diff = g1.tangent - g2.tangent
-        return Coupling(base=base, v1=g1.tangent, v2=g2.tangent), float(np.dot(diff, diff))
+        return Coupling(base=base, v1=g1.tangent, v2=g2.tangent), dot(diff, diff)
     per_atom = []
     total = 0.0
     for w, f1, f2 in zip(base.weights, g1.fibers, g2.fibers):
@@ -396,12 +396,12 @@ def coupling_expectation(alpha: Coupling, f: Callable) -> float:
 
 
 def coupling_inner(alpha: Coupling) -> float:
-    return coupling_expectation(alpha, lambda x, v1, v2: float(np.dot(v1, v2)))
+    return coupling_expectation(alpha, lambda x, v1, v2: dot(v1, v2))
 
 
 def coupling_sq_diff(alpha: Coupling) -> float:
     return coupling_expectation(
-        alpha, lambda x, v1, v2: float(np.dot(v1 - v2, v1 - v2)))
+        alpha, lambda x, v1, v2: dot(v1 - v2, v1 - v2))
 
 
 def push_coupling_leaves(alpha: Coupling, f: Callable) -> HierMeasure:
@@ -464,7 +464,7 @@ def inner_mu(g1: VelocityPlan, g2: VelocityPlan, method: str = "polarization") -
 def _max_inner(g1, g2):
     base = g1.base
     if base.level == 0:
-        return float(np.dot(g1.tangent, g2.tangent))
+        return dot(g1.tangent, g2.tangent)
     total = 0.0
     for w, f1, f2 in zip(base.weights, g1.fibers, g2.fibers):
         cost = [[-_max_inner(e1.plan, e2.plan) for e2 in f2] for e1 in f1]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .manifolds import Manifold
+from .manifolds import Manifold, norm
 from .measures import HierMeasure, dirac, mixture
 from .plans import (Coupling, FiberEntry, VelocityPlan, _check_same_base,
                     _couple)
@@ -34,10 +34,10 @@ def stick_weights(rng, n: int) -> tuple:
 def random_point(rng, man: Manifold) -> np.ndarray:
     x = rng.standard_normal(man.ambient_dim)
     if man.kind == "sphere":
-        n = np.linalg.norm(x)
+        n = norm(x)
         while n < 1e-8:
             x = rng.standard_normal(man.ambient_dim)
-            n = np.linalg.norm(x)
+            n = norm(x)
         return x / n
     return x
 

@@ -136,6 +136,28 @@ def test_distance_overflowing_weight_sum_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err == "error: node weights sum to inf\n"
 
 
+def test_distance_sphere_point_of_overflowing_norm_exit_code(tmp_path, capsys):
+    # the leaf dot's partial sums pass the largest float: the norm is inf
+    doc = {"manifold": {"kind": "sphere", "ambient_dim": 3}, "level": 1,
+           "measure": {"weights": [1.0],
+                       "atoms": [{"point": [1.3e154, 1.3e154, 0.0]}]}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["distance", str(bad), str(bad)]) == 2
+    assert capsys.readouterr().err == "error: sphere point has norm inf\n"
+
+
+def test_distance_between_finite_points_may_be_infinite(tmp_path, capsys):
+    paths = []
+    for name, point in (("a", [1.3e154, 0.0]), ("b", [-1.3e154, 1.3e154])):
+        doc = {"manifold": {"kind": "euclidean", "ambient_dim": 2}, "level": 0,
+               "measure": {"point": point}}
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    assert main(["distance", *map(str, paths)]) == 0
+    assert capsys.readouterr().out == '{"w2":"Infinity"}\n'
+
+
 def test_distance_accepts_the_mass_the_node_rule_accepts(tmp_path, capsys):
     # weights whose exact sum is within 1e-9 of one, but not their sum in
     # numpy's order: the reader accepts them, so the solve must too

@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -31,7 +32,8 @@ def _point(rng, kind, center=None, noise=1.0):
     if center is not None:
         x = x + center
     if kind == "sphere":
-        x = x / np.linalg.norm(x)
+        # not np.linalg.norm, whose BLAS kernel the host picks
+        x = x / math.sqrt(math.fsum((x * x).tolist()))
     return [float(c) for c in x]
 
 

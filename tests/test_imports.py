@@ -8,8 +8,17 @@ never reads fails the test.  ``__init__.py`` is exempt: its imports are the
 public API.  The package's own imports, ``from .x import ...`` and
 ``from . import x`` at module level or inside functions, form a graph that
 must have no cycle.  No module names ``os.environ``, ``os.getenv`` or
-their bytes forms, so no environment variable can change what the library
-does.
+their bytes forms, so the library reads no environment variable.
+
+Nor does any module take a product or an angle by one of numpy's forms
+whose bits depend on the host: 1-D ``np.dot`` and ``np.linalg.norm``, ``.dot``
+and ``@`` go through BLAS, whose kernel the CPU or ``OPENBLAS_CORETYPE``
+picks, and ``np.arcsin`` and its kin take the loop that the CPU or
+``NPY_DISABLE_CPU_FEATURES`` picks.  Every leaf inner product is
+``manifolds.dot``, a correctly rounded sum, and angles come from ``math``,
+so neither variable changes what the library writes.  ``np.linalg.norm``
+with an ``axis`` (the sphere table's row norms) keeps the same bits on every
+BLAS kernel and dispatch level.
 """
 
 import ast
@@ -125,3 +134,49 @@ def test_an_environment_read_is_caught():
     source = ("import os\nfrom os import getenv\n"
               "x = os.environ.get('A', '')\ny = getenv('B')\n")
     assert environment_reads(source) == ["getenv", "environ"]
+
+
+NUMPY = {"np", "numpy"}
+# numpy functions whose bits depend on the BLAS kernel or the CPU dispatch
+HOST_FORMS = {"dot", "vdot", "inner", "matmul", "arcsin", "arccos", "arctan",
+              "arctan2", "exp", "log", "tan", "sin", "cos"}
+
+
+def host_dependent_forms(source: str) -> list:
+    """Where ``source`` names a host-dependent numpy form, as ``line: form``:
+    ``np.<form>`` or ``from numpy import <form>``, a ``.dot`` attribute of
+    anything, ``@`` or ``@=``, and ``np.linalg.norm`` called without
+    ``axis``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr == "dot":
+            found.append((node.lineno, ".dot"))
+        elif (isinstance(node, ast.Attribute) and node.attr in HOST_FORMS
+              and isinstance(node.value, ast.Name) and node.value.id in NUMPY):
+            found.append((node.lineno, f"np.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, f"np.{a.name}") for a in node.names
+                      if a.name in HOST_FORMS]
+        elif (isinstance(node, ast.Call)
+              and ast.unparse(node.func) in {f"{n}.linalg.norm" for n in NUMPY}
+              and all(k.arg != "axis" for k in node.keywords)):
+            found.append((node.lineno, "np.linalg.norm"))
+    return [f"{line}: {form}" for line, form in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_library_module_takes_no_host_dependent_form(path):
+    assert host_dependent_forms((SRC / path).read_text()) == []
+
+
+def test_a_host_dependent_form_is_caught():
+    source = ("import numpy as np\nfrom numpy import arcsin, sqrt\n"
+              "a = np.dot(x, y) + x.dot(y) + np.arccos(t) + math.asin(t)\n"
+              "b = xs @ ys.T\nb @= m\nf = np.sin\n"
+              "c = np.linalg.norm(x) + numpy.linalg.norm(x, 2)\n"
+              "d = np.linalg.norm(xs, axis=1) + np.einsum('i,i', x, y) + dot(x, y)\n")
+    assert host_dependent_forms(source) == [
+        "2: np.arcsin", "3: .dot", "3: .dot", "3: np.arccos", "4: @", "5: @",
+        "6: np.sin", "7: np.linalg.norm", "7: np.linalg.norm"]

@@ -1,8 +1,14 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hierot import euclidean, sphere
 from hierot.errors import InvalidInput, InvalidPoint
+from hierot.manifolds import dot, norm
 from hierot.sampling import random_point, random_tangent, rng_from_seed
 
 N = np.array([0.0, 0.0, 1.0])
@@ -210,11 +216,12 @@ def _one_shot_sq_dist(man, xs, ys):
     if man.kind == "euclidean":
         diff = xs[:, None, :] - ys[None, :, :]
         return np.einsum("ijk,ijk->ij", diff, diff)
-    dots = xs @ ys.T
+    asin = np.vectorize(math.asin, otypes=[float])
+    dots = np.einsum("ik,jk->ij", xs, ys)
     d_minus = np.linalg.norm(xs[:, None, :] - ys[None, :, :], axis=2)
     d_plus = np.linalg.norm(xs[:, None, :] + ys[None, :, :], axis=2)
-    near = 2.0 * np.arcsin(np.minimum(0.5 * d_minus, 1.0))
-    far = np.pi - 2.0 * np.arcsin(np.minimum(0.5 * d_plus, 1.0))
+    near = 2.0 * asin(np.minimum(0.5 * d_minus, 1.0))
+    far = math.pi - 2.0 * asin(np.minimum(0.5 * d_plus, 1.0))
     ang = np.where(dots >= 0.0, near, far)
     return ang * ang
 
@@ -258,13 +265,13 @@ def test_pairwise_sq_dist_memory_is_bounded(man):
 
 
 def _check_point_reference(man, x):
-    """``check_point`` as it was written with numpy's ``isfinite`` and
-    ``linalg.norm``."""
+    """``check_point`` as it was written with numpy's ``isfinite`` and the
+    library's leaf norm."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise InvalidPoint("non-finite coordinates")
     if man.kind == "sphere":
-        nrm = float(np.linalg.norm(x))
+        nrm = norm(x)
         if abs(nrm - 1.0) > 1e-6:
             raise InvalidPoint(f"sphere point has norm {nrm}")
         if abs(nrm - 1.0) > 1e-12:
@@ -308,12 +315,69 @@ def test_point_validation_matches_numpy_forms_bit_for_bit(man):
         assert man.check_tangent(np.zeros(d), huge).tobytes() == huge.tobytes()
 
 
-def test_sphere_exp_matches_numpy_norms_bit_for_bit():
+def test_sphere_exp_matches_leaf_norms_bit_for_bit():
     man = sphere(3)
     rng = rng_from_seed(92)
     for _ in range(2000):
         x = random_point(rng, man)
         v = random_tangent(rng, man, x) * 10.0 ** rng.integers(-8, 2)
-        nrm = float(np.linalg.norm(v))
-        y = np.cos(nrm) * x + np.sin(nrm) * (v / nrm)
-        assert man.exp(x, v).tobytes() == (y / np.linalg.norm(y)).tobytes()
+        nrm = math.sqrt(math.fsum(c * c for c in v.tolist()))
+        y = math.cos(nrm) * x + math.sin(nrm) * (v / nrm)
+        assert man.exp(x, v).tobytes() == (y / norm(y)).tobytes()
+
+
+# products of two such floats stay below 1e300, so no partial sum overflows
+FINITE = st.floats(-1e150, 1e150)
+
+
+@st.composite
+def _vector_pairs(draw):
+    """Two vectors of length 1-8 and a permutation of their coordinates.
+    Half of the draws repeat the first half of the coordinates with one side
+    negated, so the products cancel."""
+    n = draw(st.integers(1, 8))
+    x = draw(st.lists(FINITE, min_size=n, max_size=n))
+    y = draw(st.lists(FINITE, min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        half = n // 2
+        x[half:2 * half] = x[:half]
+        y[half:2 * half] = [-b * draw(st.sampled_from([1.0, 1.0 + 2.0 ** -52]))
+                            for b in y[:half]]
+    return np.array(x), np.array(y), draw(st.permutations(range(n)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_vector_pairs())
+def test_dot_is_the_correctly_rounded_sum_of_the_products(case):
+    x, y, order = case
+    got = dot(x, y)
+    assert got == float(sum((Fraction(a * b) for a, b in zip(x.tolist(), y.tolist())),
+                            Fraction(0)))
+    assert dot(x[order], y[order]) == got
+    assert dot(y, x) == got
+    assert norm(x) == math.sqrt(dot(x, x))
+
+
+# m * 2**e with |m| <= 2**26: every product fits in 53 bits, so the correctly
+# rounded sum of the products is the exact inner product rounded once
+EXACT = st.builds(lambda m, e: math.ldexp(m, e),
+                  st.integers(-2 ** 26, 2 ** 26), st.integers(-60, 60))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.tuples(EXACT, EXACT), min_size=1, max_size=8))
+@example([(2.0 ** 60, 1.0), (1.0, 1.0), (-(2.0 ** 60), 1.0)])  # summed in order: 0.0
+def test_dot_with_exact_products_is_the_exact_inner_product(pairs):
+    x, y = np.array(pairs).T
+    exact = sum((Fraction(a) * Fraction(b) for a, b in pairs), Fraction(0))
+    assert dot(x, y) == float(exact)
+
+
+def test_dot_keeps_ieee_infinities_where_fsum_raises():
+    # fsum raises OverflowError on a partial sum past the largest float,
+    # even when the exact sum is finite, and ValueError on inf - inf
+    huge = np.array([1.3e154, 1.3e154, 0.0])
+    assert dot(huge, huge) == math.inf and norm(huge) == math.inf
+    assert dot(np.array([1e308, 1e308, -1e308]), np.ones(3)) == math.inf
+    assert math.isnan(dot(np.array([math.inf, -math.inf]), np.ones(2)))
+    assert math.isnan(dot(np.array([math.nan, 1.0]), np.ones(2)))

@@ -6,6 +6,7 @@ import pytest
 
 from hierot import euclidean, sphere
 from hierot.errors import BaseMismatch, InvalidInput, SchemaError
+from hierot.manifolds import dot
 from hierot.measures import dirac, dirac_lift, mixture, n_expectancy
 from hierot.plans import (FiberEntry, VelocityPlan, add, coupling_inner,
                           coupling_marginal_plan, coupling_sq_diff,
@@ -249,8 +250,7 @@ def test_fd_from_field_and_isometry():
         f = lambda x: man.project_tangent(x, a)
         g = fd_from_field(mu, f)
         assert is_fully_deterministic(g)
-        assert plan_norm_sq(g) == n_expectancy(
-            mu, lambda x: float(np.dot(f(x), f(x))))
+        assert plan_norm_sq(g) == n_expectancy(mu, lambda x: dot(f(x), f(x)))
     # gradient field of a centered quadratic on flat space
     mu = mixture((0.5, 0.5), [dirac(E2, [0.0, 0.0]), dirac(E2, [2.0, 0.0])])
     center = np.array([1.0, 1.0])
